@@ -19,6 +19,7 @@ from .comm_graph import (
 from .consensus import (
     AgentState,
     ConsensusMode,
+    ConsensusState,
     DivergenceError,
     GlobalWeights,
     aggregate_global,

@@ -1,20 +1,31 @@
 """Command-line front end.
 
 Subcommands: gen-matrix, gen-graph, train, simulate, sweep, report.
-Exit codes are a stable contract: 0 success/converged, 2 usage error,
-3 max-rounds reached, 4 divergence, 5 I/O failure.
+Exit codes are a stable contract: 0 success/converged, 2 usage error
+(including a graph that cannot be built), 3 max-rounds reached,
+4 divergence (consensus, estimator training, or the Jacobi oracle),
+5 I/O failure. Config files may set ``parallel``; it is accepted and
+ignored.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import comm_graph, matrix_core, simulator
-from .local_estimator import TrainConfig, init_mlp, save_params, synthesize_training_set, train
-from .seeding import child_seed, keyed_rng
+from .comm_graph import GraphConstructionError
+from .local_estimator import (
+    TrainConfig,
+    TrainingDivergedError,
+    init_mlp,
+    save_params,
+    synthesize_training_set,
+    train,
+)
+from .matrix_core import JacobiConvergenceError
+from .seeding import child_seed
 from .simulator import (
     ConfigError,
     SimConfig,
@@ -45,8 +56,7 @@ def _parse_spectrum(spec: str, n: int, seed: int):
         if values.shape != (n,):
             raise ValueError(f"spectrum file holds {values.size} values, need {n}")
         return np.sort(values)
-    lo, hi = (float(t) for t in spec.split(":"))
-    return np.sort(keyed_rng(seed, "spectrum-range").uniform(lo, hi, n))
+    return np.array(simulator._resolve_spectrum(spec, n, seed))
 
 
 def cmd_gen_matrix(args) -> int:
@@ -117,25 +127,13 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValueError("no sweep values given")
 
-    jobs = []
-    for vi, value in enumerate(values):
-        for trial in range(args.trials):
-            seed = child_seed(base.seed, "sweep", vi, trial)
-            jobs.append((vi, value, _apply_sweep_value(base, args.param, value, seed)))
-
-    def run_one(job):
-        return run_simulation(job[2])
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            traces = list(pool.map(run_one, jobs))
-    else:
-        traces = [run_one(j) for j in jobs]
-
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
     for vi, value in enumerate(values):
-        group = [t for (gi, _, _), t in zip(jobs, traces) if gi == vi]
+        group = []
+        for trial in range(args.trials):
+            seed = child_seed(base.seed, "sweep", vi, trial)
+            group.append(run_simulation(_apply_sweep_value(base, args.param, value, seed)))
         rounds = np.array([t.rounds_used for t in group])
         errors = np.array([t.final_consensus_error for t in group])
         gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.rounds) >= 10]
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=["p", "gamma", "sigma"])
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="aggregate CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
 
@@ -225,9 +222,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, GraphConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (TrainingDivergedError, JacobiConvergenceError) as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -42,15 +42,9 @@ class Graph:
                 raise ValueError(f"edge ({i},{l}) outside 0..{self.m - 1}")
         object.__setattr__(self, "edges", edges)
 
-    def neighbors(self, i: int):
-        return sorted(l if k == i else k for k, l in self.edges if i in (k, l))
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=int)
-        for i, l in self.edges:
-            deg[i] += 1
-            deg[l] += 1
-        return deg
+        ends = np.array(list(self.edges), dtype=int).ravel()
+        return np.bincount(ends, minlength=self.m)
 
 
 @dataclass(frozen=True)

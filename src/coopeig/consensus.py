@@ -14,6 +14,7 @@ Three update dynamics are provided:
   a contraction that keeps the anchor as a persistent drive term.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +48,32 @@ class ConsensusMode:
 
 @dataclass(frozen=True)
 class AgentState:
-    """One agent's current estimates and its fixed local anchor."""
+    """A read-only view of one agent's row of a ConsensusState."""
 
     agent: int
     estimates: np.ndarray
     anchor: np.ndarray
 
+
+@dataclass(frozen=True)
+class ConsensusState:
+    """Every agent's current estimates and fixed local anchors as
+    read-only (m, j) arrays, row i belonging to agent i. ``len`` and
+    indexing give per-agent AgentState views."""
+
+    estimates: np.ndarray
+    anchors: np.ndarray
+
     def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=float)
-        anc = np.asarray(self.anchor, dtype=float)
-        if est.ndim != 1 or est.shape != anc.shape or est.size < 1:
-            raise ValueError("estimates and anchor must be equal-length vectors")
-        if not (np.all(np.isfinite(est)) and np.all(np.isfinite(anc))):
-            raise ValueError("state values must be finite")
-        est.setflags(write=False)
-        anc.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
-        object.__setattr__(self, "anchor", anc)
+        self.estimates.setflags(write=False)
+        self.anchors.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.estimates)
+
+    def __getitem__(self, i) -> AgentState:
+        i = range(len(self))[i]
+        return AgentState(i, self.estimates[i], self.anchors[i])
 
 
 @dataclass(frozen=True)
@@ -89,45 +99,43 @@ def block_size_weights(block_sizes) -> GlobalWeights:
     return GlobalWeights(sizes / sizes.sum())
 
 
-def init_states(anchors) -> list:
-    """One state per agent, estimates initialized to the anchors."""
-    anchors = [np.asarray(a, dtype=float) for a in anchors]
-    if not anchors:
+def init_states(anchors) -> ConsensusState:
+    """Estimates initialized to the anchors. State values are validated
+    here, once; rounds only ever derive new states from valid ones."""
+    rows = [np.asarray(a, dtype=float) for a in anchors]
+    if not rows:
         raise ValueError("need at least one agent")
-    j = anchors[0].shape
-    if any(a.shape != j for a in anchors):
-        raise ValueError("anchor lists must all have the same length")
-    return [AgentState(i, a.copy(), a) for i, a in enumerate(anchors)]
+    if rows[0].ndim != 1 or rows[0].size < 1 or any(a.shape != rows[0].shape for a in rows):
+        raise ValueError("anchor lists must be equal-length vectors")
+    anchors = np.stack(rows)
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError("state values must be finite")
+    return ConsensusState(anchors.copy(), anchors)
 
 
-def _stack(states):
-    return np.stack([s.estimates for s in states]), np.stack([s.anchor for s in states])
-
-
-def consensus_round(states, wm: WeightMatrix, mode: ConsensusMode) -> list:
+def consensus_round(states: ConsensusState, wm: WeightMatrix,
+                    mode: ConsensusMode) -> ConsensusState:
     """One synchronous round: every agent reads only round-k values."""
     if wm.m != len(states):
         raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states)} agents")
-    est, anc = _stack(states)
+    est, anc = states.estimates, states.anchors
     if mode.kind == "matrix_form":
         nxt = wm.w @ est
     elif mode.kind == "paper_literal":
         nxt = anc + wm.w @ est - est
     else:  # damped
         nxt = (1.0 - mode.gamma) * anc + mode.gamma * (wm.w @ est)
-    return [AgentState(s.agent, nxt[i], s.anchor) for i, s in enumerate(states)]
+    return ConsensusState(nxt, anc)
 
 
-def consensus_error(states) -> float:
+def consensus_error(states: ConsensusState) -> float:
     """Maximum pairwise disagreement over agents and eigenvalue
     indices."""
-    if not states:
-        raise ValueError("need at least one agent")
-    est, _ = _stack(states)
+    est = states.estimates
     return float(np.max(est.max(axis=0) - est.min(axis=0)))
 
 
-def deviation_norm(states) -> float:
+def deviation_norm(states: ConsensusState) -> float:
     """Frobenius norm of the estimate stack minus its agent-mean.
 
     This is the disagreement measure that provably contracts by the
@@ -136,17 +144,15 @@ def deviation_norm(states) -> float:
     rho). The max-pairwise ``consensus_error`` does *not* contract
     round by round in general, even though both vanish together.
     """
-    if not states:
-        raise ValueError("need at least one agent")
-    est, _ = _stack(states)
+    est = states.estimates
     return float(np.linalg.norm(est - est.mean(axis=0)))
 
 
-def estimation_error(states, truth) -> np.ndarray:
+def estimation_error(states: ConsensusState, truth) -> np.ndarray:
     """|estimate - truth| per agent (rows) and eigenvalue index
     (columns)."""
     truth = np.asarray(truth, dtype=float)
-    est, _ = _stack(states)
+    est = states.estimates
     if truth.shape != (est.shape[1],):
         raise ValueError(
             f"truth has length {truth.size}, states track {est.shape[1]} values"
@@ -154,12 +160,11 @@ def estimation_error(states, truth) -> np.ndarray:
     return np.abs(est - truth)
 
 
-def aggregate_global(states, gw: GlobalWeights) -> np.ndarray:
+def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
     """Componentwise convex combination of agent estimates."""
-    est, _ = _stack(states)
-    if gw.beta.shape != (est.shape[0],):
+    if gw.beta.shape != (len(states),):
         raise ValueError("one beta weight per agent required")
-    return gw.beta @ est
+    return gw.beta @ states.estimates
 
 
 def divergence_threshold(e0: float) -> float:
@@ -168,26 +173,39 @@ def divergence_threshold(e0: float) -> float:
     return 1e9 * max(1.0, e0)
 
 
-def run_to_convergence(states, wm: WeightMatrix, mode: ConsensusMode,
-                       tol: float, max_rounds: int):
-    """Iterate until consensus_error < tol or max_rounds. Returns
-    (final states, rounds used, error history incl. round 0, stop
-    reason); raises DivergenceError if the iterate blows up."""
+def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
+               max_rounds: int, on_round):
+    """The round loop. Round k mixes with ``weights(k)``; the loop stops
+    when consensus_error < tol ("converged"), after max_rounds
+    ("max_rounds"), or when the iterate turns non-finite or exceeds the
+    divergence threshold ("diverged"). ``on_round(k, states, error)``
+    sees round 0 and every round after it; the error of a non-finite
+    iterate is inf. Returns (final states, rounds used, stop reason)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    history = [consensus_error(states)]
-    if history[0] < tol:
-        return states, 0, history, "converged"
-    threshold = divergence_threshold(history[0])
-    for k in range(1, max_rounds + 1):
-        states = consensus_round(states, wm, mode)
-        est, _ = _stack(states)
-        if not np.all(np.isfinite(est)):
-            raise DivergenceError(k, float("inf"))
-        e = consensus_error(states)
-        history.append(e)
-        if e > threshold:
-            raise DivergenceError(k, e)
-        if e < tol:
-            return states, k, history, "converged"
-    return states, max_rounds, history, "max_rounds"
+    e = consensus_error(states)
+    threshold = divergence_threshold(e)
+    on_round(0, states, e)
+    k = 0
+    while e >= tol and k < max_rounds:
+        k += 1
+        states = consensus_round(states, weights(k), mode)
+        e = consensus_error(states) if np.all(np.isfinite(states.estimates)) else math.inf
+        on_round(k, states, e)
+        if math.isinf(e) or e > threshold:
+            return states, k, "diverged"
+    return states, k, "converged" if e < tol else "max_rounds"
+
+
+def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: ConsensusMode,
+                       tol: float, max_rounds: int):
+    """Iterate with fixed weights until consensus_error < tol or
+    max_rounds. Returns (final states, rounds used, error history incl.
+    round 0, stop reason); raises DivergenceError if the iterate blows
+    up."""
+    history = []
+    states, k, reason = run_rounds(states, lambda _: wm, mode, tol, max_rounds,
+                                   lambda _k, _s, e: history.append(e))
+    if reason == "diverged":
+        raise DivergenceError(k, history[-1])
+    return states, k, history, reason

@@ -148,7 +148,7 @@ def jacobi_eigen(A: DenseSymMatrix, tol: float = DEFAULT_TOL,
 
 
 def _max_offdiag(a: np.ndarray) -> float:
-    d = np.abs(a.copy())
+    d = np.abs(a)
     np.fill_diagonal(d, 0.0)
     return float(d.max())
 

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +15,7 @@ import yaml
 
 from . import comm_graph, consensus, local_estimator, matrix_core
 from .comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
-from .consensus import (
-    ConsensusMode,
-    consensus_error,
-    deviation_norm,
-    divergence_threshold,
-    estimation_error,
-)
+from .consensus import ConsensusMode, deviation_norm, estimation_error
 from .local_estimator import (
     MlpEstimator,
     NoisyOracleEstimator,
@@ -94,7 +87,6 @@ class SimConfig:
     max_rounds: int = 300
     seed: int = 0
     tracked: int = 1
-    parallel: bool = False
 
     def __post_init__(self):
         if self.agents < 1:
@@ -160,9 +152,7 @@ def _resolve_matrix(cfg: SimConfig) -> matrix_core.DenseSymMatrix:
 
 
 def _setup_estimators(cfg: SimConfig, blocks):
-    """One estimator per agent; MLP training fans out to threads when
-    cfg.parallel is set (results are assembled in agent order, so the
-    outcome is identical either way)."""
+    """One estimator per agent."""
     ecfg = cfg.estimator
     if ecfg.kind == "oracle":
         return [OracleEstimator() for _ in blocks]
@@ -188,11 +178,7 @@ def _setup_estimators(cfg: SimConfig, blocks):
         params, _ = train(p0, tset, TrainConfig(ecfg.learning_rate, ecfg.epochs))
         return MlpEstimator(params)
 
-    indices = range(len(blocks))
-    if cfg.parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(train_one, indices))
-    return [train_one(i) for i in indices]
+    return [train_one(i) for i in range(len(blocks))]
 
 
 def run_simulation(cfg: SimConfig) -> Trace:
@@ -228,12 +214,19 @@ def run_simulation(cfg: SimConfig) -> Trace:
         gw = consensus.block_size_weights(part.block_sizes)
 
     flops_per_round = int(sum(k * k for k in part.block_sizes))
-    e0 = consensus_error(states)
-    threshold = divergence_threshold(e0)
+    live_edges = 0
+    rounds = []
 
-    def metrics(k, e, scalars, flops):
+    def weights(k):
+        nonlocal live_edges
+        g_k = apply_failures(base, fm, k)
+        live_edges = len(g_k.edges)
+        return w0 if cfg.failure_p == 0.0 else metropolis_weights(g_k)
+
+    def record(k, states, e):
         eps = estimation_error(states, truth)
-        return RoundMetrics(
+        e0 = rounds[0].consensus_error if k else e
+        rounds.append(RoundMetrics(
             round=k,
             consensus_error=e,
             deviation_norm=deviation_norm(states),
@@ -241,32 +234,13 @@ def run_simulation(cfg: SimConfig) -> Trace:
             mean_est_error=float(eps.mean()),
             global_estimate=consensus.aggregate_global(states, gw),
             bound=theoretical_bound(e0, rho, k),
-            scalars_sent=scalars,
-            flops_local=flops,
-        )
+            scalars_sent=2 * j * live_edges if k else 0,
+            flops_local=flops_per_round if k else 0,
+        ))
 
-    rounds = [metrics(0, e0, 0, 0)]
-    stop_reason = "converged" if e0 < cfg.tol else "max_rounds"
-    if e0 >= cfg.tol:
-        for k in range(1, cfg.max_rounds + 1):
-            g_k = apply_failures(base, fm, k)
-            w_k = w0 if cfg.failure_p == 0.0 else metropolis_weights(g_k)
-            states = consensus.consensus_round(states, w_k, cfg.mode)
-            est = np.stack([s.estimates for s in states])
-            finite = bool(np.all(np.isfinite(est)))
-            e = consensus_error(states) if finite else float("inf")
-            rounds.append(metrics(k, e, 2 * j * len(g_k.edges), flops_per_round))
-            if not finite or e > threshold:
-                stop_reason = "diverged"
-                break
-            if e < cfg.tol:
-                stop_reason = "converged"
-                break
-        else:
-            stop_reason = "max_rounds"
-
-    final = np.stack([s.estimates for s in states])
-    return Trace(cfg, truth, rho, rounds, final, stop_reason, part.block_sizes)
+    states, _, stop_reason = consensus.run_rounds(
+        states, weights, cfg.mode, cfg.tol, cfg.max_rounds, record)
+    return Trace(cfg, truth, rho, rounds, states.estimates, stop_reason, part.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -356,6 +330,7 @@ def summary_report(trace: Trace) -> str:
 
 # --- config file handling -------------------------------------------------
 
+# "parallel" is accepted and ignored: estimator training is serial.
 _TOP_KEYS = {
     "matrix", "agents", "topology", "estimator", "mode", "gamma", "failure_p",
     "beta", "tol", "max_rounds", "seed", "tracked", "parallel",
@@ -428,7 +403,6 @@ def config_from_dict(d: dict) -> SimConfig:
         max_rounds=int(d.get("max_rounds", 300)),
         seed=seed,
         tracked=int(d.get("tracked", 1)),
-        parallel=bool(d.get("parallel", False)),
     )
 
 
@@ -461,7 +435,6 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "max_rounds": cfg.max_rounds,
         "seed": cfg.seed,
         "tracked": cfg.tracked,
-        "parallel": cfg.parallel,
     }
 
 

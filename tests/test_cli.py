@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import yaml
 
+from coopeig import simulator
 from coopeig.cli import main
 from coopeig.comm_graph import load_graph
 from coopeig.local_estimator import load_params
-from coopeig.matrix_core import jacobi_eigen, load_matrix
+from coopeig.matrix_core import JacobiConvergenceError, jacobi_eigen, load_matrix
 
 
 def base_config(tmp_path, **over):
@@ -182,20 +183,44 @@ class TestSweep:
         gamma = {float(r[1]): float(r[9]) for r in rows}
         assert gamma[0.05] > gamma[0.005]
 
-    def test_parallel_jobs_identical_output(self, tmp_path):
+    def test_rerun_identical_output(self, tmp_path):
         cfg = base_config(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         args = ["sweep", "--config", str(cfg), "--param", "p",
                 "--values", "0,0.2", "--trials", "4"]
-        assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert main(args + ["--jobs", "4", "--out", str(b)]) == 0
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_param_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--param", "tau",
                      "--values", "0"]) == 2
+
+
+class TestLibraryErrorExitCodes:
+    def test_graph_construction_error_is_usage_error(self, tmp_path, capsys):
+        code = main(["gen-graph", "--topology", "er:1e-4", "--m", "6",
+                     "--out", str(tmp_path / "g.txt")])
+        assert code == 2
+        assert "no connected er:0.0001 graph" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_training_divergence_exit_code(self, tmp_path, capsys):
+        # the default MLP learning rate diverges on these blocks
+        cfg = base_config(tmp_path, agents=10, estimator={"kind": "mlp"},
+                          matrix={"kind": "generate", "n": 40, "spectrum": "0.5:5.0"})
+        assert main(["simulate", "--config", str(cfg)]) == 4
+        assert "non-finite loss" in capsys.readouterr().err
+
+    def test_jacobi_convergence_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def stuck(A, *args, **kwargs):
+            raise JacobiConvergenceError(1.0, 100)
+
+        monkeypatch.setattr(simulator, "jacobi_eigen", stuck)
+        assert main(["simulate", "--config", str(base_config(tmp_path))]) == 4
+        assert "Jacobi did not converge" in capsys.readouterr().err
 
 
 class TestUsage:

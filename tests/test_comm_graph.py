@@ -33,6 +33,13 @@ def random_connected_graph(m, seed, p_edge=0.4):
 
 
 class TestGraph:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degrees_match_edge_count_per_node(self, seed):
+        g = random_connected_graph(9, seed)
+        expect = [sum(i in e for e in g.edges) for i in range(9)]
+        assert g.degrees().tolist() == expect
+        assert Graph(3, frozenset()).degrees().tolist() == [0, 0, 0]
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset({(1, 1)}))

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from coopeig.comm_graph import Graph, WeightMatrix, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
-    AgentState,
     ConsensusMode,
+    ConsensusState,
     DivergenceError,
     GlobalWeights,
     aggregate_global,
@@ -71,7 +71,7 @@ class TestConsensusRound:
 
     def test_damped_scalar_arithmetic(self):
         w = WeightMatrix(np.array([[1.0]]))
-        states = [AgentState(0, np.array([0.0]), np.array([2.0]))]
+        states = ConsensusState(np.array([[0.0]]), np.array([[2.0]]))
         out = consensus_round(states, w, damped(0.5))
         assert out[0].estimates[0] == 1.0
 

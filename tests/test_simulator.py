@@ -3,8 +3,14 @@ import pytest
 import yaml
 
 from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
-from coopeig.consensus import ConsensusMode
-from coopeig.matrix_core import generate_spd, jacobi_eigen, save_matrix
+from coopeig.consensus import ConsensusMode, DivergenceError, init_states, run_to_convergence
+from coopeig.matrix_core import (
+    diagonal_block,
+    generate_spd,
+    jacobi_eigen,
+    partition_rows,
+    save_matrix,
+)
 from coopeig.seeding import child_seed
 from coopeig.simulator import (
     ConfigError,
@@ -88,15 +94,6 @@ class TestRunSimulation:
         assert [r.consensus_error for r in a.rounds] == [r.consensus_error for r in b.rounds]
         assert a.stop_reason == b.stop_reason and a.rho == b.rho
 
-    def test_parallel_training_identical_to_sequential(self):
-        est = EstimatorConfig("mlp", hidden=(8,), epochs=30, samples=8)
-        seq = run_simulation(small_cfg(estimator=est, tol=1e-8, parallel=False))
-        par = run_simulation(small_cfg(estimator=est, tol=1e-8, parallel=True))
-        assert np.array_equal(seq.final_estimates, par.final_estimates)
-        assert [r.consensus_error for r in seq.rounds] == [
-            r.consensus_error for r in par.rounds
-        ]
-
     def test_round_indices_strictly_increasing(self):
         trace = run_simulation(small_cfg())
         ks = [r.round for r in trace.rounds]
@@ -149,6 +146,27 @@ class TestRunSimulation:
         trace = run_simulation(cfg)
         assert trace.stop_reason == "diverged"
         assert trace.rounds_used < 200
+
+    @pytest.mark.parametrize("mode", ["matrix_form", "paper_literal"])
+    def test_same_loop_as_run_to_convergence(self, mode):
+        # failure-free, so both entry points mix with the same W every round
+        cfg = small_cfg(agents=10, mode=ConsensusMode(mode), max_rounds=500)
+        trace = run_simulation(cfg)
+        A = generate_spd(12, np.array(cfg.matrix.spectrum), child_seed(7, "matrix"))
+        part = partition_rows(12, 10)
+        states = init_states([jacobi_eigen(diagonal_block(A, part, i)).eigenvalues[:1]
+                              for i in range(10)])
+        w = metropolis_weights(build_graph("ring", 10, child_seed(7, "graph")))
+        if mode == "paper_literal":
+            assert trace.stop_reason == "diverged"
+            with pytest.raises(DivergenceError) as err:
+                run_to_convergence(states, w, cfg.mode, cfg.tol, cfg.max_rounds)
+            assert err.value.round == trace.rounds_used
+        else:
+            _, rounds, history, reason = run_to_convergence(states, w, cfg.mode,
+                                                            cfg.tol, cfg.max_rounds)
+            assert (rounds, reason) == (trace.rounds_used, trace.stop_reason)
+            assert history == [r.consensus_error for r in trace.rounds]
 
     def test_tracked_count_limited_by_block_size(self):
         with pytest.raises(ConfigError):
