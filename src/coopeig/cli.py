@@ -28,6 +28,7 @@ from .matrix_core import JacobiConvergenceError
 from .seeding import child_seed
 from .simulator import (
     ConfigError,
+    EstimatorConfig,
     SimConfig,
     config_from_dict,
     config_to_dict,
@@ -184,12 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a local estimator network")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--lo", type=float, default=0.5)
-    p.add_argument("--hi", type=float, default=5.0)
-    p.add_argument("--hidden", default="32", help="comma-separated hidden sizes")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--samples", type=int, default=EstimatorConfig.samples)
+    p.add_argument("--lo", type=float, default=EstimatorConfig.spectrum_range[0])
+    p.add_argument("--hi", type=float, default=EstimatorConfig.spectrum_range[1])
+    p.add_argument("--hidden", default=",".join(map(str, EstimatorConfig.hidden)),
+                   help="comma-separated hidden sizes")
+    p.add_argument("--lr", type=float, default=EstimatorConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=EstimatorConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

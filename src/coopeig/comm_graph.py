@@ -17,34 +17,45 @@ class GraphConstructionError(RuntimeError):
     pass
 
 
-def _canon_edges(edges):
-    out = set()
-    for i, l in edges:
-        if i == l:
-            raise ValueError(f"self-loop ({i},{i}) not allowed")
-        out.add((min(i, l), max(i, l)))
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on agents 0..m-1."""
+    """Undirected simple graph on agents 0..m-1. Built from any iterable
+    of (i, l) pairs; ``edges`` holds them as a read-only, sorted,
+    duplicate-free (E, 2) int64 array of rows (i, l) with i < l."""
 
     m: int
-    edges: frozenset  # of (i, l) with i < l
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        edges = _canon_edges(self.edges)
-        for i, l in edges:
-            if not (0 <= i < self.m and 0 <= l < self.m):
-                raise ValueError(f"edge ({i},{l}) outside 0..{self.m - 1}")
-        object.__setattr__(self, "edges", edges)
+        e = np.array(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges),
+                     dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        elif e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (i, l) pairs")
+        e.sort(axis=1)
+        lo, hi = e.T
+        if len(e) and (lo.min() < 0 or hi.max() >= self.m or (lo == hi).any()):
+            loops = np.flatnonzero(lo == hi)
+            if len(loops):
+                raise ValueError(f"self-loop ({lo[loops[0]]},{lo[loops[0]]}) not allowed")
+            i, l = e[((lo < 0) | (hi >= self.m)).argmax()].tolist()
+            raise ValueError(f"edge ({i},{l}) outside 0..{self.m - 1}")
+        key = lo * self.m + hi
+        if not (key[1:] > key[:-1]).all():
+            # Already-sorted input, such as a subset of a Graph's edges,
+            # skips this. Integer keys are sorted and deduped by hand:
+            # np.unique's first call maps about 1.6 MB of peak RSS.
+            key.sort()
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            e = np.stack(np.divmod(key, self.m), axis=1)
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
 
     def degrees(self) -> np.ndarray:
-        ends = np.array(list(self.edges), dtype=int).ravel()
-        return np.bincount(ends, minlength=self.m)
+        return np.bincount(self.edges.ravel(), minlength=self.m)
 
 
 @dataclass(frozen=True)
@@ -90,29 +101,22 @@ def build_graph(topology: str, m: int, seed: int = 0) -> Graph:
     ``er:<p_edge>`` (Erdos-Renyi, resampled until connected)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if topology == "ring":
-        if m <= 2:
-            edges = {(0, 1)} if m == 2 else set()
-        else:
-            edges = {(i, (i + 1) % m) for i in range(m)}
-        return Graph(m, frozenset(edges))
+    if topology in ("ring", "path"):
+        # Rings on one or two nodes are paths: no self-loop, no double edge.
+        i = np.arange(m if topology == "ring" and m > 2 else m - 1)
+        return Graph(m, np.column_stack((i, (i + 1) % m)))
     if topology == "complete":
-        return Graph(m, frozenset((i, l) for i in range(m) for l in range(i + 1, m)))
-    if topology == "path":
-        return Graph(m, frozenset((i, i + 1) for i in range(m - 1)))
+        return Graph(m, np.column_stack(np.triu_indices(m, 1)))
     if topology.startswith("er:"):
         p_edge = float(topology[3:])
         if not 0.0 < p_edge <= 1.0:
             raise ValueError("er edge probability must be in (0, 1]")
+        # One draw per pair in row-major (i, l) order: the same stream as
+        # one scalar rng.random() per pair in a double loop.
+        pairs = np.column_stack(np.triu_indices(m, 1))
         rng = keyed_rng(seed, "erdos-renyi", m)
         for _ in range(ER_RETRY_CAP):
-            edges = frozenset(
-                (i, l)
-                for i in range(m)
-                for l in range(i + 1, m)
-                if rng.random() < p_edge
-            )
-            g = Graph(m, edges)
+            g = Graph(m, pairs[rng.random(len(pairs)) < p_edge])
             if is_connected(g):
                 return g
         raise GraphConstructionError(
@@ -122,20 +126,16 @@ def build_graph(topology: str, m: int, seed: int = 0) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a single traversal component covers all m nodes."""
-    adj = [[] for _ in range(g.m)]
-    for i, l in g.edges:
-        adj[i].append(l)
-        adj[l].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.m
+    """True iff every node is reachable from node 0: grow the reached
+    set across both edge directions until it stops growing."""
+    i, l = g.edges.T
+    reached = np.arange(g.m) == 0
+    size = 0
+    while reached.sum() > size:
+        size = reached.sum()
+        reached[l[reached[i]]] = True
+        reached[i[reached[l]]] = True
+    return bool(reached.all())
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
@@ -143,11 +143,10 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     the leftover mass on the diagonal. Always doubly stochastic, using
     only local degree information."""
     deg = g.degrees()
+    i, l = g.edges.T
     w = np.zeros((g.m, g.m))
-    for i, l in g.edges:
-        w[i, l] = w[l, i] = 1.0 / (1.0 + max(deg[i], deg[l]))
-    for i in range(g.m):
-        w[i, i] = 1.0 - w[i].sum()
+    w[i, l] = w[l, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[l]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return WeightMatrix(w)
 
 
@@ -170,12 +169,13 @@ def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
     bitwise reproducible."""
     if f.edge_drop_prob == 0.0:
         return g
-    kept = frozenset(
-        (i, l)
-        for i, l in g.edges
-        if keyed_uniform(f.seed, "edge-failure", round_, i, l) >= f.edge_drop_prob
-    )
-    return Graph(g.m, kept)
+    # tolist() gives Python ints: keyed_uniform hashes repr(), and under
+    # NumPy 2 repr(np.int64(3)) is 'np.int64(3)', not '3'.
+    kept = [
+        keyed_uniform(f.seed, "edge-failure", round_, i, l) >= f.edge_drop_prob
+        for i, l in g.edges.tolist()
+    ]
+    return Graph(g.m, g.edges[np.array(kept, dtype=bool)])
 
 
 def union_graph(graphs) -> Graph:
@@ -186,15 +186,14 @@ def union_graph(graphs) -> Graph:
     m = graphs[0].m
     if any(g.m != m for g in graphs):
         raise ValueError("graphs have differing node counts")
-    edges = frozenset().union(*(g.edges for g in graphs))
-    return Graph(m, edges)
+    return Graph(m, np.concatenate([g.edges for g in graphs]))
 
 
 def save_graph(g: Graph, path) -> None:
     """Plain-text format: line 1 = m, then one '<i> <l>' pair per line."""
     with open(path, "w") as f:
         f.write(f"{g.m}\n")
-        for i, l in sorted(g.edges):
+        for i, l in g.edges.tolist():
             f.write(f"{i} {l}\n")
 
 
@@ -203,9 +202,4 @@ def load_graph(path) -> Graph:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
-    m = int(lines[0])
-    edges = set()
-    for ln in lines[1:]:
-        i, l = ln.split()
-        edges.add((int(i), int(l)))
-    return Graph(m, frozenset(edges))
+    return Graph(int(lines[0]), [[int(t) for t in ln.split()] for ln in lines[1:]])

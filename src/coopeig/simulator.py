@@ -8,7 +8,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -330,22 +330,35 @@ def summary_report(trace: Trace) -> str:
 
 # --- config file handling -------------------------------------------------
 
+# Optional keys and their converters, in snapshot order; an absent key
+# takes the dataclass default.
+_SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": int,
+              "seed": int, "tracked": int}
+_EST_TYPES = {
+    "kind": str, "sigma": float, "params_path": str,
+    "hidden": lambda v: tuple(int(h) for h in v),
+    "learning_rate": float, "epochs": int, "samples": int,
+    "spectrum_range": lambda v: tuple(float(x) for x in v),
+}
 # "parallel" is accepted and ignored: estimator training is serial.
-_TOP_KEYS = {
-    "matrix", "agents", "topology", "estimator", "mode", "gamma", "failure_p",
-    "beta", "tol", "max_rounds", "seed", "tracked", "parallel",
-}
+_TOP_KEYS = {"matrix", "agents", "topology", "estimator", "mode", "gamma", "parallel",
+             *_SIM_TYPES}
 _MATRIX_KEYS = {"kind", "n", "spectrum", "path"}
-_EST_KEYS = {
-    "kind", "sigma", "params_path", "hidden", "learning_rate", "epochs",
-    "samples", "spectrum_range",
-}
 
 
 def _check_keys(d, allowed, where):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _convert(d, types, where):
+    try:
+        return {k: types[k](v) for k, v in d.items() if k in types}
+    except TypeError as exc:
+        raise ConfigError(f"bad {where} value: {exc}") from None
 
 
 def _resolve_spectrum(spec, n, seed):
@@ -360,13 +373,12 @@ def _resolve_spectrum(spec, n, seed):
 
 
 def config_from_dict(d: dict) -> SimConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a mapping")
     _check_keys(d, _TOP_KEYS, "config")
     for key in ("matrix", "agents", "topology", "estimator", "mode"):
         if key not in d:
             raise ConfigError(f"missing required config key {key!r}")
-    seed = int(d.get("seed", 0))
+    sim = _convert(d, _SIM_TYPES, "config")
+    seed = sim.get("seed", SimConfig.seed)
 
     md = d["matrix"]
     _check_keys(md, _MATRIX_KEYS, "matrix")
@@ -378,31 +390,19 @@ def config_from_dict(d: dict) -> SimConfig:
         matrix = MatrixSpec("file", path=str(md["path"]))
 
     ed = d["estimator"]
-    _check_keys(ed, _EST_KEYS, "estimator")
-    est = EstimatorConfig(
-        kind=str(ed["kind"]),
-        sigma=float(ed.get("sigma", 0.0)),
-        params_path=str(ed.get("params_path", "")),
-        hidden=tuple(int(h) for h in ed.get("hidden", (32,))),
-        learning_rate=float(ed.get("learning_rate", 0.05)),
-        epochs=int(ed.get("epochs", 200)),
-        samples=int(ed.get("samples", 32)),
-        spectrum_range=tuple(float(v) for v in ed.get("spectrum_range", (0.5, 5.0))),
-    )
+    _check_keys(ed, set(_EST_TYPES), "estimator")
+    if "kind" not in ed:
+        raise ConfigError("missing required estimator key 'kind'")
+    est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator"))
 
-    mode = ConsensusMode(str(d["mode"]), gamma=float(d.get("gamma", 0.5)))
+    mode = ConsensusMode(str(d["mode"]), gamma=float(d.get("gamma", ConsensusMode.gamma)))
     return SimConfig(
         matrix=matrix,
         agents=int(d["agents"]),
         topology=str(d["topology"]),
         estimator=est,
         mode=mode,
-        failure_p=float(d.get("failure_p", 0.0)),
-        beta=str(d.get("beta", "uniform")),
-        tol=float(d.get("tol", 1e-6)),
-        max_rounds=int(d.get("max_rounds", 300)),
-        seed=seed,
-        tracked=int(d.get("tracked", 1)),
+        **sim,
     )
 
 
@@ -412,16 +412,8 @@ def config_to_dict(cfg: SimConfig) -> dict:
                   "spectrum": list(cfg.matrix.spectrum)}
     else:
         matrix = {"kind": "file", "path": cfg.matrix.path}
-    est = {
-        "kind": cfg.estimator.kind,
-        "sigma": cfg.estimator.sigma,
-        "params_path": cfg.estimator.params_path,
-        "hidden": list(cfg.estimator.hidden),
-        "learning_rate": cfg.estimator.learning_rate,
-        "epochs": cfg.estimator.epochs,
-        "samples": cfg.estimator.samples,
-        "spectrum_range": list(cfg.estimator.spectrum_range),
-    }
+    est = {k: list(v) if isinstance(v, tuple) else v
+           for k, v in asdict(cfg.estimator).items()}
     return {
         "matrix": matrix,
         "agents": cfg.agents,
@@ -429,18 +421,16 @@ def config_to_dict(cfg: SimConfig) -> dict:
         "estimator": est,
         "mode": cfg.mode.kind,
         "gamma": cfg.mode.gamma,
-        "failure_p": cfg.failure_p,
-        "beta": cfg.beta,
-        "tol": cfg.tol,
-        "max_rounds": cfg.max_rounds,
-        "seed": cfg.seed,
-        "tracked": cfg.tracked,
+        **{k: getattr(cfg, k) for k in _SIM_TYPES},
     }
 
 
 def load_config(path) -> SimConfig:
     with open(path) as f:
-        data = yaml.safe_load(f)
+        try:
+            data = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: malformed YAML: {exc}") from None
     return config_from_dict(data)
 
 
@@ -465,7 +455,16 @@ def load_snapshot(path) -> dict:
         return json.load(f)
 
 
+_SNAPSHOT_KEYS = ("truth", "final_estimates", "stop_reason", "rounds_used",
+                  "final_consensus_error")
+
+
 def summary_from_snapshot(snap: dict) -> str:
+    if not isinstance(snap, dict):
+        raise ConfigError("snapshot must be a mapping")
+    missing = [k for k in _SNAPSHOT_KEYS if k not in snap]
+    if missing:
+        raise ConfigError(f"snapshot lacks keys: {missing}")
     return format_summary(
         float(snap["truth"][0]),
         np.array(snap["final_estimates"])[:, 0],

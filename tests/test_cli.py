@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import yaml
@@ -69,6 +71,22 @@ class TestGenGraph:
         assert "connected=True" in capsys.readouterr().out
         assert len(load_graph(out).edges) == 5
 
+    def test_er_file_bytes_pinned(self, tmp_path, capsys):
+        # Pinned bytes: the ER stream and the sorted '<i> <l>' lines.
+        out = tmp_path / "g.txt"
+        assert main(["gen-graph", "--topology", "er:0.3", "--m", "20",
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"20\n"
+            b"0 2\n0 3\n0 7\n0 10\n0 12\n0 15\n0 18\n0 19\n1 4\n1 6\n"
+            b"1 18\n2 7\n2 9\n2 12\n2 14\n2 17\n3 9\n3 11\n3 12\n3 18\n"
+            b"4 9\n4 11\n4 12\n4 13\n4 14\n4 17\n4 18\n5 8\n5 10\n5 11\n"
+            b"5 14\n5 15\n5 17\n6 7\n6 8\n6 17\n7 11\n7 15\n7 16\n7 19\n"
+            b"8 16\n10 14\n10 15\n10 18\n11 14\n11 15\n12 15\n12 16\n12 18\n13 14\n"
+            b"13 19\n16 19\n17 19\n"
+        )
+        assert capsys.readouterr().out == "er:0.3 m=20 edges=53 connected=True\n"
+
     def test_unknown_topology(self, tmp_path):
         assert main(["gen-graph", "--topology", "torus", "--m", "5",
                      "--out", str(tmp_path / "g.txt")]) == 2
@@ -127,6 +145,31 @@ class TestSimulate:
         path = tmp_path / "bad.yaml"
         path.write_text("agents: 4\n")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_malformed_yaml_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("matrix: {kind: generate\n  n: [\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["matrix", "estimator"])
+    def test_non_mapping_section_is_usage_error(self, tmp_path, capsys, section):
+        cfg = base_config(tmp_path, **{section: 5})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{section} must be a mapping" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg), "--param", "p",
+                     "--values", "0"]) == 2
+
+    def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        snap = tmp_path / "snap.json"
+        assert main(["simulate", "--config", str(cfg), "--snapshot", str(snap)]) == 0
+        data = simulator.load_snapshot(snap)
+        del data["truth"]
+        snap.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--snapshot", str(snap)]) == 2
+        assert "truth" in capsys.readouterr().err
 
     def test_snapshot_report_round_trip(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

@@ -33,6 +33,34 @@ def random_connected_graph(m, seed, p_edge=0.4):
 
 
 class TestGraph:
+    def test_edges_are_sorted_read_only_int_array(self):
+        g = build_graph("er:0.5", 9, seed=1)
+        e = g.edges
+        assert e.dtype.kind == "i" and e.ndim == 2 and e.shape[1] == 2
+        assert not e.flags.writeable
+        assert np.all(e[:, 0] < e[:, 1])
+        assert e.tolist() == sorted(e.tolist())
+        with pytest.raises(ValueError):
+            e[0, 0] = 5
+
+    def test_empty_graph_shape(self):
+        assert Graph(3, frozenset()).edges.shape == (0, 2)
+        assert Graph(3, np.empty((0, 2), dtype=int)).edges.shape == (0, 2)
+
+    def test_duplicates_collapse(self):
+        g = Graph(4, [(1, 3), (3, 1), (0, 2), (1, 3), (2, 0)])
+        assert g.edges.tolist() == [[0, 2], [1, 3]]
+
+    def test_array_and_set_input_agree(self):
+        pairs = {(3, 0), (1, 2), (2, 4), (0, 1)}
+        from_set = Graph(5, frozenset(pairs))
+        from_array = Graph(5, np.array(sorted(pairs)))
+        assert np.array_equal(from_set.edges, from_array.edges)
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValueError):
+            Graph(4, [(0, 1, 2)])
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degrees_match_edge_count_per_node(self, seed):
         g = random_connected_graph(9, seed)
@@ -46,7 +74,7 @@ class TestGraph:
 
     def test_canonicalizes_edge_order(self):
         g = Graph(3, frozenset({(2, 0)}))
-        assert g.edges == frozenset({(0, 2)})
+        assert g.edges.tolist() == [[0, 2]]
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
@@ -56,25 +84,34 @@ class TestGraph:
 class TestBuildGraph:
     def test_ring_4(self):
         g = build_graph("ring", 4)
-        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+        assert g.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_complete_3(self):
         g = build_graph("complete", 3)
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_path_single_node(self):
         g = build_graph("path", 1)
-        assert g.edges == frozenset()
+        assert g.edges.tolist() == []
         assert is_connected(g)
 
     def test_ring_2_is_single_edge(self):
-        assert build_graph("ring", 2).edges == frozenset({(0, 1)})
+        assert build_graph("ring", 2).edges.tolist() == [[0, 1]]
 
     def test_erdos_renyi_connected_and_deterministic(self):
         a = build_graph("er:0.4", 12, seed=3)
         b = build_graph("er:0.4", 12, seed=3)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         assert is_connected(a)
+
+    def test_erdos_renyi_stream_pinned(self):
+        # Pinned stream: one uniform per pair (i < l) in row-major order,
+        # as a scalar double loop draws them.
+        assert build_graph("er:0.4", 12, seed=3).edges.tolist() == (
+            [[0, 1], [0, 10], [1, 4], [1, 7], [1, 9], [2, 3], [2, 6], [2, 10], [2, 11], [3, 6],
+             [3, 7], [3, 8], [3, 9], [3, 11], [4, 7], [4, 8], [4, 10], [5, 6], [5, 7], [5, 8],
+             [6, 7], [6, 10], [7, 8], [7, 10], [8, 10], [8, 11], [9, 11], [10, 11]]
+        )
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
@@ -91,6 +128,20 @@ class TestConnectivity:
 
     def test_single_node_vacuous(self):
         assert is_connected(Graph(1, frozenset()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_traversal_reference(self, seed):
+        g = apply_failures(build_graph("ring", 12), FailureModel(0.2, seed=seed), 0)
+        adj = {v: set() for v in range(12)}
+        for i, l in g.edges.tolist():
+            adj[i].add(l)
+            adj[l].add(i)
+        seen, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+        assert is_connected(g) == (len(seen) == 12)
 
 
 class TestMetropolisWeights:
@@ -115,11 +166,25 @@ class TestMetropolisWeights:
         assert np.array_equal(w, w.T)
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
-        # support matches the graph
+        # support matches the graph (row-wise membership)
+        edges = {tuple(e) for e in g.edges.tolist()}
         for i in range(m):
             for l in range(i + 1, m):
                 if w[i, l] > 0:
-                    assert (i, l) in g.edges
+                    assert (i, l) in edges
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_edge_loop_reference(self, seed):
+        # thinned graphs give isolated nodes and uneven degrees
+        base = random_connected_graph(15, seed)
+        g = apply_failures(base, FailureModel(0.5, seed=seed), 0)
+        deg = g.degrees()
+        ref = np.zeros((15, 15))
+        for i, l in g.edges.tolist():
+            ref[i, l] = ref[l, i] = 1.0 / (1.0 + max(deg[i], deg[l]))
+        for i in range(15):
+            ref[i, i] = 1.0 - ref[i].sum()
+        assert np.array_equal(metropolis_weights(g).w, ref)
 
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -157,25 +222,40 @@ class TestApplyFailures:
         g = build_graph("ring", 6)
         fm = FailureModel(0.0, seed=1)
         for k in range(5):
-            assert apply_failures(g, fm, k).edges == g.edges
+            assert np.array_equal(apply_failures(g, fm, k).edges, g.edges)
 
     def test_reproducible_and_order_independent(self):
         g = build_graph("er:0.5", 10, seed=2)
         fm = FailureModel(0.4, seed=7)
-        forward = [apply_failures(g, fm, k).edges for k in range(20)]
-        backward = [apply_failures(g, fm, k).edges for k in reversed(range(20))]
+        forward = [apply_failures(g, fm, k).edges.tolist() for k in range(20)]
+        backward = [apply_failures(g, fm, k).edges.tolist() for k in reversed(range(20))]
         assert forward == backward[::-1]
+
+    def test_failure_stream_pinned(self):
+        # Pinned stream: each edge's keyed draw hashes its endpoints as
+        # Python ints.
+        g = build_graph("er:0.5", 10, seed=2)
+        fm = FailureModel(0.4, seed=7)
+        expect = [
+            [[0, 2], [0, 4], [0, 8], [1, 4], [2, 6], [3, 4], [3, 6], [4, 7], [4, 9],
+             [5, 6], [5, 8], [6, 8], [6, 9], [7, 9], [8, 9]],
+            [[0, 2], [0, 4], [0, 8], [1, 3], [1, 4], [1, 8], [2, 3], [2, 5], [2, 6],
+             [2, 9], [3, 4], [3, 8], [4, 7], [4, 9], [5, 6], [6, 8]],
+            [[0, 4], [1, 3], [1, 4], [1, 8], [2, 3], [2, 9], [3, 6], [3, 8], [4, 7],
+             [4, 9], [5, 8], [6, 8]],
+        ]
+        assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
 
     def test_single_node_unchanged(self):
         g = Graph(1, frozenset())
-        assert apply_failures(g, FailureModel(0.9, seed=0), 3).edges == frozenset()
+        assert apply_failures(g, FailureModel(0.9, seed=0), 3).edges.tolist() == []
 
     def test_heavy_failure_union_recovers_edges(self):
         # each edge survives some round with prob 1 - p^rounds -> ~1
         g = build_graph("ring", 8)
         fm = FailureModel(0.999, seed=5)
         union = union_graph(apply_failures(g, fm, k) for k in range(10_000))
-        assert union.edges == g.edges
+        assert np.array_equal(union.edges, g.edges)
 
     def test_thinned_graph_weights_still_doubly_stochastic(self):
         g = build_graph("er:0.5", 12, seed=9)
@@ -200,4 +280,4 @@ class TestGraphFile:
         g = build_graph("er:0.4", 9, seed=4)
         path = tmp_path / "g.txt"
         save_graph(g, path)
-        assert load_graph(path).edges == g.edges
+        assert np.array_equal(load_graph(path).edges, g.edges)

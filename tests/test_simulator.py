@@ -291,6 +291,19 @@ class TestConfigFile:
             "seed": 3,
         }
 
+    def test_minimal_config_takes_dataclass_defaults(self):
+        cfg = config_from_dict(self.yaml_dict())
+        assert cfg.estimator == EstimatorConfig("oracle")
+        assert cfg.mode == ConsensusMode("matrix_form")
+        assert cfg == SimConfig(cfg.matrix, 4, "ring", cfg.estimator, cfg.mode, seed=3)
+
+    @pytest.mark.parametrize("estimator", [{"sigma": 0.1}, {"kind": "mlp", "hidden": 5}])
+    def test_bad_estimator_section_rejected(self, estimator):
+        d = self.yaml_dict()
+        d["estimator"] = estimator
+        with pytest.raises(ConfigError):
+            config_from_dict(d)
+
     def test_round_trip(self, tmp_path):
         cfg = config_from_dict(self.yaml_dict())
         path = tmp_path / "c.yaml"
