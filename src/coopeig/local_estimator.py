@@ -80,39 +80,55 @@ def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:
 
 @dataclass
 class TrainingSet:
-    """(block, sorted spectrum) pairs of one fixed block size. Targets
-    are checked against the Jacobi oracle at construction."""
+    """(block, sorted spectrum) pairs of one fixed block size, also held
+    stacked: ``inputs`` is (S, k*k), the flattened blocks, and
+    ``targets`` is (S, k). Targets are checked against the Jacobi oracle
+    at construction."""
 
     samples: list  # of (DenseSymMatrix, np.ndarray)
+    inputs: np.ndarray = field(init=False, repr=False)
+    targets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._stack()
+        oracle = np.stack([jacobi_eigen(block).eigenvalues for block, _ in self.samples])
+        if np.max(np.abs(oracle - self.targets)) > TARGET_CHECK_TOL:
+            raise ValueError("targets disagree with the eigensolver oracle")
+
+    @classmethod
+    def _prescribed(cls, samples) -> "TrainingSet":
+        """A set whose targets are the spectra the blocks were built
+        from, so the oracle check is skipped."""
+        tset = cls.__new__(cls)
+        tset.samples = samples
+        tset._stack()
+        return tset
+
+    def _stack(self):
         if not self.samples:
             raise ValueError("training set must be non-empty")
         k = self.samples[0][0].n
-        checked = []
-        for block, targets in self.samples:
-            targets = np.asarray(targets, dtype=float)
-            if block.n != k or targets.shape != (k,):
-                raise ValueError("all samples must share one block size")
-            if np.any(np.diff(targets) < 0):
-                raise ValueError("targets must be sorted ascending")
-            oracle = jacobi_eigen(block).eigenvalues
-            if np.max(np.abs(oracle - targets)) > TARGET_CHECK_TOL:
-                raise ValueError("targets disagree with the eigensolver oracle")
-            checked.append((block, targets))
-        self.samples = checked
+        self.samples = [(block, np.asarray(targets, dtype=float))
+                        for block, targets in self.samples]
+        if any(block.n != k or targets.shape != (k,) for block, targets in self.samples):
+            raise ValueError("all samples must share one block size")
+        self.inputs = np.stack([block.a.reshape(-1) for block, _ in self.samples])
+        self.targets = np.stack([targets for _, targets in self.samples])
+        if np.any(np.diff(self.targets, axis=1) < 0):
+            raise ValueError("targets must be sorted ascending")
 
     @property
     def k(self) -> int:
         return self.samples[0][0].n
 
     def max_abs_entry(self) -> float:
-        return max(float(np.max(np.abs(b.a))) for b, _ in self.samples)
+        return float(np.max(np.abs(self.inputs)))
 
 
 def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> TrainingSet:
-    """SPD blocks with spectra drawn uniformly from [lo, hi], targets
-    from the Jacobi oracle. Deterministic per seed."""
+    """SPD blocks with spectra drawn uniformly from [lo, hi]; each
+    block's target is the sorted spectrum it was built from.
+    Deterministic per seed."""
     lo, hi = spectrum_range
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
@@ -122,9 +138,8 @@ def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> Tr
     samples = []
     for idx in range(count):
         spectrum = np.sort(rng.uniform(lo, hi, k))
-        block = generate_spd(k, spectrum, rng.integers(2**63))
-        samples.append((block, jacobi_eigen(block).eigenvalues))
-    return TrainingSet(samples)
+        samples.append((generate_spd(k, spectrum, rng.integers(2**63)), spectrum))
+    return TrainingSet._prescribed(samples)
 
 
 @dataclass(frozen=True)
@@ -140,19 +155,18 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def _forward_raw(p: MlpParams, block: DenseSymMatrix):
-    """Scaled-space forward pass; returns raw (unsorted) outputs and the
+def _forward_raw(p: MlpParams, x: np.ndarray):
+    """Scaled-space forward pass of the flattened blocks in the rows of
+    ``x`` (S, k*k); returns raw (unsorted) outputs (S, k) and the
     per-layer activations needed for backprop."""
-    if block.n != p.block_dim:
-        raise ValueError(
-            f"block size {block.n} does not match network input ({p.block_dim})"
-        )
-    x = block.a.reshape(-1) * p.input_scale
-    acts = [x]
-    h = x
+    k = p.block_dim
+    if x.shape[1] != k * k:
+        raise ValueError(f"block of {x.shape[1]} entries does not match network input ({k}x{k})")
+    h = x * p.input_scale
+    acts = [h]
     last = len(p.weights) - 1
     for li, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = w @ h + b
+        z = h @ w.T + b
         h = z if li == last else np.tanh(z)
         acts.append(h)
     return h, acts
@@ -160,60 +174,76 @@ def _forward_raw(p: MlpParams, block: DenseSymMatrix):
 
 def mlp_forward(p: MlpParams, block: DenseSymMatrix) -> np.ndarray:
     """Predicted eigenvalues, unscaled and sorted ascending."""
-    raw, _ = _forward_raw(p, block)
-    return np.sort(raw / p.input_scale)
+    raw, _ = _forward_raw(p, block.a.reshape(1, -1))
+    return np.sort(raw[0] / p.input_scale)
+
+
+# Divergence is reported by the finite-loss check in train, so the
+# overflow on the way there is not warned about.
+_QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
+
+
+def _loss_and_grad(p: MlpParams, tset: TrainingSet, grad: bool = True):
+    """mlp_loss and, if ``grad``, mlp_grad from one batched forward
+    pass."""
+    nsamp = len(tset.samples)
+    raw, acts = _forward_raw(p, tset.inputs)
+    out = raw / p.input_scale
+    rows = np.arange(nsamp)[:, None]
+    perm = np.argsort(out, axis=1, kind="stable")
+    resid = out[rows, perm] - tset.targets
+    loss = float(np.sum(resid ** 2)) / nsamp
+    if not grad:
+        return loss, None, None
+    # d loss / d raw, routed back through each sample's sort permutation
+    d = np.empty_like(raw)
+    d[rows, perm] = 2.0 * resid / (nsamp * p.input_scale)
+    last = len(p.weights) - 1
+    gw, gb = [None] * len(p.weights), [None] * len(p.biases)
+    for li in range(last, -1, -1):
+        if li != last:
+            d = d * (1.0 - acts[li + 1] ** 2)  # tanh'
+        gw[li] = d.T @ acts[li]
+        gb[li] = d.sum(axis=0)
+        if li > 0:
+            d = d @ p.weights[li]
+    return loss, gw, gb
 
 
 def mlp_loss(p: MlpParams, tset: TrainingSet) -> float:
     """Mean over samples of the summed squared per-eigenvalue error."""
-    total = 0.0
-    for block, targets in tset.samples:
-        pred = mlp_forward(p, block)
-        total += float(np.sum((pred - targets) ** 2))
-    return total / len(tset.samples)
+    with np.errstate(**_QUIET_OVERFLOW):
+        return _loss_and_grad(p, tset, grad=False)[0]
 
 
 def mlp_grad(p: MlpParams, tset: TrainingSet):
     """Exact reverse-mode gradient of mlp_loss. The output sort is
     treated as the fixed permutation chosen by the forward pass (stable,
     ties broken by original index)."""
-    gw = [np.zeros_like(w) for w in p.weights]
-    gb = [np.zeros_like(b) for b in p.biases]
-    nsamp = len(tset.samples)
-    last = len(p.weights) - 1
-    for block, targets in tset.samples:
-        raw, acts = _forward_raw(p, block)
-        out = raw / p.input_scale
-        perm = np.argsort(out, kind="stable")
-        resid = out[perm] - targets
-        # d loss_sample / d raw, routed back through the sort permutation
-        d = np.zeros_like(raw)
-        d[perm] = 2.0 * resid / (nsamp * p.input_scale)
-        for li in range(last, -1, -1):
-            if li != last:
-                d = d * (1.0 - acts[li + 1] ** 2)  # tanh'
-            gw[li] += np.outer(d, acts[li])
-            gb[li] += d
-            if li > 0:
-                d = p.weights[li].T @ d
+    with np.errstate(**_QUIET_OVERFLOW):
+        _, gw, gb = _loss_and_grad(p, tset)
     return gw, gb
 
 
 def train(p: MlpParams, tset: TrainingSet, cfg: TrainConfig):
     """Full-batch gradient descent. Returns (final params, per-epoch
-    loss curve); raises TrainingDivergedError on a non-finite loss."""
+    loss curve); raises TrainingDivergedError on a non-finite loss.
+    The pass that gives the loss after one update also gives the
+    gradient for the next, so ``epochs`` updates take ``epochs + 1``
+    passes."""
     params = p.copy()
     params.input_scale = 1.0 / max(1.0, tset.max_abs_entry())
     losses = []
-    for epoch in range(cfg.epochs):
-        gw, gb = mlp_grad(params, tset)
-        for w, b, dw, db in zip(params.weights, params.biases, gw, gb):
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
-        loss = mlp_loss(params, tset)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch)
-        losses.append(loss)
+    with np.errstate(**_QUIET_OVERFLOW):
+        _, gw, gb = _loss_and_grad(params, tset)
+        for epoch in range(cfg.epochs):
+            for w, b, dw, db in zip(params.weights, params.biases, gw, gb):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+            loss, gw, gb = _loss_and_grad(params, tset, grad=epoch + 1 < cfg.epochs)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            losses.append(loss)
     return params, losses
 
 

@@ -372,27 +372,32 @@ def _resolve_spectrum(spec, n, seed):
     return tuple(float(v) for v in spec)
 
 
+def _require(d, keys, where):
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"missing required {where} key {key!r}")
+
+
 def config_from_dict(d: dict) -> SimConfig:
     _check_keys(d, _TOP_KEYS, "config")
-    for key in ("matrix", "agents", "topology", "estimator", "mode"):
-        if key not in d:
-            raise ConfigError(f"missing required config key {key!r}")
+    _require(d, ("matrix", "agents", "topology", "estimator", "mode"), "config")
     sim = _convert(d, _SIM_TYPES, "config")
     seed = sim.get("seed", SimConfig.seed)
 
     md = d["matrix"]
     _check_keys(md, _MATRIX_KEYS, "matrix")
     if md.get("kind", "generate") == "generate":
+        _require(md, ("n", "spectrum"), "matrix")
         n = int(md["n"])
         matrix = MatrixSpec("generate", n=n,
                             spectrum=_resolve_spectrum(md["spectrum"], n, seed))
     else:
+        _require(md, ("path",), "matrix")
         matrix = MatrixSpec("file", path=str(md["path"]))
 
     ed = d["estimator"]
     _check_keys(ed, set(_EST_TYPES), "estimator")
-    if "kind" not in ed:
-        raise ConfigError("missing required estimator key 'kind'")
+    _require(ed, ("kind",), "estimator")
     est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator"))
 
     mode = ConsensusMode(str(d["mode"]), gamma=float(d.get("gamma", ConsensusMode.gamma)))

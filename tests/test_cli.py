@@ -160,6 +160,16 @@ class TestSimulate:
         assert main(["sweep", "--config", str(cfg), "--param", "p",
                      "--values", "0"]) == 2
 
+    def test_generated_matrix_without_n_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, matrix={"kind": "generate"})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "missing required matrix key 'n'" in capsys.readouterr().err
+
+    def test_file_matrix_without_path_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, matrix={"kind": "file"})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "missing required matrix key 'path'" in capsys.readouterr().err
+
     def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         snap = tmp_path / "snap.json"
@@ -249,13 +259,15 @@ class TestLibraryErrorExitCodes:
         assert code == 2
         assert "no connected er:0.0001 graph" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_training_divergence_exit_code(self, tmp_path, capsys):
         # the default MLP learning rate diverges on these blocks
         cfg = base_config(tmp_path, agents=10, estimator={"kind": "mlp"},
                           matrix={"kind": "generate", "n": 40, "spectrum": "0.5:5.0"})
         assert main(["simulate", "--config", str(cfg)]) == 4
-        assert "non-finite loss" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err
+        assert "RuntimeWarning" not in err
 
     def test_jacobi_convergence_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def stuck(A, *args, **kwargs):

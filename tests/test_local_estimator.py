@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from coopeig import local_estimator
 from coopeig.local_estimator import (
+    TARGET_CHECK_TOL,
     MlpEstimator,
     MlpParams,
     NoisyOracleEstimator,
     OracleEstimator,
     TrainConfig,
+    TrainingDivergedError,
     TrainingSet,
     estimate,
     init_mlp,
@@ -19,6 +22,7 @@ from coopeig.local_estimator import (
     train,
 )
 from coopeig.matrix_core import DenseSymMatrix, generate_spd, jacobi_eigen
+from coopeig.simulator import config_from_dict, run_simulation
 
 
 def flatten_grads(gw, gb):
@@ -45,6 +49,38 @@ def numeric_grad(params, tset, step=1e-5):
             out.append(g)
     nw = len(params.weights)
     return out[:nw], out[nw:]
+
+
+def loop_loss_and_grad(p, tset):
+    """Reference: one sample at a time, one layer at a time, with the
+    sort permutation taken per sample (stable, ties by index)."""
+    nsamp = len(tset.samples)
+    last = len(p.weights) - 1
+    loss = 0.0
+    gw = [np.zeros_like(w) for w in p.weights]
+    gb = [np.zeros_like(b) for b in p.biases]
+    for block, targets in tset.samples:
+        acts = [block.a.reshape(-1) * p.input_scale]
+        for li, (w, b) in enumerate(zip(p.weights, p.biases)):
+            z = w @ acts[-1] + b
+            acts.append(z if li == last else np.tanh(z))
+        out = acts[-1] / p.input_scale
+        perm = np.argsort(out, kind="stable")
+        resid = out[perm] - targets
+        loss += float(np.sum(resid ** 2))
+        d = np.zeros_like(out)
+        d[perm] = 2.0 * resid / (nsamp * p.input_scale)
+        for li in range(last, -1, -1):
+            if li != last:
+                d = d * (1.0 - acts[li + 1] ** 2)
+            gw[li] += np.outer(d, acts[li])
+            gb[li] += d
+            d = p.weights[li].T @ d
+    return loss / nsamp, gw, gb
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
 class TestTrainingSet:
@@ -75,6 +111,37 @@ class TestTrainingSet:
         block = generate_spd(2, [1.0, 2.0], seed=0)
         with pytest.raises(ValueError):
             TrainingSet([(block, np.array([5.0, 6.0]))])
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_synthesized_targets_agree_with_oracle(self, k):
+        tset = synthesize_training_set(k, 6, (0.5, 5.0), seed=k)
+        for block, targets in tset.samples:
+            oracle = jacobi_eigen(block).eigenvalues
+            assert np.max(np.abs(oracle - targets)) <= TARGET_CHECK_TOL
+
+    def test_synthesized_set_is_not_re_solved(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("synthesized targets are prescribed, not solved")
+
+        monkeypatch.setattr(local_estimator, "jacobi_eigen", solve)
+        synthesize_training_set(3, 4, (0.5, 2.0), seed=2)
+        block = generate_spd(2, [1.0, 2.0], seed=0)
+        with pytest.raises(AssertionError):
+            TrainingSet([(block, np.array([1.0, 2.0]))])
+
+    def test_stacked_arrays(self):
+        tset = synthesize_training_set(3, 5, (0.5, 2.0), seed=8)
+        assert tset.inputs.shape == (5, 9) and tset.targets.shape == (5, 3)
+        for row, (block, targets) in enumerate(tset.samples):
+            assert np.array_equal(tset.inputs[row], block.a.reshape(-1))
+            assert np.array_equal(tset.targets[row], targets)
+
+    def test_rejects_mixed_block_sizes_and_unsorted_targets(self):
+        a = DenseSymMatrix(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            TrainingSet([(a, np.array([1.0, 2.0])), (DenseSymMatrix([[1.0]]), np.array([1.0]))])
+        with pytest.raises(ValueError):
+            TrainingSet([(a, np.array([2.0, 1.0]))])
 
 
 class TestForward:
@@ -168,6 +235,44 @@ class TestGradient:
         rel = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
         assert rel < 1e-5
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("hidden", [(), (8,), (6, 5)])
+    def test_batched_matches_sample_loop(self, k, hidden):
+        tset = synthesize_training_set(k, 7, (0.5, 3.0), seed=10 * k + len(hidden))
+        p = init_mlp(k, hidden=hidden, seed=k + 20)
+        p.input_scale = 1.0 / max(1.0, tset.max_abs_entry())
+        loss, gw_ref, gb_ref = loop_loss_and_grad(p, tset)
+        assert abs(mlp_loss(p, tset) - loss) <= 1e-12 * loss
+        gw, gb = mlp_grad(p, tset)
+        for got, ref in zip(gw + gb, gw_ref + gb_ref):
+            assert got.shape == ref.shape
+            assert rel_err(got, ref) <= 1e-12
+
+    def test_tied_outputs_keep_index_order(self):
+        # constant outputs (2, 1, 1): the stable sort orders them as
+        # indices 1, 2, 0, so output 1 meets the smallest target
+        block = DenseSymMatrix(np.diag([1.0, 2.0, 3.0]))
+        targets = np.array([1.0, 2.0, 3.0])
+        tset = TrainingSet([(block, targets)])
+        p = init_mlp(3, hidden=(4,), seed=0)
+        for w in p.weights:
+            w[:] = 0.0
+        p.biases[0][:] = 0.0
+        p.biases[-1][:] = [2.0, 1.0, 1.0]
+        gw, gb = mlp_grad(p, tset)
+        sorted_out = np.array([1.0, 1.0, 2.0])
+        expected = np.empty(3)
+        expected[[1, 2, 0]] = 2.0 * (sorted_out - targets)
+        assert np.array_equal(gb[-1], expected)
+        assert mlp_loss(p, tset) == float(np.sum((sorted_out - targets) ** 2))
+        _, _, gb_ref = loop_loss_and_grad(p, tset)
+        assert np.array_equal(gb[-1], gb_ref[-1])
+
+    def test_dimension_mismatch_rejected(self):
+        tset = synthesize_training_set(3, 2, (0.5, 2.0), seed=0)
+        with pytest.raises(ValueError):
+            mlp_loss(init_mlp(2, seed=0), tset)
+
     def test_duplicate_sample_leaves_gradient_unchanged(self):
         tset1 = synthesize_training_set(2, 1, (0.5, 2.0), seed=3)
         block, targets = tset1.samples[0]
@@ -218,6 +323,41 @@ class TestTrain:
         trained, losses = train(p0, tset, TrainConfig(0.05, 3000))
         block, targets = tset.samples[0]
         assert np.max(np.abs(mlp_forward(trained, block) - targets)) < 1e-3
+
+    def test_loss_curve_matches_reference_loop(self):
+        tset = synthesize_training_set(4, 6, (0.5, 3.0), seed=12)
+        p0 = init_mlp(4, hidden=(8,), seed=6)
+        eta = 0.02
+        trained, losses = train(p0, tset, TrainConfig(eta, 5))
+        ref = p0.copy()
+        ref.input_scale = 1.0 / max(1.0, tset.max_abs_entry())
+        ref_losses = []
+        for _ in range(5):
+            _, gw, gb = loop_loss_and_grad(ref, tset)
+            for w, b, dw, db in zip(ref.weights, ref.biases, gw, gb):
+                w -= eta * dw
+                b -= eta * db
+            ref_losses.append(loop_loss_and_grad(ref, tset)[0])
+        assert len(losses) == 5
+        for got, want in zip(losses, ref_losses):
+            assert abs(got - want) <= 1e-12 * want
+        for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+            assert rel_err(a, b) <= 1e-12
+
+    # The default MLP config (lr 0.05) diverges on n=40, m=10; so do
+    # the next two rates down. Epochs recorded from the per-sample
+    # implementation, before training was batched.
+    @pytest.mark.parametrize("lr, epoch", [(0.05, 89), (0.03, 102), (0.02, 120)])
+    def test_divergence_epoch_pinned(self, lr, epoch):
+        cfg = config_from_dict({
+            "matrix": {"kind": "generate", "n": 40, "spectrum": "0.5:5.0"},
+            "agents": 10, "topology": "ring",
+            "estimator": {"kind": "mlp", "learning_rate": lr},
+            "mode": "matrix_form", "tol": 1e-8, "max_rounds": 500, "seed": 7,
+        })
+        with pytest.raises(TrainingDivergedError) as info:
+            run_simulation(cfg)
+        assert info.value.epoch == epoch
 
     def test_rejects_zero_epochs(self):
         with pytest.raises(ValueError):
