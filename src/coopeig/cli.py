@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen-matrix, gen-graph, train, simulate, sweep, report.
+Subcommands: gen-matrix, train, simulate, sweep, report.
 Exit codes are a stable contract: 0 success/converged, 2 usage error
 (including a graph that cannot be built), 3 max-rounds reached,
 4 divergence (consensus, estimator training, or the Jacobi oracle),
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import comm_graph, matrix_core, simulator
+from . import matrix_core, simulator
 from .comm_graph import GraphConstructionError
 from .local_estimator import (
     TrainConfig,
@@ -65,14 +65,6 @@ def cmd_gen_matrix(args) -> int:
     A = matrix_core.generate_spd(args.n, spectrum, child_seed(args.seed, "matrix"))
     matrix_core.save_matrix(A, args.out)
     print(" ".join(f"{v:.17g}" for v in spectrum))
-    return EXIT_OK
-
-
-def cmd_gen_graph(args) -> int:
-    g = comm_graph.build_graph(args.topology, args.m, args.seed)
-    comm_graph.save_graph(g, args.out)
-    print(f"{args.topology} m={g.m} edges={len(g.edges)} "
-          f"connected={comm_graph.is_connected(g)}")
     return EXIT_OK
 
 
@@ -174,14 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_matrix)
-
-    p = sub.add_parser("gen-graph", help="generate a communication graph")
-    p.add_argument("--topology", required=True,
-                   help="ring | complete | path | er:<p_edge>")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("train", help="train a local estimator network")
     p.add_argument("--k", type=int, required=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DenseSymMatrix, jacobi_eigen
-from .seeding import keyed_rng, keyed_uniform
+from .seeding import keyed_rng
 
 ER_RETRY_CAP = 1000
 ROW_SUM_TOL = 1e-12
@@ -163,19 +163,15 @@ def slem(wm: WeightMatrix) -> float:
 
 
 def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
-    """Thin the edge set for one round. Each edge survives with
-    probability 1-p, drawn from a counter-based stream keyed on
-    (seed, round, edge), so the result is order-independent and
-    bitwise reproducible."""
+    """Thin the edge set for one round. Row e of ``g.edges`` survives
+    with probability 1-p: it is kept iff the e-th uniform of one
+    generator keyed on (seed, round) is >= p. The result depends only
+    on (seed, round, edge row), so it is order-independent and bitwise
+    reproducible."""
     if f.edge_drop_prob == 0.0:
         return g
-    # tolist() gives Python ints: keyed_uniform hashes repr(), and under
-    # NumPy 2 repr(np.int64(3)) is 'np.int64(3)', not '3'.
-    kept = [
-        keyed_uniform(f.seed, "edge-failure", round_, i, l) >= f.edge_drop_prob
-        for i, l in g.edges.tolist()
-    ]
-    return Graph(g.m, g.edges[np.array(kept, dtype=bool)])
+    draws = keyed_rng(f.seed, "edge-failure", round_).random(len(g.edges))
+    return Graph(g.m, g.edges[draws >= f.edge_drop_prob])
 
 
 def union_graph(graphs) -> Graph:
@@ -187,19 +183,3 @@ def union_graph(graphs) -> Graph:
     if any(g.m != m for g in graphs):
         raise ValueError("graphs have differing node counts")
     return Graph(m, np.concatenate([g.edges for g in graphs]))
-
-
-def save_graph(g: Graph, path) -> None:
-    """Plain-text format: line 1 = m, then one '<i> <l>' pair per line."""
-    with open(path, "w") as f:
-        f.write(f"{g.m}\n")
-        for i, l in g.edges.tolist():
-            f.write(f"{i} {l}\n")
-
-
-def load_graph(path) -> Graph:
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    return Graph(int(lines[0]), [[int(t) for t in ln.split()] for ln in lines[1:]])

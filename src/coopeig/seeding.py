@@ -3,7 +3,7 @@
 One master seed per experiment; every random consumer derives its own
 child seed by hashing (master, purpose-tag, indices). Adding a new
 consumer never perturbs existing streams, and draws keyed on a counter
-(round, edge, agent, ...) are reproducible independent of call order.
+(round, agent, ...) are reproducible independent of call order.
 """
 
 import hashlib

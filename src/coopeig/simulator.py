@@ -386,14 +386,16 @@ def config_from_dict(d: dict) -> SimConfig:
 
     md = d["matrix"]
     _check_keys(md, _MATRIX_KEYS, "matrix")
-    if md.get("kind", "generate") == "generate":
+    kind = str(md.get("kind", "generate"))
+    if kind == "generate":
         _require(md, ("n", "spectrum"), "matrix")
         n = int(md["n"])
         matrix = MatrixSpec("generate", n=n,
                             spectrum=_resolve_spectrum(md["spectrum"], n, seed))
     else:
-        _require(md, ("path",), "matrix")
-        matrix = MatrixSpec("file", path=str(md["path"]))
+        if kind == "file":
+            _require(md, ("path",), "matrix")
+        matrix = MatrixSpec(kind, path=str(md.get("path", "")))
 
     ed = d["estimator"]
     _check_keys(ed, set(_EST_TYPES), "estimator")

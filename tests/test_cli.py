@@ -6,9 +6,14 @@ import yaml
 
 from coopeig import simulator
 from coopeig.cli import main
-from coopeig.comm_graph import load_graph
 from coopeig.local_estimator import load_params
-from coopeig.matrix_core import JacobiConvergenceError, jacobi_eigen, load_matrix
+from coopeig.matrix_core import (
+    JacobiConvergenceError,
+    generate_spd,
+    jacobi_eigen,
+    load_matrix,
+    save_matrix,
+)
 
 
 def base_config(tmp_path, **over):
@@ -63,35 +68,6 @@ class TestGenMatrix:
         assert code == 2
 
 
-class TestGenGraph:
-    def test_ring(self, tmp_path, capsys):
-        out = tmp_path / "g.txt"
-        assert main(["gen-graph", "--topology", "ring", "--m", "5",
-                     "--out", str(out)]) == 0
-        assert "connected=True" in capsys.readouterr().out
-        assert len(load_graph(out).edges) == 5
-
-    def test_er_file_bytes_pinned(self, tmp_path, capsys):
-        # Pinned bytes: the ER stream and the sorted '<i> <l>' lines.
-        out = tmp_path / "g.txt"
-        assert main(["gen-graph", "--topology", "er:0.3", "--m", "20",
-                     "--seed", "5", "--out", str(out)]) == 0
-        assert out.read_bytes() == (
-            b"20\n"
-            b"0 2\n0 3\n0 7\n0 10\n0 12\n0 15\n0 18\n0 19\n1 4\n1 6\n"
-            b"1 18\n2 7\n2 9\n2 12\n2 14\n2 17\n3 9\n3 11\n3 12\n3 18\n"
-            b"4 9\n4 11\n4 12\n4 13\n4 14\n4 17\n4 18\n5 8\n5 10\n5 11\n"
-            b"5 14\n5 15\n5 17\n6 7\n6 8\n6 17\n7 11\n7 15\n7 16\n7 19\n"
-            b"8 16\n10 14\n10 15\n10 18\n11 14\n11 15\n12 15\n12 16\n12 18\n13 14\n"
-            b"13 19\n16 19\n17 19\n"
-        )
-        assert capsys.readouterr().out == "er:0.3 m=20 edges=53 connected=True\n"
-
-    def test_unknown_topology(self, tmp_path):
-        assert main(["gen-graph", "--topology", "torus", "--m", "5",
-                     "--out", str(tmp_path / "g.txt")]) == 2
-
-
 class TestTrain:
     def test_writes_loadable_params(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -127,8 +103,8 @@ class TestSimulate:
                           mode="paper_literal")
         assert main(["simulate", "--config", str(cfg)]) == 4
 
-    def test_byte_identical_outputs(self, tmp_path, capsys):
-        cfg = base_config(tmp_path)
+    @staticmethod
+    def assert_reruns_identical(tmp_path, capsys, cfg):
         a_csv = tmp_path / "a.csv"
         b_csv = tmp_path / "b.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(a_csv)]) == 0
@@ -137,6 +113,12 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert first == second
         assert a_csv.read_bytes() == b_csv.read_bytes()
+
+    def test_byte_identical_outputs(self, tmp_path, capsys):
+        self.assert_reruns_identical(tmp_path, capsys, base_config(tmp_path))
+
+    def test_byte_identical_outputs_under_failures(self, tmp_path, capsys):
+        self.assert_reruns_identical(tmp_path, capsys, base_config(tmp_path, failure_p=0.5))
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 5
@@ -169,6 +151,18 @@ class TestSimulate:
         cfg = base_config(tmp_path, matrix={"kind": "file"})
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "missing required matrix key 'path'" in capsys.readouterr().err
+
+    def test_unknown_matrix_kind_is_usage_error(self, tmp_path, capsys):
+        mpath = tmp_path / "A.txt"
+        save_matrix(generate_spd(12, np.linspace(0.5, 6.0, 12), seed=1), mpath)
+        cfg = base_config(tmp_path, matrix={"kind": "bogus", "path": str(mpath)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "unknown matrix kind 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_topology_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, topology="torus")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "unknown topology 'torus'" in capsys.readouterr().err
 
     def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -216,7 +210,7 @@ class TestSweep:
     def test_sigma_sweep_raises_noise_floor(self, tmp_path):
         # identical diagonal blocks: each block's smallest eigenvalue equals
         # the global one, so the fitted floor reflects estimator noise alone
-        from coopeig.matrix_core import DenseSymMatrix, generate_spd, save_matrix
+        from coopeig.matrix_core import DenseSymMatrix
 
         block = generate_spd(3, [0.5, 2.0, 4.0], seed=1).a
         A = np.zeros((12, 12))
@@ -254,9 +248,8 @@ class TestSweep:
 
 class TestLibraryErrorExitCodes:
     def test_graph_construction_error_is_usage_error(self, tmp_path, capsys):
-        code = main(["gen-graph", "--topology", "er:1e-4", "--m", "6",
-                     "--out", str(tmp_path / "g.txt")])
-        assert code == 2
+        cfg = base_config(tmp_path, agents=6, topology="er:1e-4")
+        assert main(["simulate", "--config", str(cfg)]) == 2
         assert "no connected er:0.0001 graph" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

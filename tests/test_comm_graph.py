@@ -10,12 +10,11 @@ from coopeig.comm_graph import (
     apply_failures,
     build_graph,
     is_connected,
-    load_graph,
     metropolis_weights,
-    save_graph,
     slem,
     union_graph,
 )
+from coopeig.seeding import keyed_rng
 
 
 def random_connected_graph(m, seed, p_edge=0.4):
@@ -217,6 +216,12 @@ class TestSlem:
         assert slem(metropolis_weights(g)) < 1.0
 
 
+def loop_failure_reference(g, seed, p, round_):
+    """One scalar draw per edge row, in row order."""
+    rng = keyed_rng(seed, "edge-failure", round_)
+    return [e for e in g.edges.tolist() if rng.random() >= p]
+
+
 class TestApplyFailures:
     def test_p_zero_identity(self):
         g = build_graph("ring", 6)
@@ -232,19 +237,38 @@ class TestApplyFailures:
         assert forward == backward[::-1]
 
     def test_failure_stream_pinned(self):
-        # Pinned stream: each edge's keyed draw hashes its endpoints as
-        # Python ints.
+        # Pinned stream: round k draws one uniform per edge row, in row
+        # order, from the generator keyed on (seed, "edge-failure", k).
         g = build_graph("er:0.5", 10, seed=2)
         fm = FailureModel(0.4, seed=7)
         expect = [
-            [[0, 2], [0, 4], [0, 8], [1, 4], [2, 6], [3, 4], [3, 6], [4, 7], [4, 9],
-             [5, 6], [5, 8], [6, 8], [6, 9], [7, 9], [8, 9]],
-            [[0, 2], [0, 4], [0, 8], [1, 3], [1, 4], [1, 8], [2, 3], [2, 5], [2, 6],
-             [2, 9], [3, 4], [3, 8], [4, 7], [4, 9], [5, 6], [6, 8]],
-            [[0, 4], [1, 3], [1, 4], [1, 8], [2, 3], [2, 9], [3, 6], [3, 8], [4, 7],
-             [4, 9], [5, 8], [6, 8]],
+            [[1, 8], [2, 3], [2, 6], [2, 8], [5, 6], [6, 8], [7, 9]],
+            [[0, 2], [0, 8], [2, 3], [2, 5], [2, 6], [3, 4], [3, 6], [4, 7], [4, 9],
+             [5, 8], [6, 8], [6, 9], [7, 9], [8, 9]],
+            [[0, 2], [0, 4], [1, 4], [2, 3], [2, 6], [2, 9], [3, 4], [3, 6], [3, 8],
+             [4, 9], [5, 6], [5, 9], [6, 8], [6, 9], [7, 9], [8, 9]],
         ]
+        assert [loop_failure_reference(g, 7, 0.4, k) for k in range(3)] == expect
         assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
+
+    def test_drop_rate_and_round_independence(self):
+        # Each edge survives a round with probability 1 - p, independently
+        # of the previous round, so consecutive masks agree with
+        # probability q = p^2 + (1-p)^2.
+        g = build_graph("complete", 20)
+        p, rounds = 0.3, 400
+        fm = FailureModel(p, seed=3)
+        key = g.edges @ (g.m, 1)
+        masks = np.array([np.isin(key, apply_failures(g, fm, k).edges @ (g.m, 1))
+                          for k in range(rounds)])
+        z_kept = (masks.mean() - (1 - p)) / np.sqrt(p * (1 - p) / masks.size)
+        agree = masks[1:] == masks[:-1]
+        q = p**2 + (1 - p) ** 2
+        # Agreements of rounds (k-1, k) and (k, k+1) share round k's mask:
+        # P(both) = p^3 + (1-p)^3, which adds a lag-one covariance term.
+        var = q * (1 - q) + 2 * (p**3 + (1 - p) ** 3 - q**2)
+        z_agree = (agree.mean() - q) / np.sqrt(var / agree.size)
+        assert abs(z_kept) < 4 and abs(z_agree) < 4, (z_kept, z_agree)
 
     def test_single_node_unchanged(self):
         g = Graph(1, frozenset())
@@ -273,11 +297,3 @@ class TestApplyFailures:
     def test_rejects_p_one(self):
         with pytest.raises(ValueError):
             FailureModel(1.0)
-
-
-class TestGraphFile:
-    def test_round_trip(self, tmp_path):
-        g = build_graph("er:0.4", 9, seed=4)
-        path = tmp_path / "g.txt"
-        save_graph(g, path)
-        assert np.array_equal(load_graph(path).edges, g.edges)

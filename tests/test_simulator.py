@@ -118,6 +118,17 @@ class TestRunSimulation:
                 assert r.flops_local == k2
         assert trace.rounds[0].scalars_sent == 0
 
+    def test_communication_accounting_under_failures(self):
+        cfg = small_cfg(agents=6, topology="ring", failure_p=0.5, max_rounds=40,
+                        tol=1e-300, tracked=2, seed=11)
+        trace = run_simulation(cfg)
+        # replay the keyed failure stream to recover each round's live edges
+        base = build_graph("ring", 6, child_seed(11, "graph"))
+        fm = FailureModel(0.5, child_seed(11, "failures"))
+        live = [len(apply_failures(base, fm, r.round).edges) for r in trace.rounds[1:]]
+        assert [r.scalars_sent for r in trace.rounds[1:]] == [2 * 2 * e for e in live]
+        assert len(set(live)) > 1
+
     def test_deviation_norm_contracts_failure_free(self):
         trace = run_simulation(small_cfg(tol=1e-6))
         d = [r.deviation_norm for r in trace.rounds]
