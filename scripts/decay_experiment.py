@@ -54,7 +54,7 @@ def main():
     trace = run_simulation(cfg)
     export_csv(trace, args.out)
 
-    es = np.array([r.consensus_error for r in trace.rounds])
+    es = trace.consensus_error
     pos = es > 0
     ks = np.arange(len(es))[pos]
     slope = np.polyfit(ks, np.log10(es[pos]), 1)[0] if pos.sum() > 1 else 0.0

@@ -17,7 +17,6 @@ from .comm_graph import (
     slem,
 )
 from .consensus import (
-    AgentState,
     ConsensusMode,
     ConsensusState,
     DivergenceError,

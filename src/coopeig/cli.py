@@ -119,6 +119,8 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v]
     if not values:
         raise ValueError("no sweep values given")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
 
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
@@ -129,7 +131,7 @@ def cmd_sweep(args) -> int:
             group.append(run_simulation(_apply_sweep_value(base, args.param, value, seed)))
         rounds = np.array([t.rounds_used for t in group])
         errors = np.array([t.final_consensus_error for t in group])
-        gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.rounds) >= 10]
+        gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.max_est_error) >= 10]
         mean_gamma = float(np.mean(gammas)) if gammas else float("nan")
         lines.append(
             f"{args.param},{value:.17g},{len(group)},"

@@ -47,19 +47,9 @@ class ConsensusMode:
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """A read-only view of one agent's row of a ConsensusState."""
-
-    agent: int
-    estimates: np.ndarray
-    anchor: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConsensusState:
     """Every agent's current estimates and fixed local anchors as
-    read-only (m, j) arrays, row i belonging to agent i. ``len`` and
-    indexing give per-agent AgentState views."""
+    read-only (m, j) arrays, row i belonging to agent i."""
 
     estimates: np.ndarray
     anchors: np.ndarray
@@ -67,13 +57,6 @@ class ConsensusState:
     def __post_init__(self):
         self.estimates.setflags(write=False)
         self.anchors.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.estimates)
-
-    def __getitem__(self, i) -> AgentState:
-        i = range(len(self))[i]
-        return AgentState(i, self.estimates[i], self.anchors[i])
 
 
 @dataclass(frozen=True)
@@ -116,9 +99,9 @@ def init_states(anchors) -> ConsensusState:
 def consensus_round(states: ConsensusState, wm: WeightMatrix,
                     mode: ConsensusMode) -> ConsensusState:
     """One synchronous round: every agent reads only round-k values."""
-    if wm.m != len(states):
-        raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states)} agents")
     est, anc = states.estimates, states.anchors
+    if wm.m != len(est):
+        raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(est)} agents")
     if mode.kind == "matrix_form":
         nxt = wm.w @ est
     elif mode.kind == "paper_literal":
@@ -162,7 +145,7 @@ def estimation_error(states: ConsensusState, truth) -> np.ndarray:
 
 def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
     """Componentwise convex combination of agent estimates."""
-    if gw.beta.shape != (len(states),):
+    if gw.beta.shape != (len(states.estimates),):
         raise ValueError("one beta weight per agent required")
     return gw.beta @ states.estimates
 

@@ -69,6 +69,8 @@ class MlpParams:
 def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     sizes = [k * k, *[int(h) for h in hidden], k]
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got {sizes}")
     rng = keyed_rng(seed, "mlp-init")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -146,7 +148,6 @@ def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> Tr
 class TrainConfig:
     learning_rate: float
     epochs: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -106,35 +106,46 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RoundMetrics:
-    round: int
-    consensus_error: float
-    deviation_norm: float  # mean-deviation norm; contracts by the SLEM
-    max_est_error: float
-    mean_est_error: float
-    global_estimate: np.ndarray
-    bound: float
-    scalars_sent: int
-    flops_local: int
-
-
-@dataclass(frozen=True)
 class Trace:
+    """One run's outcome. The per-round metrics are columns indexed by
+    round, round 0 (before any exchange) first."""
+
     config: SimConfig
     truth: np.ndarray  # tracked smallest global eigenvalues, exact oracle
     rho: float  # SLEM of the failure-free weight matrix
-    rounds: list  # RoundMetrics, round 0 first
+    consensus_error: np.ndarray
+    deviation_norm: np.ndarray  # mean-deviation norm; contracts by the SLEM
+    max_est_error: np.ndarray
+    mean_est_error: np.ndarray
+    global_estimate: np.ndarray  # rounds x tracked
+    scalars_sent: np.ndarray  # 2 x tracked per live edge; none in round 0
     final_estimates: np.ndarray  # agents x tracked
     stop_reason: str  # "converged" | "max_rounds" | "diverged"
     block_sizes: tuple
 
     @property
     def rounds_used(self) -> int:
-        return self.rounds[-1].round
+        return len(self.consensus_error) - 1
 
     @property
     def final_consensus_error(self) -> float:
-        return self.rounds[-1].consensus_error
+        return float(self.consensus_error[-1])
+
+    @property
+    def bound(self) -> np.ndarray:
+        """The geometric bound per round. Each value comes from the
+        scalar ``theoretical_bound``; a vectorised power may round
+        differently."""
+        e0 = float(self.consensus_error[0])
+        return np.array([theoretical_bound(e0, self.rho, k)
+                         for k in range(len(self.consensus_error))])
+
+    @property
+    def flops_local(self) -> np.ndarray:
+        """Local block flops per round, sum of k^2; none in round 0."""
+        flops = np.full(len(self.consensus_error), sum(k * k for k in self.block_sizes))
+        flops[0] = 0
+        return flops
 
 
 def theoretical_bound(e0: float, rho: float, k: int) -> float:
@@ -213,34 +224,30 @@ def run_simulation(cfg: SimConfig) -> Trace:
     else:
         gw = consensus.block_size_weights(part.block_sizes)
 
-    flops_per_round = int(sum(k * k for k in part.block_sizes))
-    live_edges = 0
-    rounds = []
+    scalars_sent = [0]
+    errors, deviations, max_errors, mean_errors, estimates = [], [], [], [], []
 
     def weights(k):
-        nonlocal live_edges
         g_k = apply_failures(base, fm, k)
-        live_edges = len(g_k.edges)
+        scalars_sent.append(2 * j * len(g_k.edges))
         return w0 if cfg.failure_p == 0.0 else metropolis_weights(g_k)
 
     def record(k, states, e):
         eps = estimation_error(states, truth)
-        e0 = rounds[0].consensus_error if k else e
-        rounds.append(RoundMetrics(
-            round=k,
-            consensus_error=e,
-            deviation_norm=deviation_norm(states),
-            max_est_error=float(eps.max()),
-            mean_est_error=float(eps.mean()),
-            global_estimate=consensus.aggregate_global(states, gw),
-            bound=theoretical_bound(e0, rho, k),
-            scalars_sent=2 * j * live_edges if k else 0,
-            flops_local=flops_per_round if k else 0,
-        ))
+        errors.append(e)
+        deviations.append(deviation_norm(states))
+        max_errors.append(eps.max())
+        mean_errors.append(eps.mean())
+        estimates.append(consensus.aggregate_global(states, gw))
 
     states, _, stop_reason = consensus.run_rounds(
         states, weights, cfg.mode, cfg.tol, cfg.max_rounds, record)
-    return Trace(cfg, truth, rho, rounds, states.estimates, stop_reason, part.block_sizes)
+    return Trace(cfg, truth, rho,
+                 consensus_error=np.array(errors), deviation_norm=np.array(deviations),
+                 max_est_error=np.array(max_errors), mean_est_error=np.array(mean_errors),
+                 global_estimate=np.array(estimates), scalars_sent=np.array(scalars_sent),
+                 final_estimates=states.estimates, stop_reason=stop_reason,
+                 block_sizes=part.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def fit_error_bound(trace: Trace) -> FitResult:
     """Fit the geometric-plus-floor error bound to a trace. The floor
     gamma is the mean max-error over the final 10% of rounds; beta is
     the smallest coefficient for which the bound covers every round."""
-    eps = [r.max_est_error for r in trace.rounds]
+    eps = trace.max_est_error.tolist()
     if len(eps) < 10:
         raise ValueError(f"need at least 10 recorded rounds, have {len(eps)}")
     tail = eps[-max(1, math.ceil(0.1 * len(eps))):]
@@ -287,12 +294,11 @@ def export_csv(trace: Trace, destination) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(CSV_HEADER + "\n")
-            for r in trace.rounds:
-                f.write(
-                    f"{r.round},{r.consensus_error:.17g},{r.max_est_error:.17g},"
-                    f"{r.mean_est_error:.17g},{r.bound:.17g},"
-                    f"{r.scalars_sent},{r.flops_local}\n"
-                )
+            rows = zip(trace.consensus_error.tolist(), trace.max_est_error.tolist(),
+                       trace.mean_est_error.tolist(), trace.bound.tolist(),
+                       trace.scalars_sent.tolist(), trace.flops_local.tolist())
+            for k, (e, mx, mn, bound, sent, flops) in enumerate(rows):
+                f.write(f"{k},{e:.17g},{mx:.17g},{mn:.17g},{bound:.17g},{sent},{flops}\n")
         os.replace(tmp, destination)
     except BaseException:
         if os.path.exists(tmp):
@@ -330,13 +336,19 @@ def summary_report(trace: Trace) -> str:
 
 # --- config file handling -------------------------------------------------
 
+def _hidden_sizes(v) -> tuple:
+    # a bare string is iterable too: "32" would read as (3, 2)
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"estimator hidden must be a list of layer sizes, got {v!r}")
+    return tuple(int(h) for h in v)
+
+
 # Optional keys and their converters, in snapshot order; an absent key
 # takes the dataclass default.
 _SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": int,
               "seed": int, "tracked": int}
 _EST_TYPES = {
-    "kind": str, "sigma": float, "params_path": str,
-    "hidden": lambda v: tuple(int(h) for h in v),
+    "kind": str, "sigma": float, "params_path": str, "hidden": _hidden_sizes,
     "learning_rate": float, "epochs": int, "samples": int,
     "spectrum_range": lambda v: tuple(float(x) for x in v),
 }

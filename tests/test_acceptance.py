@@ -128,7 +128,7 @@ def test_criterion_03_failure_free_contraction(capsys):
     )
     trace = run_simulation(cfg)
     rho = trace.rho
-    d = [r.deviation_norm for r in trace.rounds]
+    d = trace.deviation_norm
     ok = trace.stop_reason == "converged" and trace.rounds_used <= 300
     for k in range(len(d)):
         ok = ok and d[k] <= rho**k * d[0] * (1 + 1e-9)
@@ -145,7 +145,7 @@ def test_criterion_04_log_linear_decay(capsys):
         mode=MATRIX_FORM, tol=1e-12, max_rounds=300, seed=0,
     )
     trace = run_simulation(cfg)
-    es = np.array([r.consensus_error for r in trace.rounds])
+    es = trace.consensus_error
     ok = trace.rho <= 0.8
     reached = np.nonzero(es <= 1e-4)[0]
     ok = ok and reached.size > 0 and reached[0] <= 100
@@ -201,7 +201,7 @@ def test_criterion_06_robust_convergence(capsys):
             seed=trial,
         )
         trace = run_simulation(cfg)
-        finals.append(trace.rounds[-1].consensus_error)
+        finals.append(trace.final_consensus_error)
         base = build_graph("ring", 10, child_seed(trial, "graph"))
         fm = FailureModel(0.3, child_seed(trial, "failures"))
         union = union_graph(apply_failures(base, fm, k) for k in range(1, 51))
@@ -272,7 +272,7 @@ def test_criterion_09_mode_semantics(capsys):
     for _ in range(200):
         states = consensus_round(states, w, ConsensusMode("damped", gamma=gamma))
     fixed = np.linalg.solve(np.eye(6) - gamma * w.w, (1 - gamma) * anchors)
-    got = np.array([s.estimates[0] for s in states])
+    got = states.estimates[:, 0]
     ok = np.max(np.abs(got - fixed)) < 1e-8
 
     swap = WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -297,9 +297,9 @@ def test_criterion_10_complexity_accounting(capsys):
         trace = run_simulation(cfg)
         edges = len(build_graph(topology, m).edges)
         k2 = sum(k * k for k in trace.block_sizes)
-        for r in trace.rounds[1:]:
-            ok = ok and r.scalars_sent == 2 * 1 * edges
-            ok = ok and r.flops_local == k2
+        for sent, flops in zip(trace.scalars_sent[1:], trace.flops_local[1:]):
+            ok = ok and sent == 2 * 1 * edges
+            ok = ok and flops == k2
     announce(capsys, 10, "exact communication and flop counters", ok)
 
 

@@ -77,6 +77,12 @@ class TestTrain:
         assert load_params(out).block_dim == 2
         assert "final_loss=" in capsys.readouterr().out
 
+    def test_zero_hidden_size_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--hidden", "0", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "layer sizes must be >= 1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_converged_run(self, tmp_path, capsys):
@@ -141,6 +147,16 @@ class TestSimulate:
         assert f"{section} must be a mapping" in capsys.readouterr().err
         assert main(["sweep", "--config", str(cfg), "--param", "p",
                      "--values", "0"]) == 2
+
+    @pytest.mark.parametrize("hidden, message", [
+        ([0], "layer sizes must be >= 1"),
+        ("32", "hidden must be a list"),  # not read as (3, 2)
+    ])
+    def test_bad_hidden_is_usage_error(self, tmp_path, capsys, hidden, message):
+        cfg = base_config(tmp_path, estimator={"kind": "mlp", "hidden": hidden,
+                                               "epochs": 2, "samples": 4})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_generated_matrix_without_n_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path, matrix={"kind": "generate"})
@@ -244,6 +260,13 @@ class TestSweep:
         cfg = base_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--param", "tau",
                      "--values", "0"]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_trials_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--param", "p",
+                     "--values", "0", "--trials", "0"]) == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 class TestLibraryErrorExitCodes:

@@ -36,15 +36,15 @@ SWAP_W = WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 class TestInitStates:
     def test_estimates_copy_anchors(self):
         states = init_states([[1.0], [3.0], [5.0]])
-        assert [s.estimates[0] for s in states] == [1.0, 3.0, 5.0]
-        assert [s.anchor[0] for s in states] == [1.0, 3.0, 5.0]
+        assert states.estimates[:, 0].tolist() == [1.0, 3.0, 5.0]
+        assert states.anchors[:, 0].tolist() == [1.0, 3.0, 5.0]
 
     def test_single_agent_fixed_point(self):
         states = init_states([[2.0]])
         w = WeightMatrix(np.array([[1.0]]))
         for mode in (MATRIX_FORM, LITERAL, damped()):
             out = consensus_round(states, w, mode)
-            assert out[0].estimates[0] == 2.0
+            assert out.estimates[0, 0] == 2.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -59,21 +59,21 @@ class TestConsensusRound:
     def test_matrix_form_complete_graph_averages_in_one_round(self):
         w = metropolis_weights(build_graph("complete", 3))
         states = consensus_round(init_states([[0.0], [3.0], [6.0]]), w, MATRIX_FORM)
-        assert all(s.estimates[0] == pytest.approx(3.0, abs=1e-14) for s in states)
+        assert all(v == pytest.approx(3.0, abs=1e-14) for v in states.estimates[:, 0])
 
     def test_agreed_states_are_fixed_points_in_every_mode(self):
         w = metropolis_weights(build_graph("ring", 4))
         anchors = [[2.5, 4.0]] * 4
         for mode in (MATRIX_FORM, LITERAL, damped(0.3)):
             out = consensus_round(init_states(anchors), w, mode)
-            for s in out:
-                assert np.allclose(s.estimates, [2.5, 4.0], atol=1e-15)
+            for row in out.estimates:
+                assert np.allclose(row, [2.5, 4.0], atol=1e-15)
 
     def test_damped_scalar_arithmetic(self):
         w = WeightMatrix(np.array([[1.0]]))
         states = ConsensusState(np.array([[0.0]]), np.array([[2.0]]))
         out = consensus_round(states, w, damped(0.5))
-        assert out[0].estimates[0] == 1.0
+        assert out.estimates[0, 0] == 1.0
 
     def test_dimension_mismatch_rejected(self):
         w = metropolis_weights(build_graph("ring", 4))
@@ -88,7 +88,7 @@ class TestConsensusRound:
         out = consensus_round(states, w, LITERAL)
         e = np.array([1.0, 2.0, 3.0, 4.0])
         expect = np.array(anchors).ravel() + w.w @ e - e
-        assert np.allclose([s.estimates[0] for s in out], expect, atol=1e-15)
+        assert np.allclose(out.estimates[:, 0], expect, atol=1e-15)
 
 
 class TestMetrics:
@@ -188,10 +188,10 @@ class TestDynamicsProperties:
         w = metropolis_weights(g)
         rng = np.random.default_rng(seed)
         states = init_states([[v] for v in rng.uniform(0, 10, 7)])
-        mean0 = np.mean([s.estimates[0] for s in states])
+        mean0 = np.mean(states.estimates[:, 0])
         for _ in range(30):
             states = consensus_round(states, w, MATRIX_FORM)
-        assert abs(np.mean([s.estimates[0] for s in states]) - mean0) < 1e-12
+        assert abs(np.mean(states.estimates[:, 0]) - mean0) < 1e-12
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -239,8 +239,8 @@ class TestDynamicsProperties:
         states, _, _, reason = run_to_convergence(states, w, MATRIX_FORM, 1e-12, 2000)
         assert reason == "converged"
         target = anchors.mean()
-        for s in states:
-            assert s.estimates[0] == pytest.approx(target, abs=1e-10)
+        for v in states.estimates[:, 0]:
+            assert v == pytest.approx(target, abs=1e-10)
         agg = aggregate_global(states, uniform_weights(6))
         assert agg[0] == pytest.approx(target, abs=1e-10)
 
@@ -255,7 +255,7 @@ class TestDynamicsProperties:
             states = consensus_round(states, w, damped(gamma))
         # oracle: x = (1-gamma) a + gamma W x  =>  (I - gamma W) x = (1-gamma) a
         x = np.linalg.solve(np.eye(6) - gamma * w.w, (1 - gamma) * anchors)
-        got = np.array([s.estimates[0] for s in states])
+        got = states.estimates[:, 0]
         assert np.max(np.abs(got - x)) < 1e-8
 
     def test_all_modes_hold_common_anchor_fixed(self):
@@ -265,5 +265,5 @@ class TestDynamicsProperties:
             states = init_states([v] * 5)
             for _ in range(10):
                 states = consensus_round(states, w, mode)
-            for s in states:
-                assert np.array_equal(s.estimates, v)
+            for row in states.estimates:
+                assert np.array_equal(row, v)

@@ -175,6 +175,11 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(p, generate_spd(3, [1, 2, 3], seed=0))
 
+    @pytest.mark.parametrize("hidden", [(0,), (4, 0), (-1,)])
+    def test_hidden_size_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match="layer sizes must be >= 1"):
+            init_mlp(2, hidden=hidden, seed=0)
+
 
 class TestLoss:
     def test_zero_at_exact_predictions(self):

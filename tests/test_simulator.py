@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -16,7 +18,6 @@ from coopeig.simulator import (
     ConfigError,
     EstimatorConfig,
     MatrixSpec,
-    RoundMetrics,
     SimConfig,
     Trace,
     config_from_dict,
@@ -74,7 +75,7 @@ class TestRunSimulation:
         trace = run_simulation(small_cfg(agents=1, topology="complete"))
         assert trace.stop_reason == "converged"
         assert trace.rounds_used == 0
-        assert all(r.consensus_error == 0.0 for r in trace.rounds)
+        assert all(e == 0.0 for e in trace.consensus_error)
         # single agent's anchor is its exact block spectrum head
         A = generate_spd(12, np.linspace(0.5, 6.0, 12),
                          child_seed(7, "matrix"))
@@ -91,21 +92,26 @@ class TestRunSimulation:
         cfg = small_cfg()
         a, b = run_simulation(cfg), run_simulation(cfg)
         assert np.array_equal(a.final_estimates, b.final_estimates)
-        assert [r.consensus_error for r in a.rounds] == [r.consensus_error for r in b.rounds]
+        assert a.consensus_error.tolist() == b.consensus_error.tolist()
         assert a.stop_reason == b.stop_reason and a.rho == b.rho
 
-    def test_round_indices_strictly_increasing(self):
+    def test_round_indices_strictly_increasing(self, tmp_path):
         trace = run_simulation(small_cfg())
-        ks = [r.round for r in trace.rounds]
-        assert ks == list(range(len(ks)))
+        path = tmp_path / "trace.csv"
+        export_csv(trace, path)
+        ks = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+        assert ks == list(range(trace.rounds_used + 1))
+        for column in (trace.consensus_error, trace.deviation_norm, trace.max_est_error,
+                       trace.mean_est_error, trace.global_estimate, trace.bound,
+                       trace.scalars_sent, trace.flops_local):
+            assert len(column) == trace.rounds_used + 1
 
     def test_bound_column_monotone(self):
         trace = run_simulation(small_cfg())
-        bounds = [r.bound for r in trace.rounds]
+        bounds = trace.bound.tolist()
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
-        for r in trace.rounds:
-            assert r.bound == theoretical_bound(trace.rounds[0].consensus_error,
-                                                trace.rho, r.round)
+        for k, bound in enumerate(bounds):
+            assert bound == theoretical_bound(trace.consensus_error[0], trace.rho, k)
 
     def test_communication_accounting_failure_free(self):
         for topology, m in (("ring", 4), ("complete", 5), ("path", 6)):
@@ -113,10 +119,10 @@ class TestRunSimulation:
             trace = run_simulation(cfg)
             edges = len(build_graph(topology, m).edges)
             k2 = sum(k * k for k in trace.block_sizes)
-            for r in trace.rounds[1:]:
-                assert r.scalars_sent == 2 * 1 * edges
-                assert r.flops_local == k2
-        assert trace.rounds[0].scalars_sent == 0
+            for sent, flops in zip(trace.scalars_sent[1:], trace.flops_local[1:]):
+                assert sent == 2 * 1 * edges
+                assert flops == k2
+        assert trace.scalars_sent[0] == 0
 
     def test_communication_accounting_under_failures(self):
         cfg = small_cfg(agents=6, topology="ring", failure_p=0.5, max_rounds=40,
@@ -125,13 +131,13 @@ class TestRunSimulation:
         # replay the keyed failure stream to recover each round's live edges
         base = build_graph("ring", 6, child_seed(11, "graph"))
         fm = FailureModel(0.5, child_seed(11, "failures"))
-        live = [len(apply_failures(base, fm, r.round).edges) for r in trace.rounds[1:]]
-        assert [r.scalars_sent for r in trace.rounds[1:]] == [2 * 2 * e for e in live]
+        live = [len(apply_failures(base, fm, k).edges) for k in range(1, trace.rounds_used + 1)]
+        assert trace.scalars_sent[1:].tolist() == [2 * 2 * e for e in live]
         assert len(set(live)) > 1
 
     def test_deviation_norm_contracts_failure_free(self):
         trace = run_simulation(small_cfg(tol=1e-6))
-        d = [r.deviation_norm for r in trace.rounds]
+        d = trace.deviation_norm
         for k in range(1, len(d)):
             assert d[k] <= trace.rho * d[k - 1] * (1 + 1e-9) + 1e-13 * d[0]
             assert d[k] <= trace.rho**k * d[0] * (1 + 1e-9) + 1e-13 * d[0]
@@ -143,7 +149,7 @@ class TestRunSimulation:
         # replay the keyed failure stream to recover each round's graph
         base = build_graph("ring", 6, child_seed(11, "graph"))
         fm = FailureModel(0.4, child_seed(11, "failures"))
-        d = [r.deviation_norm for r in trace.rounds]
+        d = trace.deviation_norm
         product = 1.0
         for k in range(1, len(d)):
             product *= slem(metropolis_weights(apply_failures(base, fm, k)))
@@ -177,7 +183,7 @@ class TestRunSimulation:
             _, rounds, history, reason = run_to_convergence(states, w, cfg.mode,
                                                             cfg.tol, cfg.max_rounds)
             assert (rounds, reason) == (trace.rounds_used, trace.stop_reason)
-            assert history == [r.consensus_error for r in trace.rounds]
+            assert history == trace.consensus_error.tolist()
 
     def test_tracked_count_limited_by_block_size(self):
         with pytest.raises(ConfigError):
@@ -191,10 +197,12 @@ class TestRunSimulation:
 
 def constant_trace(value, rounds=20):
     cfg = small_cfg()
-    rows = [RoundMetrics(k, 0.0, 0.0, value, value, np.array([1.0]), 0.0, 0, 0)
-            for k in range(rounds)]
-    return Trace(cfg, np.array([1.0]), 0.5, rows, np.ones((4, 1)), "max_rounds",
-                 (3, 3, 3, 3))
+    zeros, values = np.zeros(rounds), np.full(rounds, value)
+    return Trace(cfg, np.array([1.0]), 0.5, consensus_error=zeros, deviation_norm=zeros,
+                 max_est_error=values, mean_est_error=values,
+                 global_estimate=np.ones((rounds, 1)), scalars_sent=np.zeros(rounds, int),
+                 final_estimates=np.ones((4, 1)), stop_reason="max_rounds",
+                 block_sizes=(3, 3, 3, 3))
 
 
 class TestFitErrorBound:
@@ -231,16 +239,28 @@ class TestExportCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == ("round,consensus_error,max_est_error,"
                             "mean_est_error,bound,scalars_sent,flops_local")
-        assert len(lines) == 1 + len(trace.rounds)
-        for line, r in zip(lines[1:], trace.rounds):
+        assert len(lines) == 1 + len(trace.consensus_error)
+        for r, line in enumerate(lines[1:]):
             k, e, mx, mn, bound, scal, flops = line.split(",")
-            assert int(k) == r.round
-            assert float(e) == r.consensus_error
-            assert float(mx) == r.max_est_error
-            assert float(mn) == r.mean_est_error
-            assert float(bound) == r.bound
-            assert int(scal) == r.scalars_sent
-            assert int(flops) == r.flops_local
+            assert int(k) == r
+            assert float(e) == trace.consensus_error[r]
+            assert float(mx) == trace.max_est_error[r]
+            assert float(mn) == trace.mean_est_error[r]
+            assert float(bound) == trace.bound[r]
+            assert int(scal) == trace.scalars_sent[r]
+            assert int(flops) == trace.flops_local[r]
+
+    # sha256 of the exported bytes, one failure-free run and one under
+    # link failures: any change to a CSV byte shows here
+    @pytest.mark.parametrize("over, digest", [
+        ({}, "6a928e65b17451c5a514872c230cec4a4e6368dd62ba66cbbbfcfd4b83f264af"),
+        ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
+         "8e2440ca3611409cf2a166d2a19505ff72e7d82c7be0e0d629cad83529c3bc4f"),
+    ])
+    def test_bytes_pinned(self, tmp_path, over, digest):
+        path = tmp_path / "trace.csv"
+        export_csv(run_simulation(small_cfg(**over)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_zero_round_trace(self, tmp_path):
         trace = run_simulation(small_cfg(agents=1, topology="complete"))
@@ -308,7 +328,8 @@ class TestConfigFile:
         assert cfg.mode == ConsensusMode("matrix_form")
         assert cfg == SimConfig(cfg.matrix, 4, "ring", cfg.estimator, cfg.mode, seed=3)
 
-    @pytest.mark.parametrize("estimator", [{"sigma": 0.1}, {"kind": "mlp", "hidden": 5}])
+    @pytest.mark.parametrize("estimator", [{"sigma": 0.1}, {"kind": "mlp", "hidden": 5},
+                                           {"kind": "mlp", "hidden": "32"}])
     def test_bad_estimator_section_rejected(self, estimator):
         d = self.yaml_dict()
         d["estimator"] = estimator
