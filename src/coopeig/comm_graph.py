@@ -66,22 +66,28 @@ class WeightMatrix:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weight matrix must be square")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if np.max(np.abs(w - w.T)) != 0.0:
-            raise ValueError("weights must be exactly symmetric")
-        if np.max(np.abs(w.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise ValueError("rows must sum to 1")
-        w = w.copy()
+        w = check_weights(np.asarray(self.w, dtype=float)).copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
     @property
     def m(self) -> int:
         return self.w.shape[0]
+
+
+def check_weights(w: np.ndarray) -> np.ndarray:
+    """``w`` if it is square, nonnegative, exactly symmetric and has
+    rows summing to 1 within ROW_SUM_TOL, else ValueError. NaN is never
+    symmetric, and a row holding inf never sums to 1."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("weight matrix must be square")
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative")
+    if (w != w.T).any():
+        raise ValueError("weights must be exactly symmetric")
+    if not np.abs(w.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+        raise ValueError("rows must sum to 1")
+    return w
 
 
 @dataclass(frozen=True)
@@ -138,16 +144,21 @@ def is_connected(g: Graph) -> bool:
     return bool(reached.all())
 
 
-def metropolis_weights(g: Graph) -> WeightMatrix:
-    """Metropolis-Hastings weights: 1/(1 + max(deg_i, deg_l)) on edges,
-    the leftover mass on the diagonal. Always doubly stochastic, using
-    only local degree information."""
-    deg = g.degrees()
-    i, l = g.edges.T
-    w = np.zeros((g.m, g.m))
+def metropolis_array(m: int, edges: np.ndarray) -> np.ndarray:
+    """Metropolis-Hastings weights on m nodes from (E, 2) edge rows:
+    1/(1 + max(deg_i, deg_l)) on edges, the leftover mass on the
+    diagonal. Doubly stochastic, using only local degrees."""
+    deg = np.bincount(edges.ravel(), minlength=m)
+    i, l = edges.T
+    w = np.zeros((m, m))
     w[i, l] = w[l, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[l]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return WeightMatrix(w)
+    return w
+
+
+def metropolis_weights(g: Graph) -> WeightMatrix:
+    """The Metropolis weights of ``g``, checked as a WeightMatrix."""
+    return WeightMatrix(metropolis_array(g.m, g.edges))
 
 
 def slem(wm: WeightMatrix) -> float:
@@ -162,16 +173,19 @@ def slem(wm: WeightMatrix) -> float:
     return float(mods.max())
 
 
-def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
-    """Thin the edge set for one round. Row e of ``g.edges`` survives
-    with probability 1-p: it is kept iff the e-th uniform of one
-    generator keyed on (seed, round) is >= p. The result depends only
-    on (seed, round, edge row), so it is order-independent and bitwise
-    reproducible."""
-    if f.edge_drop_prob == 0.0:
-        return g
+def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:
+    """The edge rows that survive one round. Row e of ``g.edges``
+    survives with probability 1-p: it is kept iff the e-th uniform of
+    one generator keyed on (seed, round) is >= p. The result depends
+    only on (seed, round, edge row), so it is order-independent and
+    bitwise reproducible; it stays sorted and duplicate-free."""
     draws = keyed_rng(f.seed, "edge-failure", round_).random(len(g.edges))
-    return Graph(g.m, g.edges[draws >= f.edge_drop_prob])
+    return g.edges[draws >= f.edge_drop_prob]
+
+
+def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
+    """The graph of one round's surviving edges (see ``live_edges``)."""
+    return g if f.edge_drop_prob == 0.0 else Graph(g.m, live_edges(g, f, round_))
 
 
 def union_graph(graphs) -> Graph:

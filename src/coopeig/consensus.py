@@ -96,19 +96,24 @@ def init_states(anchors) -> ConsensusState:
     return ConsensusState(anchors.copy(), anchors)
 
 
+def _step(states: ConsensusState, w: np.ndarray, mode: ConsensusMode) -> ConsensusState:
+    """One synchronous round with the (m, m) weight array ``w``."""
+    est, anc = states.estimates, states.anchors
+    if mode.kind == "matrix_form":
+        nxt = w @ est
+    elif mode.kind == "paper_literal":
+        nxt = anc + w @ est - est
+    else:  # damped
+        nxt = (1.0 - mode.gamma) * anc + mode.gamma * (w @ est)
+    return ConsensusState(nxt, anc)
+
+
 def consensus_round(states: ConsensusState, wm: WeightMatrix,
                     mode: ConsensusMode) -> ConsensusState:
     """One synchronous round: every agent reads only round-k values."""
-    est, anc = states.estimates, states.anchors
-    if wm.m != len(est):
-        raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(est)} agents")
-    if mode.kind == "matrix_form":
-        nxt = wm.w @ est
-    elif mode.kind == "paper_literal":
-        nxt = anc + wm.w @ est - est
-    else:  # damped
-        nxt = (1.0 - mode.gamma) * anc + mode.gamma * (wm.w @ est)
-    return ConsensusState(nxt, anc)
+    if wm.m != len(states.estimates):
+        raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
+    return _step(states, wm.w, mode)
 
 
 def consensus_error(states: ConsensusState) -> float:
@@ -150,29 +155,26 @@ def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
     return gw.beta @ states.estimates
 
 
-def divergence_threshold(e0: float) -> float:
-    # Far enough above any converging trajectory to be unambiguous,
-    # small enough to trip long before float overflow.
-    return 1e9 * max(1.0, e0)
-
-
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
                max_rounds: int, on_round):
-    """The round loop. Round k mixes with ``weights(k)``; the loop stops
-    when consensus_error < tol ("converged"), after max_rounds
-    ("max_rounds"), or when the iterate turns non-finite or exceeds the
-    divergence threshold ("diverged"). ``on_round(k, states, error)``
-    sees round 0 and every round after it; the error of a non-finite
-    iterate is inf. Returns (final states, rounds used, stop reason)."""
-    if tol <= 0:
+    """The round loop. Round k mixes with ``weights(k)``, an (m, m) array
+    that passes ``comm_graph.check_weights``. The loop stops when
+    consensus_error < tol ("converged"), after max_rounds ("max_rounds"),
+    or when the iterate turns non-finite or exceeds the divergence
+    threshold ("diverged"). ``on_round(k, states, error)`` sees round 0
+    and every round after it; the error of a non-finite iterate is inf.
+    Returns (final states, rounds used, stop reason)."""
+    if not tol > 0:
         raise ValueError("tol must be positive")
     e = consensus_error(states)
-    threshold = divergence_threshold(e)
+    # Far enough above any converging trajectory to be unambiguous,
+    # small enough to trip long before float overflow.
+    threshold = 1e9 * max(1.0, e)
     on_round(0, states, e)
     k = 0
     while e >= tol and k < max_rounds:
         k += 1
-        states = consensus_round(states, weights(k), mode)
+        states = _step(states, weights(k), mode)
         e = consensus_error(states) if np.all(np.isfinite(states.estimates)) else math.inf
         on_round(k, states, e)
         if math.isinf(e) or e > threshold:
@@ -186,8 +188,10 @@ def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: Consensus
     max_rounds. Returns (final states, rounds used, error history incl.
     round 0, stop reason); raises DivergenceError if the iterate blows
     up."""
+    if wm.m != len(states.estimates):
+        raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
     history = []
-    states, k, reason = run_rounds(states, lambda _: wm, mode, tol, max_rounds,
+    states, k, reason = run_rounds(states, lambda _: wm.w, mode, tol, max_rounds,
                                    lambda _k, _s, e: history.append(e))
     if reason == "diverged":
         raise DivergenceError(k, history[-1])

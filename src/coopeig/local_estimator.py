@@ -150,8 +150,8 @@ class TrainConfig:
     epochs: int
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

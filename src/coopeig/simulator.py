@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import comm_graph, consensus, local_estimator, matrix_core
-from .comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
+from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
 from .consensus import ConsensusMode, deviation_norm, estimation_error
 from .local_estimator import (
     MlpEstimator,
@@ -70,7 +70,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ("oracle", "noisy_oracle", "mlp"):
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigError("sigma must be >= 0")
 
 
@@ -95,7 +95,7 @@ class SimConfig:
             raise ConfigError("more agents than matrix rows")
         if not 0.0 <= self.failure_p < 1.0:
             raise ConfigError("failure probability must be in [0, 1)")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.max_rounds < 0:
             raise ConfigError("max_rounds must be >= 0")
@@ -228,9 +228,11 @@ def run_simulation(cfg: SimConfig) -> Trace:
     errors, deviations, max_errors, mean_errors, estimates = [], [], [], [], []
 
     def weights(k):
-        g_k = apply_failures(base, fm, k)
-        scalars_sent.append(2 * j * len(g_k.edges))
-        return w0 if cfg.failure_p == 0.0 else metropolis_weights(g_k)
+        live = base.edges if cfg.failure_p == 0.0 else comm_graph.live_edges(base, fm, k)
+        scalars_sent.append(2 * j * len(live))
+        if cfg.failure_p == 0.0:
+            return w0.w
+        return comm_graph.check_weights(comm_graph.metropolis_array(base.m, live))
 
     def record(k, states, e):
         eps = estimation_error(states, truth)
@@ -378,7 +380,7 @@ def _resolve_spectrum(spec, n, seed):
     uniformly (sorted) with a seed-derived stream."""
     if isinstance(spec, str):
         lo, hi = (float(t) for t in spec.split(":"))
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:
             raise ConfigError(f"bad spectrum range {spec!r}")
         return tuple(np.sort(keyed_rng(seed, "spectrum-range").uniform(lo, hi, n)).tolist())
     return tuple(float(v) for v in spec)

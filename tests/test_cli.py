@@ -55,6 +55,13 @@ class TestGenMatrix:
         ev = jacobi_eigen(load_matrix(out)).eigenvalues
         assert np.allclose(ev, [0.5, 1, 2, 4], atol=1e-10)
 
+    @pytest.mark.parametrize("spectrum", ["nan:5", "1:inf", "2:1", "0:1"])
+    def test_bad_spectrum_range_is_usage_error(self, tmp_path, capsys, spectrum):
+        code = main(["gen-matrix", "--n", "3", "--spectrum", spectrum,
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "bad spectrum range" in capsys.readouterr().err
+
     def test_missing_n_is_usage_error(self, tmp_path, capsys):
         code = main(["gen-matrix", "--spectrum", "1:2",
                      "--out", str(tmp_path / "m.txt")])
@@ -82,6 +89,12 @@ class TestTrain:
                      "--hidden", "0", "--out", str(tmp_path / "p.json")])
         assert code == 2
         assert "layer sizes must be >= 1" in capsys.readouterr().err
+
+    def test_nan_learning_rate_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--lr", "nan", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "learning_rate must be positive" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -155,6 +168,20 @@ class TestSimulate:
     def test_bad_hidden_is_usage_error(self, tmp_path, capsys, hidden, message):
         cfg = base_config(tmp_path, estimator={"kind": "mlp", "hidden": hidden,
                                                "epochs": 2, "samples": 4})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    # NaN fails every comparison, so a "<= 0" check would let it through
+    @pytest.mark.parametrize("over, message", [
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"estimator": {"kind": "mlp", "learning_rate": float("nan"), "epochs": 2,
+                        "samples": 4}}, "learning_rate must be positive"),
+        ({"estimator": {"kind": "noisy_oracle", "sigma": float("nan")}}, "sigma must be >= 0"),
+        ({"matrix": {"kind": "generate", "n": 12, "spectrum": "nan:5"}}, "bad spectrum range"),
+        ({"matrix": {"kind": "generate", "n": 12, "spectrum": "1:inf"}}, "bad spectrum range"),
+    ])
+    def test_nan_is_usage_error(self, tmp_path, capsys, over, message):
+        cfg = base_config(tmp_path, **over)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 

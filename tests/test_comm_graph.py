@@ -9,7 +9,10 @@ from coopeig.comm_graph import (
     WeightMatrix,
     apply_failures,
     build_graph,
+    check_weights,
     is_connected,
+    live_edges,
+    metropolis_array,
     metropolis_weights,
     slem,
     union_graph,
@@ -191,6 +194,50 @@ class TestMetropolisWeights:
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
+    def test_array_matches_weight_matrix(self):
+        g = random_connected_graph(12, 3)
+        w = metropolis_array(g.m, g.edges)
+        assert check_weights(w) is w
+        assert np.array_equal(w, metropolis_weights(g).w)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestCheckWeights:
+    # each rejection raises the same message from check_weights and
+    # from the WeightMatrix constructor
+    @pytest.mark.parametrize("w, message", [
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "must be square"),
+        ([0.5, 0.5], "must be square"),
+        ([[[1.0]]], "must be square"),
+        ([[1.5, -0.5], [-0.5, 1.5]], "nonnegative"),
+        ([[0.5, 0.5], [0.4, 0.6]], "exactly symmetric"),
+        ([[0.5, 0.5], [0.5 + 2**-53, 0.5 - 2**-53]], "exactly symmetric"),
+        ([[0.5, 0.6], [0.6, 0.5]], "rows must sum to 1"),
+        ([[1.0 + 1e-11]], "rows must sum to 1"),
+        # non-finite entries: rejected, never accepted
+        ([[NAN]], "exactly symmetric"),
+        ([[0.5, NAN], [NAN, 0.5]], "exactly symmetric"),
+        ([[NAN, 0.5], [0.5, 0.5]], "exactly symmetric"),
+        ([[0.5, NAN], [0.5, 0.5]], "exactly symmetric"),
+        ([[INF]], "rows must sum to 1"),
+        ([[0.5, INF], [INF, 0.5]], "rows must sum to 1"),
+        ([[INF, 0.0], [0.0, 1.0]], "rows must sum to 1"),
+        ([[0.5, -INF], [-INF, 0.5]], "nonnegative"),
+        ([[0.5, INF], [0.5, 0.5]], "exactly symmetric"),
+    ])
+    def test_rejections(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            check_weights(np.array(w))
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix(np.array(w))
+
+    def test_row_sum_tolerance_accepted(self):
+        w = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-13]])
+        assert check_weights(w) is w
+        assert np.array_equal(WeightMatrix(w).w, w)
+
 
 class TestSlem:
     def test_complete_graph_is_zero(self):
@@ -250,6 +297,7 @@ class TestApplyFailures:
         ]
         assert [loop_failure_reference(g, 7, 0.4, k) for k in range(3)] == expect
         assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
+        assert [live_edges(g, fm, k).tolist() for k in range(3)] == expect
 
     def test_drop_rate_and_round_independence(self):
         # Each edge survives a round with probability 1 - p, independently

@@ -173,6 +173,17 @@ class TestRunToConvergence:
             run_to_convergence(states, SWAP_W, LITERAL, 1e-9, 500)
         assert err.value.round < 200
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_non_positive_tol_rejected(self, tol):
+        states = init_states([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            run_to_convergence(states, SWAP_W, MATRIX_FORM, tol, 10)
+
+    def test_size_mismatch_rejected(self):
+        w = metropolis_weights(build_graph("ring", 4))
+        with pytest.raises(ValueError, match="weight matrix is 4x4 for 2 agents"):
+            run_to_convergence(init_states([[1.0], [2.0]]), w, MATRIX_FORM, 1e-9, 10)
+
     def test_max_rounds_stop(self):
         w = metropolis_weights(build_graph("ring", 10))
         states = init_states([[float(i)] for i in range(10)])

@@ -368,6 +368,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    def test_rejects_non_positive_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            TrainConfig(lr, 10)
+
 
 class TestEstimate:
     def test_oracle_on_diagonal(self):

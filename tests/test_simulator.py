@@ -1,11 +1,23 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 import yaml
 
+from coopeig import consensus
 from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
-from coopeig.consensus import ConsensusMode, DivergenceError, init_states, run_to_convergence
+from coopeig.consensus import (
+    ConsensusMode,
+    DivergenceError,
+    aggregate_global,
+    consensus_error,
+    consensus_round,
+    init_states,
+    run_to_convergence,
+    uniform_weights,
+)
+from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
 from coopeig.matrix_core import (
     diagonal_block,
     generate_spd,
@@ -189,10 +201,102 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             run_simulation(small_cfg(tracked=5))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ConfigError, match="tol must be positive"):
+            small_cfg(tol=tol)
+
     def test_agents_capped_by_rows(self):
         with pytest.raises(ConfigError):
             SimConfig(matrix=MatrixSpec("generate", n=3, spectrum=(1.0, 2.0, 3.0)),
                       agents=4, topology="ring", estimator=ORACLE, mode=MATRIX_FORM)
+
+
+def replay_graph_path(cfg):
+    """The failing round built from objects: each round's Graph from
+    apply_failures, its WeightMatrix from metropolis_weights, and one
+    consensus_round. Returns the columns the trace must match."""
+    A = generate_spd(cfg.matrix.n, np.array(cfg.matrix.spectrum), child_seed(cfg.seed, "matrix"))
+    part = partition_rows(A.n, cfg.agents)
+    if cfg.estimator.kind == "oracle":
+        est = OracleEstimator()
+    else:
+        est = NoisyOracleEstimator(cfg.estimator.sigma, child_seed(cfg.seed, "estimator-noise"))
+    states = init_states([estimate(est, diagonal_block(A, part, i), agent=i, round_=0)
+                          [:cfg.tracked] for i in range(part.m)])
+    base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))
+    fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
+    gw = uniform_weights(part.m)
+    errors, estimates, sent = [consensus_error(states)], [aggregate_global(states, gw)], [0]
+    threshold = 1e9 * max(1.0, errors[0])
+    reason = None
+    while reason is None and errors[-1] >= cfg.tol and len(errors) <= cfg.max_rounds:
+        g_k = apply_failures(base, fm, len(errors))
+        sent.append(2 * cfg.tracked * len(g_k.edges))
+        states = consensus_round(states, metropolis_weights(g_k), cfg.mode)
+        finite = np.all(np.isfinite(states.estimates))
+        errors.append(consensus_error(states) if finite else math.inf)
+        estimates.append(aggregate_global(states, gw))
+        if math.isinf(errors[-1]) or errors[-1] > threshold:
+            reason = "diverged"
+    if reason is None:
+        reason = "converged" if errors[-1] < cfg.tol else "max_rounds"
+    return np.array(errors), np.array(estimates), np.array(sent), states.estimates, reason
+
+
+# Each failing config, and the stop reason it must reach. A ring under
+# p = 0.3 does not diverge in paper_literal mode; er:0.5 does.
+FAILING = [
+    (dict(agents=6, failure_p=0.5, tol=1e-8), "converged"),
+    (dict(agents=8, topology="er:0.4", failure_p=0.3, tol=1e-8), "converged"),
+    (dict(agents=6, mode=ConsensusMode("damped", gamma=0.6), tracked=2, failure_p=0.2,
+          estimator=EstimatorConfig("noisy_oracle", sigma=0.05), max_rounds=200), "max_rounds"),
+    (dict(agents=10, mode=ConsensusMode("paper_literal"), failure_p=0.3, max_rounds=300),
+     "max_rounds"),
+    (dict(agents=10, topology="er:0.5", mode=ConsensusMode("paper_literal"), failure_p=0.3,
+          max_rounds=2000), "diverged"),
+]
+
+
+@pytest.fixture
+def mixed(monkeypatch):
+    """Every weight array the round loop mixes with, in round order."""
+    seen, step = [], consensus._step
+    monkeypatch.setattr(consensus, "_step",
+                        lambda states, w, mode: seen.append(w.copy()) or step(states, w, mode))
+    return seen
+
+
+class TestFailingRound:
+    @pytest.mark.parametrize("over, reason", FAILING)
+    def test_bit_equal_to_graph_path(self, over, reason):
+        cfg = small_cfg(**over)
+        trace = run_simulation(cfg)
+        errors, estimates, sent, final, ref_reason = replay_graph_path(cfg)
+        assert trace.stop_reason == ref_reason == reason
+        assert trace.consensus_error.tobytes() == errors.tobytes()
+        assert trace.global_estimate.tobytes() == estimates.tobytes()
+        assert trace.scalars_sent.tolist() == sent.tolist()
+        assert trace.final_estimates.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("topology, m, p", [("ring", 10, 0.5), ("er:0.4", 8, 0.3),
+                                                ("complete", 6, 0.2)])
+    def test_round_weights_bit_equal(self, mixed, topology, m, p):
+        # damped mode keeps the anchors apart, so no run stops early
+        cfg = small_cfg(agents=m, topology=topology, failure_p=p, tol=1e-300,
+                        max_rounds=200, seed=5, mode=ConsensusMode("damped", gamma=0.9))
+        assert run_simulation(cfg).rounds_used == 200
+        base = build_graph(topology, m, child_seed(5, "graph"))
+        fm = FailureModel(p, child_seed(5, "failures"))
+        assert len(mixed) == 200
+        for k, w in enumerate(mixed, start=1):
+            assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
+
+    def test_failure_free_rounds_mix_w0(self, mixed):
+        trace = run_simulation(small_cfg(max_rounds=20, tol=1e-300))
+        w0 = metropolis_weights(build_graph("ring", 4, child_seed(7, "graph"))).w
+        assert len(mixed) == trace.rounds_used == 20
+        assert all(w.tobytes() == w0.tobytes() for w in mixed)
 
 
 def constant_trace(value, rounds=20):
