@@ -114,6 +114,18 @@ def _apply_sweep_value(cfg: SimConfig, param: str, value: float, seed: int) -> S
     return config_from_dict(d)
 
 
+def _sweep_row(param: str, value: float, group) -> str:
+    """One aggregate CSV row over the traces of one value's trials."""
+    rounds = np.array([t.rounds_used for t in group])
+    errors = np.array([t.final_consensus_error for t in group])
+    gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.max_est_error) >= 10]
+    mean_gamma = float(np.mean(gammas)) if gammas else float("nan")
+    return (f"{param},{value:.17g},{len(group)},"
+            f"{rounds.mean():.17g},{rounds.min()},{rounds.max()},"
+            f"{errors.mean():.17g},{errors.min():.17g},{errors.max():.17g},"
+            f"{mean_gamma:.17g}")
+
+
 def cmd_sweep(args) -> int:
     base = load_config(args.config)
     values = [float(v) for v in args.values.split(",") if v]
@@ -121,24 +133,24 @@ def cmd_sweep(args) -> int:
         raise ValueError("no sweep values given")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    # A parameter the config never reads would give identical rows.
+    if args.param == "gamma" and base.mode.kind != "damped":
+        raise ConfigError(f"--param gamma is read only by mode: damped, "
+                          f"not mode: {base.mode.kind}")
+    if args.param == "sigma" and base.estimator.kind != "noisy_oracle":
+        raise ConfigError(f"--param sigma is read only by estimator: noisy_oracle, "
+                          f"not estimator: {base.estimator.kind}")
 
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
-    for vi, value in enumerate(values):
-        group = []
-        for trial in range(args.trials):
-            seed = child_seed(base.seed, "sweep", vi, trial)
-            group.append(run_simulation(_apply_sweep_value(base, args.param, value, seed)))
-        rounds = np.array([t.rounds_used for t in group])
-        errors = np.array([t.final_consensus_error for t in group])
-        gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.max_est_error) >= 10]
-        mean_gamma = float(np.mean(gammas)) if gammas else float("nan")
-        lines.append(
-            f"{args.param},{value:.17g},{len(group)},"
-            f"{rounds.mean():.17g},{rounds.min()},{rounds.max()},"
-            f"{errors.mean():.17g},{errors.min():.17g},{errors.max():.17g},"
-            f"{mean_gamma:.17g}"
-        )
+    # Trials share the matrix, its blocks and often W0: solve each once.
+    with matrix_core.reuse_spectra():
+        for vi, value in enumerate(values):
+            group = []
+            for trial in range(args.trials):
+                seed = child_seed(base.seed, "sweep", vi, trial)
+                group.append(run_simulation(_apply_sweep_value(base, args.param, value, seed)))
+            lines.append(_sweep_row(args.param, value, group))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

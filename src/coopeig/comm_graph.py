@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, jacobi_eigen
+from .matrix_core import DenseSymMatrix, eigenvalues, jacobi_eigen
 from .seeding import keyed_rng
 
 ER_RETRY_CAP = 1000
@@ -167,7 +167,7 @@ def slem(wm: WeightMatrix) -> float:
     connected."""
     if wm.m == 1:
         return 0.0
-    ev = jacobi_eigen(DenseSymMatrix(wm.w)).eigenvalues
+    ev = eigenvalues(DenseSymMatrix(wm.w), jacobi_eigen)
     mods = np.abs(ev)
     mods = np.delete(mods, int(np.argmax(ev)))  # drop one eigenvalue 1
     return float(mods.max())

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, generate_spd, jacobi_eigen
+from .matrix_core import DenseSymMatrix, eigenvalues, generate_spd, jacobi_eigen
 from .seeding import keyed_rng
 
 TARGET_CHECK_TOL = 1e-10
@@ -278,9 +278,9 @@ def estimate(kind: Estimator, block: DenseSymMatrix,
              agent: int = 0, round_: int = 0) -> np.ndarray:
     """Local eigenvalue estimates for one block: length k, sorted."""
     if isinstance(kind, OracleEstimator):
-        return jacobi_eigen(block).eigenvalues
+        return eigenvalues(block, jacobi_eigen)
     if isinstance(kind, NoisyOracleEstimator):
-        values = jacobi_eigen(block).eigenvalues
+        values = eigenvalues(block, jacobi_eigen)
         if kind.sigma == 0.0:
             return values
         rng = keyed_rng(kind.seed, "estimator-noise", agent, round_)

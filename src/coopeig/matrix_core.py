@@ -3,6 +3,8 @@ partitioning, principal diagonal blocks, and the cyclic-Jacobi
 eigensolver used as the exact ground-truth oracle everywhere else.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -159,6 +161,37 @@ def jacobi_eigen(A: DenseSymMatrix, tol: float = DEFAULT_TOL,
     if off <= tol:
         return SpectrumResult(np.sort(np.diag(a)), max_sweeps, off)
     raise JacobiConvergenceError(off, max_sweeps)
+
+
+# Matrix content -> its read-only eigenvalues, while a reuse scope is open.
+_spectra = ContextVar("coopeig_spectra", default=None)
+
+
+@contextmanager
+def reuse_spectra():
+    """A scope in which ``eigenvalues`` solves each distinct matrix once.
+    Nothing is kept after it closes, by an exception or not."""
+    token = _spectra.set({})
+    try:
+        yield
+    finally:
+        _spectra.reset(token)
+
+
+def eigenvalues(A: DenseSymMatrix, solve) -> np.ndarray:
+    """``solve(A).eigenvalues``. Inside ``reuse_spectra()`` it is stored
+    read-only, keyed on the exact content (shape and bytes) of ``A``, and
+    handed back for every equal matrix. A solve that raises stores nothing."""
+    memo = _spectra.get()
+    if memo is None:
+        return solve(A).eigenvalues
+    key = (A.a.shape, A.a.tobytes())
+    values = memo.get(key)
+    if values is None:
+        values = solve(A).eigenvalues
+        values.setflags(write=False)
+        memo[key] = values
+    return values
 
 
 def _max_offdiag(a: np.ndarray) -> float:

@@ -206,7 +206,7 @@ def run_simulation(cfg: SimConfig) -> Trace:
             f"cannot track {j} eigenvalues with smallest block size "
             f"{min(part.block_sizes)}"
         )
-    truth = jacobi_eigen(A).eigenvalues[:j]
+    truth = matrix_core.eigenvalues(A, jacobi_eigen)[:j]
 
     estimators = _setup_estimators(cfg, blocks)
     anchors = [
@@ -368,11 +368,17 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _convert(d, types, where):
+def _typed(convert, value, key):
+    """``convert(value)``; a value of the wrong type is a ConfigError
+    naming ``key``."""
     try:
-        return {k: types[k](v) for k, v in d.items() if k in types}
+        return convert(value)
     except TypeError as exc:
-        raise ConfigError(f"bad {where} value: {exc}") from None
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
+def _convert(d, types, prefix=""):
+    return {k: _typed(types[k], v, prefix + k) for k, v in d.items() if k in types}
 
 
 def _resolve_spectrum(spec, n, seed):
@@ -395,7 +401,7 @@ def _require(d, keys, where):
 def config_from_dict(d: dict) -> SimConfig:
     _check_keys(d, _TOP_KEYS, "config")
     _require(d, ("matrix", "agents", "topology", "estimator", "mode"), "config")
-    sim = _convert(d, _SIM_TYPES, "config")
+    sim = _convert(d, _SIM_TYPES)
     seed = sim.get("seed", SimConfig.seed)
 
     md = d["matrix"]
@@ -403,9 +409,10 @@ def config_from_dict(d: dict) -> SimConfig:
     kind = str(md.get("kind", "generate"))
     if kind == "generate":
         _require(md, ("n", "spectrum"), "matrix")
-        n = int(md["n"])
-        matrix = MatrixSpec("generate", n=n,
-                            spectrum=_resolve_spectrum(md["spectrum"], n, seed))
+        n = _typed(int, md["n"], "matrix.n")
+        spectrum = _typed(lambda v: _resolve_spectrum(v, n, seed), md["spectrum"],
+                          "matrix.spectrum")
+        matrix = MatrixSpec("generate", n=n, spectrum=spectrum)
     else:
         if kind == "file":
             _require(md, ("path",), "matrix")
@@ -414,12 +421,13 @@ def config_from_dict(d: dict) -> SimConfig:
     ed = d["estimator"]
     _check_keys(ed, set(_EST_TYPES), "estimator")
     _require(ed, ("kind",), "estimator")
-    est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator"))
+    est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator."))
 
-    mode = ConsensusMode(str(d["mode"]), gamma=float(d.get("gamma", ConsensusMode.gamma)))
+    mode = ConsensusMode(str(d["mode"]),
+                         gamma=_typed(float, d.get("gamma", ConsensusMode.gamma), "gamma"))
     return SimConfig(
         matrix=matrix,
-        agents=int(d["agents"]),
+        agents=_typed(int, d["agents"], "agents"),
         topology=str(d["topology"]),
         estimator=est,
         mode=mode,
@@ -486,10 +494,16 @@ def summary_from_snapshot(snap: dict) -> str:
     missing = [k for k in _SNAPSHOT_KEYS if k not in snap]
     if missing:
         raise ConfigError(f"snapshot lacks keys: {missing}")
+    truth, finals = (_typed(lambda v: np.asarray(v, dtype=float), snap[k], k)
+                     for k in ("truth", "final_estimates"))
+    if truth.ndim != 1 or truth.size == 0:
+        raise ConfigError("snapshot truth must be a non-empty list")
+    if finals.ndim != 2 or 0 in finals.shape:
+        raise ConfigError("snapshot final_estimates must be a non-empty agents x tracked table")
     return format_summary(
-        float(snap["truth"][0]),
-        np.array(snap["final_estimates"])[:, 0],
+        float(truth[0]),
+        finals[:, 0],
         snap["stop_reason"],
-        int(snap["rounds_used"]),
-        float(snap["final_consensus_error"]),
+        _typed(int, snap["rounds_used"], "rounds_used"),
+        _typed(float, snap["final_consensus_error"], "final_consensus_error"),
     )

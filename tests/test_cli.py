@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import yaml
 
-from coopeig import simulator
-from coopeig.cli import main
+from coopeig import comm_graph, local_estimator, simulator
+from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import load_params
 from coopeig.matrix_core import (
     JacobiConvergenceError,
@@ -14,6 +14,7 @@ from coopeig.matrix_core import (
     load_matrix,
     save_matrix,
 )
+from coopeig.seeding import child_seed
 
 
 def base_config(tmp_path, **over):
@@ -33,6 +34,28 @@ def base_config(tmp_path, **over):
     with open(path, "w") as f:
         yaml.safe_dump(cfg, f)
     return path
+
+
+def file_config(tmp_path, **over):
+    """``base_config`` on a 12x12 matrix read from a file."""
+    mpath = tmp_path / "A.txt"
+    save_matrix(generate_spd(12, np.linspace(0.5, 6.0, 12), seed=3), mpath)
+    return base_config(tmp_path, matrix={"kind": "file", "path": str(mpath)}, **over)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The matrices that reach jacobi_eigen through the truth, block and
+    SLEM call sites, one (n, bytes) entry per real solve."""
+    calls = []
+
+    def counted(A, *args, **kwargs):
+        calls.append((A.n, A.a.tobytes()))
+        return jacobi_eigen(A, *args, **kwargs)
+
+    for module in (simulator, local_estimator, comm_graph):
+        monkeypatch.setattr(module, "jacobi_eigen", counted)
+    return calls
 
 
 class TestGenMatrix:
@@ -218,6 +241,36 @@ class TestSimulate:
         assert main(["report", "--snapshot", str(snap)]) == 2
         assert "truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("truth", [], "truth must be a non-empty list"),
+        ("truth", 5, "truth must be a non-empty list"),
+        ("final_estimates", [1.0, 2.0], "final_estimates must be"),
+        ("rounds_used", [3], "bad value for 'rounds_used'"),
+    ])
+    def test_report_on_malformed_snapshot_is_usage_error(self, tmp_path, capsys,
+                                                         key, value, message):
+        snap = tmp_path / "snap.json"
+        assert main(["simulate", "--config", str(base_config(tmp_path)),
+                     "--snapshot", str(snap)]) == 0
+        data = simulator.load_snapshot(snap)
+        data[key] = value
+        snap.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--snapshot", str(snap)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, key", [
+        ({"agents": [1]}, "agents"),
+        ({"gamma": [1]}, "gamma"),
+        ({"matrix": {"kind": "generate", "n": [4], "spectrum": [1.0, 2.0, 3.0, 4.0]}},
+         "matrix.n"),
+        ({"matrix": {"kind": "generate", "n": 4, "spectrum": 5}}, "matrix.spectrum"),
+    ])
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, over, key):
+        cfg = base_config(tmp_path, **over)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"bad value for {key!r}" in capsys.readouterr().err
+
     def test_snapshot_report_round_trip(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         snap = tmp_path / "snap.json"
@@ -294,6 +347,84 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--param", "p",
                      "--values", "0", "--trials", "0"]) == 2
         assert "--trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, values, reader", [
+        ("gamma", "2", "mode: damped"),
+        ("gamma", "0.3,0.7", "mode: damped"),
+        ("sigma", "0.1,0.2", "estimator: noisy_oracle"),
+    ])
+    def test_unread_param_is_usage_error(self, tmp_path, capsys, solves,
+                                         param, values, reader):
+        cfg = base_config(tmp_path)  # matrix_form mode, oracle estimator
+        assert main(["sweep", "--config", str(cfg), "--param", param,
+                     "--values", values]) == 2
+        assert f"--param {param} is read only by {reader}" in capsys.readouterr().err
+        assert solves == []  # rejected before the first trial
+
+
+SWEEP = ["sweep", "--param", "p", "--values", "0,0.3", "--trials", "3", "--config"]
+
+
+class TestSweepReusesSpectra:
+    M = 4  # agents in base_config
+
+    def test_each_distinct_matrix_solved_once(self, tmp_path, capsys, solves):
+        assert main(SWEEP + [str(file_config(tmp_path))]) == 0
+        # the truth, the m diagonal blocks and the ring's W0, once each
+        # (each of the 2 x 3 trials solved all of them before)
+        assert len(solves) == 1 + self.M + 1
+        assert len(set(solves)) == len(solves)
+
+    def test_generated_matrices_each_solved(self, tmp_path, capsys, solves):
+        # every trial seed draws a new matrix; the ring's W0 is shared
+        assert main(SWEEP + [str(base_config(tmp_path))]) == 0
+        assert len(solves) == 2 * 3 * (1 + self.M) + 1
+        assert len(set(solves)) == len(solves)
+
+    @pytest.mark.parametrize("matrix", ["file", "generate"])
+    @pytest.mark.parametrize("param, values, over", [
+        ("p", "0,0.3", {}),
+        ("sigma", "0.01,0.1", {"estimator": {"kind": "noisy_oracle"}}),
+        ("gamma", "0.3,0.7", {"mode": "damped"}),
+    ])
+    def test_rows_bit_equal_to_standalone_runs(self, tmp_path, matrix, param, values, over):
+        make = file_config if matrix == "file" else base_config
+        cfg = make(tmp_path, failure_p=0.2, **over)
+        out = tmp_path / "agg.csv"
+        assert main(["sweep", "--config", str(cfg), "--param", param, "--values", values,
+                     "--trials", "3", "--out", str(out)]) == 0
+        base = simulator.load_config(cfg)
+        rows = []
+        for vi, value in enumerate(float(v) for v in values.split(",")):
+            group = [simulator.run_simulation(_apply_sweep_value(
+                base, param, value, child_seed(base.seed, "sweep", vi, trial)))
+                for trial in range(3)]
+            rows.append(_sweep_row(param, value, group))
+        assert out.read_text().splitlines()[1:] == rows
+
+    def test_nothing_outlives_a_command(self, tmp_path, capsys, solves):
+        cfg = file_config(tmp_path)
+        per_run = 1 + self.M + 1
+        assert main(SWEEP + [str(cfg)]) == 0
+        assert main(SWEEP + [str(cfg)]) == 0
+        assert len(solves) == 2 * per_run
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(solves) == 3 * per_run
+
+    def test_nothing_outlives_a_failed_sweep(self, tmp_path, capsys, monkeypatch, solves):
+        cfg = file_config(tmp_path)
+        counted = comm_graph.jacobi_eigen
+
+        def stuck(A, *args, **kwargs):
+            raise JacobiConvergenceError(1.0, 100)
+
+        # the truth and the blocks are solved, then the SLEM solve fails
+        monkeypatch.setattr(comm_graph, "jacobi_eigen", stuck)
+        assert main(SWEEP + [str(cfg)]) == 4
+        assert len(solves) == 1 + self.M
+        monkeypatch.setattr(comm_graph, "jacobi_eigen", counted)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(solves) == 2 * (1 + self.M) + 1
 
 
 class TestLibraryErrorExitCodes:

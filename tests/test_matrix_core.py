@@ -10,10 +10,12 @@ from coopeig.matrix_core import (
     Partition,
     _round_robin,
     diagonal_block,
+    eigenvalues,
     generate_spd,
     jacobi_eigen,
     load_matrix,
     partition_rows,
+    reuse_spectra,
     save_matrix,
     smallest_eigenvalue,
 )
@@ -223,6 +225,64 @@ class TestJacobi:
             jacobi_eigen(a, max_sweeps=1)
         assert e.value.sweeps == 1
         assert e.value.residual > DEFAULT_TOL
+
+
+class TestReuseSpectra:
+    @staticmethod
+    def counting():
+        calls = []
+
+        def solve(A):
+            calls.append(A)
+            return jacobi_eigen(A)
+
+        return solve, calls
+
+    def test_each_distinct_matrix_solved_once(self):
+        solve, calls = self.counting()
+        a, b = tridiag(5, 2.0, 1.0), tridiag(5, 2.0, 0.5)
+        with reuse_spectra():
+            first = eigenvalues(a, solve)
+            assert eigenvalues(DenseSymMatrix(a.a.copy()), solve) is first
+            assert np.array_equal(eigenvalues(b, solve), jacobi_eigen(b).eigenvalues)
+        assert len(calls) == 2
+        assert np.array_equal(first, jacobi_eigen(a).eigenvalues)
+
+    def test_handed_out_read_only(self):
+        solve, _ = self.counting()
+        with reuse_spectra():
+            values = eigenvalues(tridiag(4, 2.0, 1.0), solve)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_outside_a_scope_every_call_solves(self):
+        solve, calls = self.counting()
+        a = tridiag(4, 2.0, 1.0)
+        first, second = eigenvalues(a, solve), eigenvalues(a, solve)
+        assert len(calls) == 2 and first is not second and first.flags.writeable
+
+    def test_failed_solve_not_stored(self):
+        def stuck(A):
+            raise JacobiConvergenceError(1.0, 1)
+
+        solve, calls = self.counting()
+        a = tridiag(4, 2.0, 1.0)
+        with reuse_spectra():
+            with pytest.raises(JacobiConvergenceError):
+                eigenvalues(a, stuck)
+            eigenvalues(a, solve)
+        assert len(calls) == 1
+
+    def test_scope_closes_on_exception(self):
+        solve, calls = self.counting()
+        a = tridiag(4, 2.0, 1.0)
+        with pytest.raises(RuntimeError):
+            with reuse_spectra():
+                eigenvalues(a, solve)
+                raise RuntimeError("trial failed")
+        eigenvalues(a, solve)
+        assert len(calls) == 2
 
 
 class TestSmallestEigenvalue:
