@@ -369,11 +369,11 @@ def _check_keys(d, allowed, where):
 
 
 def _typed(convert, value, key):
-    """``convert(value)``; a value of the wrong type is a ConfigError
-    naming ``key``."""
+    """``convert(value)``; a value of the wrong type or form is a
+    ConfigError naming ``key``."""
     try:
         return convert(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 

@@ -261,6 +261,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("over, key", [
         ({"agents": [1]}, "agents"),
+        ({"agents": "four"}, "agents"),
+        ({"seed": "x"}, "seed"),
         ({"gamma": [1]}, "gamma"),
         ({"matrix": {"kind": "generate", "n": [4], "spectrum": [1.0, 2.0, 3.0, 4.0]}},
          "matrix.n"),
