@@ -1,79 +1,46 @@
 #!/usr/bin/env python3
-"""Link-failure robustness sweep.
-
-For each failure probability p, runs repeated trials with derived seeds
-and reports mean/min/max rounds-to-tolerance and final consensus
-errors. Demonstrates that convergence survives heavy random link loss
-as long as the union graph stays connected often enough, at the cost of
-slower mixing.
-"""
+"""Link-failure robustness sweep: ``coopeig sweep --param p`` on a
+generated matrix writes, per failure probability p, the mean/min/max
+rounds-to-tolerance and final consensus errors over repeated trials.
+Convergence survives heavy link loss while the union graph stays
+connected often enough, at the cost of slower mixing. Exits with the
+CLI's code."""
 
 import argparse
+import sys
+import tempfile
 
 import numpy as np
+import yaml
 
-from coopeig import (
-    ConsensusMode,
-    EstimatorConfig,
-    MatrixSpec,
-    SimConfig,
-    run_simulation,
-)
-from coopeig.seeding import child_seed
+from coopeig import cli
 
 
-def parse_args():
+def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=40)
     ap.add_argument("--agents", type=int, default=10)
     ap.add_argument("--topology", default="ring")
-    ap.add_argument("--values", default="0,0.1,0.3,0.5,0.7",
-                    help="comma-separated failure probabilities")
+    ap.add_argument("--values", default="0,0.1,0.3,0.5,0.7", help="comma-separated p values")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--tol", type=float, default=1e-8)
     ap.add_argument("--max-rounds", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="failure_sweep.csv")
-    return ap.parse_args()
+    args = ap.parse_args()
 
-
-def main():
-    args = parse_args()
-    spectrum = tuple(np.linspace(0.5, 5.0, args.n))
-    values = [float(v) for v in args.values.split(",") if v]
-
-    lines = ["p,trials,mean_rounds,min_rounds,max_rounds,"
-             "mean_final_error,max_final_error"]
-    for vi, p in enumerate(values):
-        rounds, errors = [], []
-        for trial in range(args.trials):
-            cfg = SimConfig(
-                matrix=MatrixSpec("generate", n=args.n, spectrum=spectrum),
-                agents=args.agents,
-                topology=args.topology,
-                estimator=EstimatorConfig("oracle"),
-                mode=ConsensusMode("matrix_form"),
-                failure_p=p,
-                tol=args.tol,
-                max_rounds=args.max_rounds,
-                seed=child_seed(args.seed, "failure-sweep", vi, trial),
-            )
-            trace = run_simulation(cfg)
-            rounds.append(trace.rounds_used)
-            errors.append(trace.final_consensus_error)
-        rounds = np.array(rounds)
-        errors = np.array(errors)
-        lines.append(
-            f"{p:g},{args.trials},{rounds.mean():.2f},{rounds.min()},"
-            f"{rounds.max()},{errors.mean():.6g},{errors.max():.6g}"
-        )
-        print(f"p={p:g}: mean rounds to tol {rounds.mean():.1f} "
-              f"(min {rounds.min()}, max {rounds.max()})")
-
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"aggregate written to {args.out}")
+    with tempfile.NamedTemporaryFile("w", suffix=".yaml") as config:
+        yaml.safe_dump({
+            "matrix": {"kind": "generate", "n": args.n,
+                       "spectrum": np.linspace(0.5, 5.0, args.n).tolist()},
+            "agents": args.agents, "topology": args.topology,
+            "estimator": {"kind": "oracle"}, "mode": "matrix_form",
+            "tol": args.tol, "max_rounds": args.max_rounds, "seed": args.seed,
+        }, config)
+        config.flush()
+        return cli.main(["sweep", "--config", config.name, "--param", "p",
+                         "--values", args.values, "--trials", str(args.trials), "--out", args.out])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -301,12 +301,28 @@ def save_params(p: MlpParams, path) -> None:
         json.dump(data, f)
 
 
+_PARAM_TYPES = {
+    "layer_sizes": lambda v: [int(s) for s in v],
+    "weights": lambda v: [np.array(w, dtype=float) for w in v],
+    "biases": lambda v: [np.array(b, dtype=float) for b in v],
+    "input_scale": float,
+}
+
+
 def load_params(path) -> MlpParams:
+    """Read ``save_params`` output. A file that is not a mapping, lacks
+    a key or holds a value of the wrong type raises a ValueError naming
+    the key."""
     with open(path) as f:
         data = json.load(f)
-    return MlpParams(
-        data["layer_sizes"],
-        [np.array(w, dtype=float) for w in data["weights"]],
-        [np.array(b, dtype=float) for b in data["biases"]],
-        float(data["input_scale"]),
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: network parameters must be a mapping")
+    values = []
+    for key, convert in _PARAM_TYPES.items():
+        if key not in data:
+            raise ValueError(f"{path}: network parameters lack key {key!r}")
+        try:
+            values.append(convert(data[key]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
+    return MlpParams(*values)

@@ -3,6 +3,7 @@ partitioning, principal diagonal blocks, and the cyclic-Jacobi
 eigensolver used as the exact ground-truth oracle everywhere else.
 """
 
+import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -180,12 +181,13 @@ def reuse_spectra():
 
 def eigenvalues(A: DenseSymMatrix, solve) -> np.ndarray:
     """``solve(A).eigenvalues``. Inside ``reuse_spectra()`` it is stored
-    read-only, keyed on the exact content (shape and bytes) of ``A``, and
-    handed back for every equal matrix. A solve that raises stores nothing."""
+    read-only, keyed on the shape of ``A`` and a sha256 digest of its
+    bytes, so no copy of ``A`` is kept, and handed back for every equal
+    matrix. A solve that raises stores nothing."""
     memo = _spectra.get()
     if memo is None:
         return solve(A).eigenvalues
-    key = (A.a.shape, A.a.tobytes())
+    key = (A.a.shape, hashlib.sha256(A.a.tobytes()).digest())
     values = memo.get(key)
     if values is None:
         values = solve(A).eigenvalues

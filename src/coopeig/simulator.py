@@ -488,6 +488,18 @@ _SNAPSHOT_KEYS = ("truth", "final_estimates", "stop_reason", "rounds_used",
                   "final_consensus_error")
 
 
+def _stop_reason(v):
+    if v not in ("converged", "max_rounds", "diverged"):
+        raise ValueError(f"need converged, max_rounds or diverged, got {v!r}")
+    return v
+
+
+def _round_count(v):
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"need a non-negative whole number, got {v!r}")
+    return v
+
+
 def summary_from_snapshot(snap: dict) -> str:
     if not isinstance(snap, dict):
         raise ConfigError("snapshot must be a mapping")
@@ -503,7 +515,7 @@ def summary_from_snapshot(snap: dict) -> str:
     return format_summary(
         float(truth[0]),
         finals[:, 0],
-        snap["stop_reason"],
-        _typed(int, snap["rounds_used"], "rounds_used"),
+        _typed(_stop_reason, snap["stop_reason"], "stop_reason"),
+        _typed(_round_count, snap["rounds_used"], "rounds_used"),
         _typed(float, snap["final_consensus_error"], "final_consensus_error"),
     )

@@ -230,6 +230,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "unknown topology 'torus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, message", [
+        ({"layer_sizes": [9, 4, 3]}, "lack key 'weights'"),
+        ([1, 2], "must be a mapping"),
+        ({"layer_sizes": 5, "weights": [], "biases": [], "input_scale": 1.0},
+         "bad value for 'layer_sizes'"),
+    ])
+    def test_malformed_params_file_is_usage_error(self, tmp_path, capsys, params, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         snap = tmp_path / "snap.json"
@@ -246,6 +259,10 @@ class TestSimulate:
         ("truth", 5, "truth must be a non-empty list"),
         ("final_estimates", [1.0, 2.0], "final_estimates must be"),
         ("rounds_used", [3], "bad value for 'rounds_used'"),
+        ("rounds_used", 1.5, "bad value for 'rounds_used'"),
+        ("rounds_used", -1, "bad value for 'rounds_used'"),
+        ("stop_reason", ["x"], "bad value for 'stop_reason'"),
+        ("stop_reason", "stalled", "bad value for 'stop_reason'"),
     ])
     def test_report_on_malformed_snapshot_is_usage_error(self, tmp_path, capsys,
                                                          key, value, message):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,20 @@ class TestReuseSpectra:
                 raise RuntimeError("trial failed")
         eigenvalues(a, solve)
         assert len(calls) == 2
+
+    def test_memo_keeps_no_matrix_bytes(self):
+        # 20 distinct 100x100 matrices hold 1.6 MB; a digest-keyed memo
+        # holds their 20 spectra (16 kB) and little else.
+        mats = [DenseSymMatrix(np.eye(100) * (i + 1.0)) for i in range(20)]
+        with reuse_spectra():
+            tracemalloc.start()
+            try:
+                for A in mats:
+                    eigenvalues(A, jacobi_eigen)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert held < 20 * 100 * 100 * 8 // 8
 
 
 class TestSmallestEigenvalue:
