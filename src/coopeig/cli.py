@@ -11,6 +11,7 @@ ignored.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .simulator import (
     ConfigError,
     EstimatorConfig,
     SimConfig,
-    config_from_dict,
-    config_to_dict,
     export_csv,
     fit_error_bound,
     load_config,
@@ -101,17 +100,14 @@ def cmd_simulate(args) -> int:
 
 
 def _apply_sweep_value(cfg: SimConfig, param: str, value: float, seed: int) -> SimConfig:
-    d = config_to_dict(cfg)
+    # replace() re-runs each dataclass's checks on the new value
     if param == "p":
-        d["failure_p"] = value
-    elif param == "gamma":
-        d["gamma"] = value
-    elif param == "sigma":
-        d["estimator"]["sigma"] = value
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    d["seed"] = seed
-    return config_from_dict(d)
+        return replace(cfg, failure_p=value, seed=seed)
+    if param == "gamma":
+        return replace(cfg, mode=replace(cfg.mode, gamma=value), seed=seed)
+    if param == "sigma":
+        return replace(cfg, estimator=replace(cfg.estimator, sigma=value), seed=seed)
+    raise ValueError(f"unknown sweep parameter {param!r}")
 
 
 def _sweep_row(param: str, value: float, group) -> str:
@@ -141,16 +137,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--param sigma is read only by estimator: noisy_oracle, "
                           f"not estimator: {base.estimator.kind}")
 
+    # Build every trial's config first, so a bad value fails before any trial runs.
+    configs = [[_apply_sweep_value(base, args.param, value, child_seed(base.seed, "sweep", vi, t))
+                for t in range(args.trials)] for vi, value in enumerate(values)]
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
     # Trials share the matrix, its blocks and often W0: solve each once.
     with matrix_core.reuse_spectra():
-        for vi, value in enumerate(values):
-            group = []
-            for trial in range(args.trials):
-                seed = child_seed(base.seed, "sweep", vi, trial)
-                group.append(run_simulation(_apply_sweep_value(base, args.param, value, seed)))
-            lines.append(_sweep_row(args.param, value, group))
+        for value, group in zip(values, configs):
+            lines.append(_sweep_row(args.param, value, [run_simulation(c) for c in group]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:
@@ -222,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError, GraphConstructionError) as exc:
+    except (ValueError, GraphConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, JacobiConvergenceError) as exc:

@@ -186,14 +186,3 @@ def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:
 def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
     """The graph of one round's surviving edges (see ``live_edges``)."""
     return g if f.edge_drop_prob == 0.0 else Graph(g.m, live_edges(g, f, round_))
-
-
-def union_graph(graphs) -> Graph:
-    """Union of per-round graphs (all must share the same node count)."""
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("need at least one graph")
-    m = graphs[0].m
-    if any(g.m != m for g in graphs):
-        raise ValueError("graphs have differing node counts")
-    return Graph(m, np.concatenate([g.edges for g in graphs]))

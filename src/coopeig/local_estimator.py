@@ -11,7 +11,6 @@ undone at prediction time.
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -118,10 +117,6 @@ class TrainingSet:
         self.targets = np.stack([targets for _, targets in self.samples])
         if np.any(np.diff(self.targets, axis=1) < 0):
             raise ValueError("targets must be sorted ascending")
-
-    @property
-    def k(self) -> int:
-        return self.samples[0][0].n
 
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.inputs)))
@@ -271,10 +266,7 @@ class MlpEstimator:
     params: MlpParams
 
 
-Estimator = Union[OracleEstimator, NoisyOracleEstimator, MlpEstimator]
-
-
-def estimate(kind: Estimator, block: DenseSymMatrix,
+def estimate(kind, block: DenseSymMatrix,
              agent: int = 0, round_: int = 0) -> np.ndarray:
     """Local eigenvalue estimates for one block: length k, sorted."""
     if isinstance(kind, OracleEstimator):

@@ -202,11 +202,6 @@ def _max_offdiag(a: np.ndarray) -> float:
     return float(d.max())
 
 
-def smallest_eigenvalue(A: DenseSymMatrix) -> float:
-    """Smallest eigenvalue via the Jacobi oracle at default tolerance."""
-    return float(jacobi_eigen(A, DEFAULT_TOL).eigenvalues[0])
-
-
 def generate_spd(n: int, spectrum, seed: int) -> DenseSymMatrix:
     """A symmetric positive-definite matrix with the prescribed spectrum,
     via Q diag(spectrum) Q^T for a seeded random orthogonal Q."""

@@ -289,10 +289,14 @@ CSV_HEADER = "round,consensus_error,max_est_error,mean_est_error,bound,scalars_s
 def export_csv(trace: Trace, destination) -> None:
     """Write the per-round metrics; all reals carry 17 significant
     digits so parsing reproduces them bit-exactly. Write-then-rename so
-    a failure never leaves a partial file."""
+    a failure never leaves a partial file, and an error names
+    ``destination``, not the temporary file."""
     destination = os.fspath(destination)
     directory = os.path.dirname(destination) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, destination) from None
     try:
         with os.fdopen(fd, "w") as f:
             f.write(CSV_HEADER + "\n")
@@ -345,6 +349,11 @@ def _hidden_sizes(v) -> tuple:
     return tuple(int(h) for h in v)
 
 
+def _spectrum_range(v) -> tuple:
+    lo, hi = v if isinstance(v, (list, tuple)) else (v,)  # not "15" as (1.0, 5.0)
+    return float(lo), float(hi)
+
+
 # Optional keys and their converters, in snapshot order; an absent key
 # takes the dataclass default.
 _SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": int,
@@ -352,7 +361,7 @@ _SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": int,
 _EST_TYPES = {
     "kind": str, "sigma": float, "params_path": str, "hidden": _hidden_sizes,
     "learning_rate": float, "epochs": int, "samples": int,
-    "spectrum_range": lambda v: tuple(float(x) for x in v),
+    "spectrum_range": _spectrum_range,
 }
 # "parallel" is accepted and ignored: estimator training is serial.
 _TOP_KEYS = {"matrix", "agents", "topology", "estimator", "mode", "gamma", "parallel",

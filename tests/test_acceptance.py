@@ -16,13 +16,13 @@ import yaml
 from coopeig.cli import main as cli_main
 from coopeig.comm_graph import (
     FailureModel,
+    Graph,
     WeightMatrix,
     apply_failures,
     build_graph,
     is_connected,
     metropolis_weights,
     slem,
-    union_graph,
 )
 from coopeig.consensus import (
     ConsensusMode,
@@ -44,7 +44,6 @@ from coopeig.matrix_core import (
     generate_spd,
     jacobi_eigen,
     save_matrix,
-    smallest_eigenvalue,
 )
 from coopeig.seeding import child_seed
 from coopeig.simulator import (
@@ -76,8 +75,6 @@ def random_connected_graph(m, seed, p_edge=0.4):
         for l in range(i + 1, m):
             if rng.random() < p_edge:
                 edges.add((i, l))
-    from coopeig.comm_graph import Graph
-
     return Graph(m, frozenset(edges))
 
 
@@ -204,7 +201,8 @@ def test_criterion_06_robust_convergence(capsys):
         finals.append(trace.final_consensus_error)
         base = build_graph("ring", 10, child_seed(trial, "graph"))
         fm = FailureModel(0.3, child_seed(trial, "failures"))
-        union = union_graph(apply_failures(base, fm, k) for k in range(1, 51))
+        union = Graph(10, np.concatenate([apply_failures(base, fm, k).edges
+                                          for k in range(1, 51)]))
         ok = ok and is_connected(union)
     ok = ok and float(np.mean(finals)) < 1e-3
     announce(capsys, 6, "convergence under 30% link failures", ok)
@@ -253,7 +251,7 @@ def test_criterion_08_unbiased_noise(capsys):
         DenseSymMatrix([[2.0]]),
     ]
     for bi, block in enumerate(blocks):
-        truth = smallest_eigenvalue(block)
+        truth = jacobi_eigen(block).eigenvalues[0]
         est = NoisyOracleEstimator(sigma, seed=bi)
         values = np.array([
             estimate(est, block, agent=bi, round_=r)[0] for r in range(draws)

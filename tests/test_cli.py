@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopeig import comm_graph, local_estimator, simulator
+from coopeig import cli, comm_graph, local_estimator, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import load_params
 from coopeig.matrix_core import (
@@ -165,6 +165,13 @@ class TestSimulate:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 5
 
+    def test_out_in_missing_directory_names_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", "--config", str(base_config(tmp_path)),
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err and ".tmp" not in err
+
     def test_bad_config_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("agents: 4\n")
@@ -284,6 +291,9 @@ class TestSimulate:
         ({"matrix": {"kind": "generate", "n": [4], "spectrum": [1.0, 2.0, 3.0, 4.0]}},
          "matrix.n"),
         ({"matrix": {"kind": "generate", "n": 4, "spectrum": 5}}, "matrix.spectrum"),
+        ({"estimator": {"kind": "mlp", "spectrum_range": [1, 2, 3]}},
+         "estimator.spectrum_range"),
+        ({"estimator": {"kind": "mlp", "spectrum_range": "15"}}, "estimator.spectrum_range"),
     ])
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, over, key):
         cfg = base_config(tmp_path, **over)
@@ -354,6 +364,15 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_value_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_simulation",
+                            lambda cfg: runs.append(cfg) or simulator.run_simulation(cfg))
+        assert main(["sweep", "--config", str(base_config(tmp_path)), "--param", "p",
+                     "--values", "0,1.0", "--trials", "3"]) == 2
+        assert "failure probability must be in [0, 1)" in capsys.readouterr().err
+        assert runs == []
 
     def test_unknown_param_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

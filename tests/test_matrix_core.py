@@ -19,7 +19,6 @@ from coopeig.matrix_core import (
     partition_rows,
     reuse_spectra,
     save_matrix,
-    smallest_eigenvalue,
 )
 
 
@@ -169,9 +168,9 @@ class TestJacobi:
     def test_cauchy_interlacing(self):
         a = generate_spd(12, np.arange(1.0, 13.0), seed=8)
         p = partition_rows(12, 4)
-        lo = smallest_eigenvalue(a)
+        lo = jacobi_eigen(a).eigenvalues[0]
         for i in range(4):
-            assert smallest_eigenvalue(diagonal_block(a, p, i)) >= lo - 1e-9
+            assert jacobi_eigen(diagonal_block(a, p, i)).eigenvalues[0] >= lo - 1e-9
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
@@ -303,14 +302,14 @@ class TestReuseSpectra:
 
 class TestSmallestEigenvalue:
     def test_diagonal(self):
-        assert smallest_eigenvalue(DenseSymMatrix(np.diag([3.0, 1.0, 2.0]))) == 1.0
+        assert jacobi_eigen(DenseSymMatrix(np.diag([3.0, 1.0, 2.0]))).eigenvalues[0] == 1.0
 
     def test_identity(self):
-        assert smallest_eigenvalue(DenseSymMatrix(np.eye(4))) == 1.0
+        assert jacobi_eigen(DenseSymMatrix(np.eye(4))).eigenvalues[0] == 1.0
 
     def test_constructed_spectrum(self):
         a = generate_spd(5, [0.25, 1, 2, 3, 4], seed=1)
-        assert smallest_eigenvalue(a) == pytest.approx(0.25, abs=1e-10)
+        assert jacobi_eigen(a).eigenvalues[0] == pytest.approx(0.25, abs=1e-10)
 
 
 class TestMatrixFile:
