@@ -3,7 +3,8 @@
 Subcommands: gen-matrix, train, simulate, sweep, report.
 Exit codes are a stable contract: 0 success/converged, 2 usage error
 (including a graph that cannot be built), 3 max-rounds reached,
-4 divergence (consensus, estimator training, or the Jacobi oracle),
+4 divergence (consensus, estimator training, or a Jacobi block solve;
+the truth and SLEM solves always terminate),
 5 I/O failure. Config files may set ``parallel``; it is accepted and
 ignored.
 """

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues, jacobi_eigen
+from .matrix_core import DenseSymMatrix, eigenvalues, sturm_eigen
 from .seeding import keyed_rng
 
 ER_RETRY_CAP = 1000
@@ -53,9 +53,6 @@ class Graph:
             e = np.stack(np.divmod(key, self.m), axis=1)
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.m)
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,15 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 
 def slem(wm: WeightMatrix) -> float:
-    """Second largest eigenvalue modulus of W, via the Jacobi oracle.
-    Zero for a single agent; < 1 iff the positive-weight graph is
-    connected."""
+    """Second largest eigenvalue modulus of W. The largest eigenvalue
+    of a symmetric doubly-stochastic W is 1, so the SLEM is
+    max(|lambda_0|, |lambda_{m-2}|), and ``sturm_eigen`` solves for
+    just those two. Zero for a single agent; < 1 iff the
+    positive-weight graph is connected."""
     if wm.m == 1:
         return 0.0
-    ev = eigenvalues(DenseSymMatrix(wm.w), jacobi_eigen)
-    mods = np.abs(ev)
-    mods = np.delete(mods, int(np.argmax(ev)))  # drop one eigenvalue 1
-    return float(mods.max())
+    ev = eigenvalues(DenseSymMatrix(wm.w), sturm_eigen, (0, wm.m - 2))
+    return float(np.abs(ev).max())
 
 
 def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Dense symmetric matrices: generation with known spectra, row
-partitioning, principal diagonal blocks, and the cyclic-Jacobi
-eigensolver used as the exact ground-truth oracle everywhere else.
+partitioning, principal diagonal blocks, and two eigensolvers. The
+global truth and the SLEM need only a few eigenvalues of a large
+matrix, and ``sturm_eigen`` (Householder tridiagonalization, then Sturm
+multisection) finds just those. Block solves and direct calls use
+``jacobi_eigen``, the cyclic-Jacobi reference oracle for the full
+spectrum of a small matrix.
 """
 
 import hashlib
@@ -81,9 +85,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray  # sorted ascending
-    iterations_used: int  # full sweeps performed
-    residual: float  # max |off-diagonal| at termination
+    eigenvalues: np.ndarray  # jacobi_eigen: all, ascending; sturm_eigen: as asked
+    iterations_used: int  # full Jacobi sweeps, or multisection passes
+    residual: float  # max |off-diagonal|, or widest bracket, at termination
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +168,96 @@ def jacobi_eigen(A: DenseSymMatrix, tol: float = DEFAULT_TOL,
     raise JacobiConvergenceError(off, max_sweeps)
 
 
-# Matrix content -> its read-only eigenvalues, while a reuse scope is open.
+SHIFTS_PER_INDEX = 100
+# From the full Gershgorin width, 101 sub-brackets per pass reach
+# 2 eps max|bound| in 8 passes (101**8 > 2**52); the rest is slack.
+MAX_PASSES = 12
+
+
+def _tridiagonalize(A: DenseSymMatrix):
+    """The diagonal and off-diagonal of Q^T A Q, tridiagonal, from
+    n - 2 Householder reflections (Golub & Van Loan 8.3.1). Each
+    reflection H = I - 2 v v^T acts on the trailing block B as the
+    rank-2 update H B H = B - v w^T - w v^T, w = p - (v.p) v, p = 2 B v,
+    which keeps B exactly symmetric."""
+    a = np.array(A.a, dtype=float)
+    n = a.shape[0]
+    off = np.zeros(n - 1)
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        alpha = np.copysign(np.linalg.norm(x), x[0])
+        if alpha == 0.0:  # the column is already zero
+            continue
+        v = x.copy()
+        v[0] += alpha
+        v /= np.linalg.norm(v)
+        b = a[k + 1:, k + 1:]
+        p = 2.0 * (b @ v)
+        w = p - (v @ p) * v
+        b -= v[:, None] * w + w[:, None] * v
+        off[k] = -alpha
+    if n > 1:
+        off[-1] = a[-1, -2]
+    return a.diagonal(), off
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray,
+                  pivmin: float) -> np.ndarray:
+    """How many eigenvalues of the tridiagonal (d, e) lie below each
+    shift in ``x``: the negative pivots of the LDL^T factorization of
+    T - x I (Golub & Van Loan 8.4.2), for all shifts at once. A pivot
+    smaller than ``pivmin`` is set to -pivmin, as LAPACK's dstebz does,
+    so no division by zero or overflow can occur."""
+    dx = d[:, None] - x
+    q = dx[0]
+    q[np.abs(q) < pivmin] = -pivmin
+    count = (q < 0).astype(np.int64)
+    for i in range(1, len(d)):
+        q = dx[i] - e2[i - 1] / q
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0
+    return count
+
+
+def sturm_eigen(A: DenseSymMatrix, indices: tuple) -> SpectrumResult:
+    """The eigenvalues at ``indices`` (0 = smallest) of a symmetric
+    matrix, in the order given: Householder tridiagonalization, then
+    multisection on Sturm counts (Golub & Van Loan 8.4-8.5). Each index
+    starts from the Gershgorin bracket; each pass splits every bracket
+    at SHIFTS_PER_INDEX shifts and keeps the piece where the count
+    first exceeds the index. It stops once every bracket is at most
+    2 eps max|bound| wide, or after MAX_PASSES passes, so it always
+    terminates. ``iterations_used`` counts passes; ``residual`` is the
+    widest final bracket, which bounds the error of the tridiagonal's
+    eigenvalues. Deterministic."""
+    idx = np.asarray(indices, dtype=np.int64)
+    n = A.n
+    if idx.ndim != 1 or len(idx) == 0 or idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
+    d, e = _tridiagonalize(A)
+    ae = np.abs(np.concatenate(([0.0], e, [0.0])))
+    radius = ae[:-1] + ae[1:]
+    lo0, hi0 = float((d - radius).min()), float((d + radius).max())
+    tol = 2.0 * np.finfo(float).eps * max(abs(lo0), abs(hi0))
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    lo, hi = np.full(len(idx), lo0), np.full(len(idx), hi0)
+    steps = np.arange(1, SHIFTS_PER_INDEX + 1) / (SHIFTS_PER_INDEX + 1)
+    rows = np.arange(len(idx))
+    passes = 0
+    while passes < MAX_PASSES and (hi - lo).max() > tol:
+        x = lo[:, None] + (hi - lo)[:, None] * steps
+        above = _sturm_counts(d, e2, x.ravel(), pivmin).reshape(x.shape) > idx[:, None]
+        # Piece j lies between column j and j + 1 of [lo, shifts, hi].
+        j = np.where(above.any(axis=1), above.argmax(axis=1), SHIFTS_PER_INDEX)
+        edges = np.column_stack((lo, x, hi))
+        lo, hi = edges[rows, j], edges[rows, j + 1]
+        passes += 1
+    return SpectrumResult((lo + hi) / 2.0, passes, float((hi - lo).max()))
+
+
+# (solver, its arguments, matrix content) -> the read-only eigenvalues,
+# while a reuse scope is open.
 _spectra = ContextVar("coopeig_spectra", default=None)
 
 
@@ -179,18 +272,19 @@ def reuse_spectra():
         _spectra.reset(token)
 
 
-def eigenvalues(A: DenseSymMatrix, solve) -> np.ndarray:
-    """``solve(A).eigenvalues``. Inside ``reuse_spectra()`` it is stored
-    read-only, keyed on the shape of ``A`` and a sha256 digest of its
-    bytes, so no copy of ``A`` is kept, and handed back for every equal
-    matrix. A solve that raises stores nothing."""
+def eigenvalues(A: DenseSymMatrix, solve, *args) -> np.ndarray:
+    """``solve(A, *args).eigenvalues``. Inside ``reuse_spectra()`` it is
+    stored read-only, keyed on ``solve``, ``args``, the shape of ``A``
+    and a sha256 digest of its bytes, so no copy of ``A`` is kept, and
+    handed back for every equal matrix solved the same way. A solve
+    that raises stores nothing."""
     memo = _spectra.get()
     if memo is None:
-        return solve(A).eigenvalues
-    key = (A.a.shape, hashlib.sha256(A.a.tobytes()).digest())
+        return solve(A, *args).eigenvalues
+    key = (solve, args, A.a.shape, hashlib.sha256(A.a.tobytes()).digest())
     values = memo.get(key)
     if values is None:
-        values = solve(A).eigenvalues
+        values = solve(A, *args).eigenvalues
         values.setflags(write=False)
         memo[key] = values
     return values

@@ -27,7 +27,7 @@ from .local_estimator import (
     synthesize_training_set,
     train,
 )
-from .matrix_core import diagonal_block, generate_spd, jacobi_eigen, load_matrix, partition_rows
+from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows, sturm_eigen
 from .seeding import child_seed, keyed_rng
 
 
@@ -111,7 +111,7 @@ class Trace:
     round, round 0 (before any exchange) first."""
 
     config: SimConfig
-    truth: np.ndarray  # tracked smallest global eigenvalues, exact oracle
+    truth: np.ndarray  # tracked smallest global eigenvalues, by sturm_eigen
     rho: float  # SLEM of the failure-free weight matrix
     consensus_error: np.ndarray
     deviation_norm: np.ndarray  # mean-deviation norm; contracts by the SLEM
@@ -206,7 +206,7 @@ def run_simulation(cfg: SimConfig) -> Trace:
             f"cannot track {j} eigenvalues with smallest block size "
             f"{min(part.block_sizes)}"
         )
-    truth = matrix_core.eigenvalues(A, jacobi_eigen)[:j]
+    truth = matrix_core.eigenvalues(A, sturm_eigen, tuple(range(j)))
 
     estimators = _setup_estimators(cfg, blocks)
     anchors = [

@@ -13,6 +13,7 @@ from coopeig.matrix_core import (
     jacobi_eigen,
     load_matrix,
     save_matrix,
+    sturm_eigen,
 )
 from coopeig.seeding import child_seed
 
@@ -45,16 +46,20 @@ def file_config(tmp_path, **over):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The matrices that reach jacobi_eigen through the truth, block and
-    SLEM call sites, one (n, bytes) entry per real solve."""
+    """The matrices that reach sturm_eigen through the truth and SLEM
+    call sites and jacobi_eigen through the block call site, one
+    (n, bytes) entry per real solve."""
     calls = []
 
-    def counted(A, *args, **kwargs):
-        calls.append((A.n, A.a.tobytes()))
-        return jacobi_eigen(A, *args, **kwargs)
+    def counting(solve):
+        def counted(A, *args, **kwargs):
+            calls.append((A.n, A.a.tobytes()))
+            return solve(A, *args, **kwargs)
+        return counted
 
-    for module in (simulator, local_estimator, comm_graph):
-        monkeypatch.setattr(module, "jacobi_eigen", counted)
+    monkeypatch.setattr(local_estimator, "jacobi_eigen", counting(jacobi_eigen))
+    for module in (simulator, comm_graph):
+        monkeypatch.setattr(module, "sturm_eigen", counting(sturm_eigen))
     return calls
 
 
@@ -451,16 +456,16 @@ class TestSweepReusesSpectra:
 
     def test_nothing_outlives_a_failed_sweep(self, tmp_path, capsys, monkeypatch, solves):
         cfg = file_config(tmp_path)
-        counted = comm_graph.jacobi_eigen
+        counted = comm_graph.sturm_eigen
 
         def stuck(A, *args, **kwargs):
             raise JacobiConvergenceError(1.0, 100)
 
         # the truth and the blocks are solved, then the SLEM solve fails
-        monkeypatch.setattr(comm_graph, "jacobi_eigen", stuck)
+        monkeypatch.setattr(comm_graph, "sturm_eigen", stuck)
         assert main(SWEEP + [str(cfg)]) == 4
         assert len(solves) == 1 + self.M
-        monkeypatch.setattr(comm_graph, "jacobi_eigen", counted)
+        monkeypatch.setattr(comm_graph, "sturm_eigen", counted)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
         assert len(solves) == 2 * (1 + self.M) + 1
 
@@ -485,7 +490,8 @@ class TestLibraryErrorExitCodes:
         def stuck(A, *args, **kwargs):
             raise JacobiConvergenceError(1.0, 100)
 
-        monkeypatch.setattr(simulator, "jacobi_eigen", stuck)
+        # only the block solves use Jacobi
+        monkeypatch.setattr(local_estimator, "jacobi_eigen", stuck)
         assert main(["simulate", "--config", str(base_config(tmp_path))]) == 4
         assert "Jacobi did not converge" in capsys.readouterr().err
 

@@ -16,6 +16,7 @@ from coopeig.comm_graph import (
     metropolis_weights,
     slem,
 )
+from coopeig.matrix_core import DenseSymMatrix, jacobi_eigen
 from coopeig.seeding import keyed_rng
 
 
@@ -66,8 +67,9 @@ class TestGraph:
     def test_degrees_match_edge_count_per_node(self, seed):
         g = random_connected_graph(9, seed)
         expect = [sum(i in e for e in g.edges) for i in range(9)]
-        assert g.degrees().tolist() == expect
-        assert Graph(3, frozenset()).degrees().tolist() == [0, 0, 0]
+        assert np.bincount(g.edges.ravel(), minlength=g.m).tolist() == expect
+        empty = Graph(3, frozenset())
+        assert np.bincount(empty.edges.ravel(), minlength=empty.m).tolist() == [0, 0, 0]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -179,7 +181,7 @@ class TestMetropolisWeights:
         # thinned graphs give isolated nodes and uneven degrees
         base = random_connected_graph(15, seed)
         g = apply_failures(base, FailureModel(0.5, seed=seed), 0)
-        deg = g.degrees()
+        deg = np.bincount(g.edges.ravel(), minlength=g.m)
         ref = np.zeros((15, 15))
         for i, l in g.edges.tolist():
             ref[i, l] = ref[l, i] = 1.0 / (1.0 + max(deg[i], deg[l]))
@@ -251,6 +253,15 @@ class TestSlem:
     def test_disconnected_graph_is_one(self):
         w = metropolis_weights(Graph(2, frozenset()))
         assert slem(w) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("topology, m", [
+        ("ring", 2), ("ring", 3), ("ring", 10), ("ring", 40), ("path", 7),
+        ("complete", 5), ("er:0.3", 12),
+    ])
+    def test_matches_full_jacobi_spectrum(self, topology, m):
+        w = metropolis_weights(build_graph(topology, m, seed=1))
+        ev = jacobi_eigen(DenseSymMatrix(w.w)).eigenvalues
+        assert slem(w) == pytest.approx(np.abs(ev[:-1]).max(), abs=1e-12)
 
     def test_single_node_is_zero(self):
         assert slem(WeightMatrix(np.array([[1.0]]))) == 0.0

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopeig.comm_graph import build_graph, metropolis_weights
+from coopeig.local_estimator import NoisyOracleEstimator, estimate
 from coopeig.matrix_core import (
     DEFAULT_TOL,
+    MAX_PASSES,
     DenseSymMatrix,
     JacobiConvergenceError,
     Partition,
     _round_robin,
+    _sturm_counts,
     diagonal_block,
     eigenvalues,
     generate_spd,
@@ -19,6 +23,7 @@ from coopeig.matrix_core import (
     partition_rows,
     reuse_spectra,
     save_matrix,
+    sturm_eigen,
 )
 
 
@@ -228,6 +233,66 @@ class TestJacobi:
         assert e.value.residual > DEFAULT_TOL
 
 
+def ring_weights(m):
+    return DenseSymMatrix(metropolis_weights(build_graph("ring", m)).w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSturmEigen:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 40, 64])
+    def test_matches_jacobi(self, n):
+        A = generate_spd(n, np.geomspace(0.1, 10.0, n), seed=n)
+        r = sturm_eigen(A, tuple(range(n)))
+        assert np.abs(r.eigenvalues - jacobi_eigen(A).eigenvalues).max() <= 1e-12
+        assert r.iterations_used < MAX_PASSES
+
+    def test_matches_eigvalsh_at_256(self):
+        A = generate_spd(256, np.linspace(0.5, 5.0, 256), seed=1)
+        idx = (0, 1, 2, 127, 254, 255)
+        r = sturm_eigen(A, idx)
+        assert np.abs(r.eigenvalues - np.linalg.eigvalsh(A.a)[list(idx)]).max() <= 1e-12
+        assert r.iterations_used < MAX_PASSES
+
+    @pytest.mark.parametrize("A", [
+        DenseSymMatrix(np.diag([3.0, 1.0, 2.0, -4.0])),  # every Householder column is zero
+        DenseSymMatrix(np.eye(5)),
+        ring_weights(10),  # eigenvalues in pairs, one negative pair
+        ring_weights(2),
+        DenseSymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),  # -1 and 1
+        DenseSymMatrix(-generate_spd(12, np.linspace(0.5, 6.0, 12), seed=3).a),
+        tridiag(8, 2.0, 1.0),
+    ], ids=["diagonal", "identity", "ring-10", "ring-2", "swap", "negative-definite",
+            "tridiagonal"])
+    def test_degenerate_inputs(self, A):
+        r = sturm_eigen(A, tuple(range(A.n)))
+        assert np.abs(r.eigenvalues - jacobi_eigen(A).eigenvalues).max() <= 1e-12
+        assert r.iterations_used < MAX_PASSES
+
+    def test_identity_needs_no_pass(self):
+        r = sturm_eigen(DenseSymMatrix(np.eye(4)), (0, 3))
+        assert r.eigenvalues.tolist() == [1.0, 1.0]
+        assert r.iterations_used == 0 and r.residual == 0.0
+
+    def test_values_in_the_order_of_the_indices(self):
+        A = generate_spd(6, [1, 2, 3, 4, 5, 6], seed=0)
+        r = sturm_eigen(A, (5, 0, 0))
+        assert np.allclose(r.eigenvalues, [6.0, 1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("indices", [(), (-1,), (4,)])
+    def test_rejects_bad_indices(self, indices):
+        with pytest.raises(ValueError):
+            sturm_eigen(DenseSymMatrix(np.eye(4)), indices)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_zero_pivots_are_guarded(self, scale):
+        # path-graph adjacency, eigenvalues +-1.618 s and +-0.618 s; the
+        # shift 0 makes every other pivot exactly zero
+        d, e = np.zeros(4), np.full(3, scale)
+        pivmin = np.finfo(float).tiny * max(1.0, scale**2)
+        x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * scale
+        assert _sturm_counts(d, e * e, x, pivmin).tolist() == [0, 1, 2, 3, 4]
+
+
 class TestReuseSpectra:
     @staticmethod
     def counting():
@@ -248,6 +313,18 @@ class TestReuseSpectra:
             assert np.array_equal(eigenvalues(b, solve), jacobi_eigen(b).eigenvalues)
         assert len(calls) == 2
         assert np.array_equal(first, jacobi_eigen(a).eigenvalues)
+
+    def test_keyed_on_the_solve(self):
+        # The truth of A is its smallest eigenvalue alone; the noisy
+        # oracle on A as an agent's whole block needs all six.
+        A = generate_spd(6, np.linspace(0.5, 3.0, 6), seed=1)
+        noisy = NoisyOracleEstimator(0.5, 9)
+        standalone = estimate(noisy, A)
+        with reuse_spectra():
+            truth = eigenvalues(A, sturm_eigen, (0,))
+            assert np.array_equal(estimate(noisy, A), standalone)
+            assert np.array_equal(eigenvalues(A, sturm_eigen, (0,)), truth)
+            assert len(eigenvalues(A, sturm_eigen, (0, 1))) == 2
 
     def test_handed_out_read_only(self):
         solve, _ = self.counting()

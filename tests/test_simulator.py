@@ -23,6 +23,7 @@ from coopeig.matrix_core import (
     generate_spd,
     jacobi_eigen,
     partition_rows,
+    reuse_spectra,
     save_matrix,
 )
 from coopeig.seeding import child_seed
@@ -93,6 +94,19 @@ class TestRunSimulation:
                          child_seed(7, "matrix"))
         lam = jacobi_eigen(A).eigenvalues[0]
         assert trace.final_estimates[0, 0] == pytest.approx(lam, abs=1e-12)
+
+    def test_single_agent_noisy_run_same_under_reuse_scope(self):
+        # the agent's block is the whole matrix, which the truth solves too
+        cfg = small_cfg(agents=1, topology="complete",
+                        estimator=EstimatorConfig("noisy_oracle", sigma=0.5))
+        alone = run_simulation(cfg)
+        with reuse_spectra():
+            scoped = [run_simulation(cfg) for _ in range(2)]
+        for trace in scoped:
+            assert np.array_equal(trace.truth, alone.truth)
+            assert np.array_equal(trace.final_estimates, alone.final_estimates)
+            assert np.array_equal(trace.max_est_error, alone.max_est_error)
+            assert np.array_equal(trace.global_estimate, alone.global_estimate)
 
     def test_complete_graph_one_round(self):
         trace = run_simulation(small_cfg(topology="complete"))
@@ -357,10 +371,10 @@ class TestExportCsv:
     # sha256 of the exported bytes, one failure-free run and one under
     # link failures: any change to a CSV byte shows here
     @pytest.mark.parametrize("over, digest", [
-        ({}, "6a928e65b17451c5a514872c230cec4a4e6368dd62ba66cbbbfcfd4b83f264af"),
+        ({}, "994fd2e54fa1907dbb1566a6a4d691a10ae738f35fce06dea20927ce6cba91f9"),
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
-         "8e2440ca3611409cf2a166d2a19505ff72e7d82c7be0e0d629cad83529c3bc4f"),
-    ])
+         "215fda827f24146f07decebf16ddada27e568bb5710eafc781cd99177da86e13"),
+    ], ids=["failure-free", "link-failures"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
         export_csv(run_simulation(small_cfg(**over)), path)
