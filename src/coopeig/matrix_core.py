@@ -208,12 +208,10 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray,
     T - x I (Golub & Van Loan 8.4.2), for all shifts at once. A pivot
     smaller than ``pivmin`` is set to -pivmin, as LAPACK's dstebz does,
     so no division by zero or overflow can occur."""
-    dx = d[:, None] - x
-    q = dx[0]
-    q[np.abs(q) < pivmin] = -pivmin
-    count = (q < 0).astype(np.int64)
-    for i in range(1, len(d)):
-        q = dx[i] - e2[i - 1] / q
+    count = np.zeros(len(x), dtype=np.int64)
+    q = np.ones(len(x))
+    for dx, e2_prev in zip(d[:, None] - x, np.concatenate(([0.0], e2))):
+        q = dx - e2_prev / q
         q[np.abs(q) < pivmin] = -pivmin
         count += q < 0
     return count
