@@ -6,7 +6,8 @@ The network maps a flattened k x k block to k eigenvalue predictions
 (tanh hidden layers, linear output, sorted ascending). Inputs and
 targets are scaled by 1/max(1, max|entry|) during training so tanh
 stays in its active range; the scale is stored in the parameters and
-undone at prediction time.
+undone at prediction time. Networks of one shape train together as a
+stack, one batched pass per epoch for all of them.
 """
 
 import json
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues, generate_spd, jacobi_eigen
+from .matrix_core import DenseSymMatrix, eigenvalues, jacobi_eigen, spd_stack
 from .seeding import keyed_rng
 
 TARGET_CHECK_TOL = 1e-10
@@ -127,16 +128,18 @@ def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> Tr
     block's target is the sorted spectrum it was built from.
     Deterministic per seed."""
     lo, hi = spectrum_range
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError("need 0 < lo < hi < inf")
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = keyed_rng(seed, "training-spectra")
-    samples = []
+    spectra, seeds = np.empty((count, k)), []
     for idx in range(count):
-        spectrum = np.sort(rng.uniform(lo, hi, k))
-        samples.append((generate_spd(k, spectrum, rng.integers(2**63)), spectrum))
-    return TrainingSet._prescribed(samples)
+        spectra[idx] = np.sort(rng.uniform(lo, hi, k))
+        # not int(): child_seed hashes the np.int64's repr (NumPy >= 2)
+        seeds.append(rng.integers(2**63))
+    blocks = spd_stack(spectra, seeds)
+    return TrainingSet._prescribed([(DenseSymMatrix(a), s) for a, s in zip(blocks, spectra)])
 
 
 @dataclass(frozen=True)
@@ -151,18 +154,34 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def _forward_raw(p: MlpParams, x: np.ndarray):
-    """Scaled-space forward pass of the flattened blocks in the rows of
-    ``x`` (S, k*k); returns raw (unsorted) outputs (S, k) and the
-    per-layer activations needed for backprop."""
-    k = p.block_dim
-    if x.shape[1] != k * k:
-        raise ValueError(f"block of {x.shape[1]} entries does not match network input ({k}x{k})")
-    h = x * p.input_scale
+# A stack of B networks of one shape is held as per-layer arrays with a
+# leading network axis: weights (B, out, in), biases (B, out) and input
+# scales (B, 1, 1). Network b sees its own rows of the stacked inputs
+# (B, S, k*k) and targets (B, S, k).
+
+def _stack_networks(ps, entries: int):
+    """The stacked weights, biases and input scales of networks that
+    each take flattened blocks of ``entries`` entries."""
+    for p in ps:
+        k = p.block_dim
+        if entries != k * k:
+            raise ValueError(f"block of {entries} entries does not match network input ({k}x{k})")
+    weights = [np.stack(ws) for ws in zip(*(p.weights for p in ps))]
+    biases = [np.stack(bs) for bs in zip(*(p.biases for p in ps))]
+    scale = np.array([p.input_scale for p in ps]).reshape(-1, 1, 1)
+    return weights, biases, scale
+
+
+def _forward_raw(weights, biases, scale, x: np.ndarray):
+    """Scaled-space forward pass of a stack of networks, each on its
+    own flattened blocks in ``x`` (B, S, k*k); returns raw (unsorted)
+    outputs (B, S, k) and the per-layer activations needed for
+    backprop."""
+    h = x * scale
     acts = [h]
-    last = len(p.weights) - 1
-    for li, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = h @ w.T + b
+    last = len(weights) - 1
+    for li, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
         h = z if li == last else np.tanh(z)
         acts.append(h)
     return h, acts
@@ -170,77 +189,106 @@ def _forward_raw(p: MlpParams, x: np.ndarray):
 
 def mlp_forward(p: MlpParams, block: DenseSymMatrix) -> np.ndarray:
     """Predicted eigenvalues, unscaled and sorted ascending."""
-    raw, _ = _forward_raw(p, block.a.reshape(1, -1))
-    return np.sort(raw[0] / p.input_scale)
+    raw, _ = _forward_raw(*_stack_networks([p], block.a.size), block.a.reshape(1, 1, -1))
+    return np.sort(raw[0, 0] / p.input_scale)
 
 
-# Divergence is reported by the finite-loss check in train, so the
+# Divergence is reported by the finite-loss check in train_stack, so the
 # overflow on the way there is not warned about.
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
 
-def _loss_and_grad(p: MlpParams, tset: TrainingSet, grad: bool = True):
-    """mlp_loss and, if ``grad``, mlp_grad from one batched forward
-    pass."""
-    nsamp = len(tset.samples)
-    raw, acts = _forward_raw(p, tset.inputs)
-    out = raw / p.input_scale
-    rows = np.arange(nsamp)[:, None]
-    perm = np.argsort(out, axis=1, kind="stable")
-    resid = out[rows, perm] - tset.targets
-    loss = float(np.sum(resid ** 2)) / nsamp
+def _loss_and_grad(weights, biases, scale, inputs, targets, grad: bool = True):
+    """Each network's mlp_loss (B,) and, if ``grad``, the per-layer
+    mlp_grad stacks, from one batched forward pass."""
+    nnet, nsamp, _ = targets.shape
+    raw, acts = _forward_raw(weights, biases, scale, inputs)
+    out = raw / scale
+    # (network, sample, output) index of each sorted value
+    idx = (np.arange(nnet)[:, None, None], np.arange(nsamp)[None, :, None],
+           np.argsort(out, axis=2, kind="stable"))
+    resid = out[idx] - targets
+    loss = (resid ** 2).reshape(nnet, -1).sum(axis=1) / nsamp
     if not grad:
         return loss, None, None
     # d loss / d raw, routed back through each sample's sort permutation
     d = np.empty_like(raw)
-    d[rows, perm] = 2.0 * resid / (nsamp * p.input_scale)
-    last = len(p.weights) - 1
-    gw, gb = [None] * len(p.weights), [None] * len(p.biases)
+    d[idx] = 2.0 * resid / (nsamp * scale)
+    last = len(weights) - 1
+    gw, gb = [None] * len(weights), [None] * len(biases)
     for li in range(last, -1, -1):
         if li != last:
             d = d * (1.0 - acts[li + 1] ** 2)  # tanh'
-        gw[li] = d.T @ acts[li]
-        gb[li] = d.sum(axis=0)
+        gw[li] = d.transpose(0, 2, 1) @ acts[li]
+        gb[li] = d.sum(axis=1)
         if li > 0:
-            d = d @ p.weights[li]
+            d = d @ weights[li]
     return loss, gw, gb
+
+
+def _one_network(p: MlpParams, tset: TrainingSet, grad: bool):
+    net = _stack_networks([p], tset.inputs.shape[1])
+    with np.errstate(**_QUIET_OVERFLOW):
+        return _loss_and_grad(*net, tset.inputs[None], tset.targets[None], grad)
 
 
 def mlp_loss(p: MlpParams, tset: TrainingSet) -> float:
     """Mean over samples of the summed squared per-eigenvalue error."""
-    with np.errstate(**_QUIET_OVERFLOW):
-        return _loss_and_grad(p, tset, grad=False)[0]
+    return float(_one_network(p, tset, grad=False)[0][0])
 
 
 def mlp_grad(p: MlpParams, tset: TrainingSet):
     """Exact reverse-mode gradient of mlp_loss. The output sort is
     treated as the fixed permutation chosen by the forward pass (stable,
     ties broken by original index)."""
+    _, gw, gb = _one_network(p, tset, grad=True)
+    return [g[0] for g in gw], [g[0] for g in gb]
+
+
+def train_stack(ps, tsets, cfg: TrainConfig):
+    """Full-batch gradient descent of each network ``ps[b]`` (one shape
+    for all) on ``tsets[b]`` (one size for all), all at once; each ends
+    bit-equal to training it alone. Returns (final params list,
+    (B, epochs) loss curves). On a non-finite loss raises
+    TrainingDivergedError with the epoch of the lowest-index network
+    that diverges, as training them one by one would: once network i
+    diverges, only those below it train on. The pass that gives the
+    loss after one update also gives the gradient for the next, so
+    ``epochs`` updates take ``epochs + 1`` passes."""
+    inputs = np.stack([t.inputs for t in tsets])
+    targets = np.stack([t.targets for t in tsets])
+    weights, biases, _ = _stack_networks(ps, inputs.shape[2])
+    scale = np.array([1.0 / max(1.0, t.max_abs_entry()) for t in tsets]).reshape(-1, 1, 1)
+    losses = np.empty((len(ps), cfg.epochs))
+    live, diverged = len(ps), None  # networks [0, live) still train
     with np.errstate(**_QUIET_OVERFLOW):
-        _, gw, gb = _loss_and_grad(p, tset)
-    return gw, gb
+        _, gw, gb = _loss_and_grad(weights, biases, scale, inputs, targets)
+        for epoch in range(cfg.epochs):
+            for w, b, dw, db in zip(weights, biases, gw, gb):
+                w[:live] -= cfg.learning_rate * dw[:live]
+                b[:live] -= cfg.learning_rate * db[:live]
+            loss, gw, gb = _loss_and_grad(
+                [w[:live] for w in weights], [b[:live] for b in biases], scale[:live],
+                inputs[:live], targets[:live], grad=epoch + 1 < cfg.epochs)
+            losses[:live, epoch] = loss
+            bad = np.flatnonzero(~np.isfinite(loss))
+            if bad.size:
+                live, diverged = bad[0], epoch
+                if live == 0:
+                    break
+    if diverged is not None:
+        raise TrainingDivergedError(diverged)
+    sizes = ps[0].layer_sizes
+    return [MlpParams(list(sizes), [w[b] for w in weights], [bb[b] for bb in biases],
+                      float(scale[b, 0, 0]))
+            for b in range(len(ps))], losses
 
 
 def train(p: MlpParams, tset: TrainingSet, cfg: TrainConfig):
-    """Full-batch gradient descent. Returns (final params, per-epoch
-    loss curve); raises TrainingDivergedError on a non-finite loss.
-    The pass that gives the loss after one update also gives the
-    gradient for the next, so ``epochs`` updates take ``epochs + 1``
-    passes."""
-    params = p.copy()
-    params.input_scale = 1.0 / max(1.0, tset.max_abs_entry())
-    losses = []
-    with np.errstate(**_QUIET_OVERFLOW):
-        _, gw, gb = _loss_and_grad(params, tset)
-        for epoch in range(cfg.epochs):
-            for w, b, dw, db in zip(params.weights, params.biases, gw, gb):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
-            loss, gw, gb = _loss_and_grad(params, tset, grad=epoch + 1 < cfg.epochs)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            losses.append(loss)
-    return params, losses
+    """``train_stack`` of one network. Returns (final params, per-epoch
+    loss curve); raises TrainingDivergedError on a non-finite loss."""
+    (params,), losses = train_stack([p], [tset], cfg)
+    return params, losses[0].tolist()
 
 
 @dataclass(frozen=True)

@@ -304,11 +304,21 @@ def generate_spd(n: int, spectrum, seed: int) -> DenseSymMatrix:
         raise ValueError(f"spectrum must have length {n}")
     if np.any(spectrum <= 0):
         raise ValueError("spectrum entries must all be positive")
-    rng = keyed_rng(seed, "spd-orthogonal")
-    g = rng.standard_normal((n, n))
+    return DenseSymMatrix(spd_stack(spectrum[None], [seed])[0])
+
+
+def spd_stack(spectra: np.ndarray, seeds) -> np.ndarray:
+    """Q diag(s) Q^T for each row s of ``spectra`` (B, n), with Q the
+    orthogonal factor of a Gaussian keyed on the matching seed. One
+    stacked QR and one stacked product serve the whole stack, and each
+    matrix is bit-equal to building it alone. No checks: callers wrap
+    each matrix in a DenseSymMatrix."""
+    n = spectra.shape[1]
+    g = np.stack([keyed_rng(seed, "spd-orthogonal").standard_normal((n, n)) for seed in seeds])
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))  # fix sign convention so Q is seed-deterministic
-    return DenseSymMatrix(q @ np.diag(spectrum) @ q.T)
+    # fix the sign convention so Q is seed-deterministic
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q @ (spectra[:, :, None] * np.eye(n)) @ q.transpose(0, 2, 1)
 
 
 def partition_rows(n: int, m: int) -> Partition:

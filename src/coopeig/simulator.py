@@ -4,6 +4,7 @@ needed), run consensus rounds under a link-failure model, and record
 per-round metrics, complexity counters and exportable traces.
 """
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .local_estimator import (
     init_mlp,
     load_params,
     synthesize_training_set,
-    train,
+    train_stack,
 )
 from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows, sturm_eigen
 from .seeding import child_seed, keyed_rng
@@ -180,16 +181,19 @@ def _setup_estimators(cfg: SimConfig, blocks):
                 )
         return [MlpEstimator(params) for _ in blocks]
 
-    def train_one(i):
-        k = blocks[i].n
-        tset = synthesize_training_set(
-            k, ecfg.samples, ecfg.spectrum_range, child_seed(cfg.seed, "mlp-data", i)
-        )
-        p0 = init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i))
-        params, _ = train(p0, tset, TrainConfig(ecfg.learning_rate, ecfg.epochs))
-        return MlpEstimator(params)
-
-    return [train_one(i) for i in range(len(blocks))]
+    # Agents that share a block size sit next to each other and train as
+    # one stack; groups train in agent order, so the first to diverge
+    # is the one a one-by-one loop would have met first.
+    estimators = []
+    tcfg = TrainConfig(ecfg.learning_rate, ecfg.epochs)
+    for k, group in itertools.groupby(range(len(blocks)), key=lambda i: blocks[i].n):
+        agents = list(group)
+        tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
+                                         child_seed(cfg.seed, "mlp-data", i)) for i in agents]
+        p0s = [init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i)) for i in agents]
+        params, _ = train_stack(p0s, tsets, tcfg)
+        estimators += [MlpEstimator(p) for p in params]
+    return estimators
 
 
 def run_simulation(cfg: SimConfig) -> Trace:

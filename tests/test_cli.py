@@ -124,6 +124,15 @@ class TestTrain:
         assert code == 2
         assert "learning_rate must be positive" in capsys.readouterr().err
 
+    def test_infinite_spectrum_range_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--hi", "inf", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "need 0 < lo < hi < inf" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestSimulate:
     def test_converged_run(self, tmp_path, capsys):
@@ -485,6 +494,14 @@ class TestLibraryErrorExitCodes:
         err = capsys.readouterr().err
         assert "non-finite loss" in err
         assert "RuntimeWarning" not in err
+
+    def test_infinite_training_range_is_usage_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, estimator={"kind": "mlp",
+                                               "spectrum_range": [0.5, float("inf")]})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "need 0 < lo < hi < inf" in err
+        assert "Traceback" not in err
 
     def test_jacobi_convergence_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def stuck(A, *args, **kwargs):

@@ -20,9 +20,17 @@ from coopeig.local_estimator import (
     save_params,
     synthesize_training_set,
     train,
+    train_stack,
 )
-from coopeig.matrix_core import DenseSymMatrix, generate_spd, jacobi_eigen
-from coopeig.simulator import config_from_dict, run_simulation
+from coopeig.matrix_core import (
+    DenseSymMatrix,
+    diagonal_block,
+    generate_spd,
+    jacobi_eigen,
+    partition_rows,
+)
+from coopeig.seeding import child_seed, keyed_rng
+from coopeig.simulator import _setup_estimators, config_from_dict, run_simulation
 
 
 def flatten_grads(gw, gb):
@@ -104,6 +112,8 @@ class TestTrainingSet:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             synthesize_training_set(2, 1, (2.0, 1.0), seed=0)
+        with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
+            synthesize_training_set(2, 1, (0.5, np.inf), seed=0)
         with pytest.raises(ValueError):
             synthesize_training_set(2, 0, (1.0, 2.0), seed=0)
 
@@ -135,6 +145,18 @@ class TestTrainingSet:
         for row, (block, targets) in enumerate(tset.samples):
             assert np.array_equal(tset.inputs[row], block.a.reshape(-1))
             assert np.array_equal(tset.targets[row], targets)
+
+    @pytest.mark.parametrize("k, count", [(1, 3), (4, 32), (5, 7)])
+    def test_stacked_blocks_match_per_sample_loop(self, k, count):
+        rng = keyed_rng(11, "training-spectra")
+        ref_inputs, ref_targets = [], []
+        for _ in range(count):
+            spectrum = np.sort(rng.uniform(0.5, 5.0, k))
+            ref_inputs.append(generate_spd(k, spectrum, rng.integers(2**63)).a.reshape(-1))
+            ref_targets.append(spectrum)
+        tset = synthesize_training_set(k, count, (0.5, 5.0), seed=11)
+        assert np.array_equal(tset.inputs, np.stack(ref_inputs))
+        assert np.array_equal(tset.targets, np.stack(ref_targets))
 
     def test_rejects_mixed_block_sizes_and_unsorted_targets(self):
         a = DenseSymMatrix(np.diag([1.0, 2.0]))
@@ -363,6 +385,74 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as info:
             run_simulation(cfg)
         assert info.value.epoch == epoch
+
+    def test_stacked_agents_match_training_one_at_a_time(self):
+        # 42 rows over 10 agents: two 5x5 blocks, then eight 4x4 blocks
+        cfg = config_from_dict({
+            "matrix": {"kind": "generate", "n": 42, "spectrum": "0.5:5.0"},
+            "agents": 10, "topology": "ring",
+            "estimator": {"kind": "mlp", "learning_rate": 0.01, "hidden": [8, 8]},
+            "mode": "matrix_form", "tol": 1e-8, "max_rounds": 500, "seed": 7,
+        })
+        A = generate_spd(42, np.linspace(0.5, 5.0, 42), seed=3)
+        part = partition_rows(42, 10)
+        blocks = [diagonal_block(A, part, i) for i in range(10)]
+        assert [b.n for b in blocks] == [5, 5] + [4] * 8
+        ecfg = cfg.estimator
+        for i, est in enumerate(_setup_estimators(cfg, blocks)):
+            k = blocks[i].n
+            tset = synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
+                                           child_seed(7, "mlp-data", i))
+            p0 = init_mlp(k, ecfg.hidden, child_seed(7, "mlp-init", i))
+            alone, _ = train(p0, tset, TrainConfig(ecfg.learning_rate, ecfg.epochs))
+            assert est.params.layer_sizes == alone.layer_sizes == [k * k, 8, 8, k]
+            assert est.params.input_scale == alone.input_scale
+            for a, b in zip(est.params.weights + est.params.biases,
+                            alone.weights + alone.biases):
+                assert np.array_equal(a, b)
+
+    def test_stacked_loss_curves_match_training_one_at_a_time(self):
+        tsets = [synthesize_training_set(3, 6, (0.5, 4.0), seed=s) for s in range(4)]
+        p0s = [init_mlp(3, hidden=(5,), seed=s) for s in range(4)]
+        cfg = TrainConfig(0.02, 30)
+        stacked, losses = train_stack(p0s, tsets, cfg)
+        assert losses.shape == (4, 30)
+        for p0, tset, p, curve in zip(p0s, tsets, stacked, losses):
+            alone, alone_curve = train(p0, tset, cfg)
+            assert curve.tolist() == alone_curve
+            for a, b in zip(p.weights + p.biases, alone.weights + alone.biases):
+                assert np.array_equal(a, b)
+
+    # The training ranges' upper ends set when each network diverges on
+    # its own at lr 0.05: 5 never (in 500 epochs), 10 at epoch 123, 20 at
+    # 82, 100 at 46. The stack must report the epoch of the first agent
+    # in order that diverges, even when a later one diverges sooner.
+    @pytest.mark.parametrize("his, epoch", [
+        ((10, 100), 123),
+        ((5, 20, 100), 82),
+        ((5, 100, 20), 46),
+        ((5, 5, 100), 46),
+    ])
+    def test_stacked_divergence_reports_first_agent_in_order(self, his, epoch):
+        tsets = [synthesize_training_set(2, 4, (0.5, hi), seed=1) for hi in his]
+        p0s = [init_mlp(2, hidden=(4,), seed=0) for _ in his]
+        cfg = TrainConfig(0.05, 500)
+        serial = None
+        for p0, tset in zip(p0s, tsets):
+            try:
+                train(p0, tset, cfg)
+            except TrainingDivergedError as exc:
+                serial = exc.epoch
+                break
+        assert serial == epoch
+        with pytest.raises(TrainingDivergedError) as info:
+            train_stack(p0s, tsets, cfg)
+        assert info.value.epoch == epoch
+
+    def test_stacked_rejects_mismatched_network(self):
+        tsets = [synthesize_training_set(2, 3, (0.5, 2.0), seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match="does not match network input"):
+            train_stack([init_mlp(2, seed=0), init_mlp(3, seed=1)], tsets, TrainConfig(0.01, 2))
 
     def test_rejects_zero_epochs(self):
         with pytest.raises(ValueError):

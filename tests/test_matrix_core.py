@@ -23,8 +23,10 @@ from coopeig.matrix_core import (
     partition_rows,
     reuse_spectra,
     save_matrix,
+    spd_stack,
     sturm_eigen,
 )
+from coopeig.seeding import keyed_rng
 
 
 def tridiag(n, d, e):
@@ -67,6 +69,21 @@ class TestGenerateSpd:
         a = generate_spd(6, [1, 2, 3, 4, 5, 6], seed=9)
         b = generate_spd(6, [1, 2, 3, 4, 5, 6], seed=9)
         assert np.array_equal(a.a, b.a)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 16, 64])
+    def test_matches_one_matrix_formula(self, n):
+        # the stacked construction gives each matrix bit-equal to
+        # building it alone from one QR and one product
+        spectrum = np.linspace(0.5, 5.0, n)
+        g = keyed_rng(n, "spd-orthogonal").standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diag(r))
+        ref = DenseSymMatrix(q @ np.diag(spectrum) @ q.T)
+        assert np.array_equal(generate_spd(n, spectrum, seed=n).a, ref.a)
+        stacked = spd_stack(np.stack([spectrum, spectrum[::-1]]), [n, n + 1])
+        assert np.array_equal(DenseSymMatrix(stacked[0]).a, ref.a)
+        assert np.array_equal(DenseSymMatrix(stacked[1]).a,
+                              generate_spd(n, spectrum[::-1], seed=n + 1).a)
 
     def test_rejects_nonpositive_spectrum(self):
         with pytest.raises(ValueError):
