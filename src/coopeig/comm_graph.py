@@ -72,17 +72,18 @@ class WeightMatrix:
         return self.w.shape[0]
 
 
-def check_weights(w: np.ndarray) -> np.ndarray:
+def check_weights(w: np.ndarray, stacked: bool = False) -> np.ndarray:
     """``w`` if it is square, nonnegative, exactly symmetric and has
-    rows summing to 1 within ROW_SUM_TOL, else ValueError. NaN is never
-    symmetric, and a row holding inf never sums to 1."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    rows summing to 1 within ROW_SUM_TOL, else ValueError. With
+    ``stacked``, ``w`` is an (R, m, m) stack and every slice must pass.
+    NaN is never symmetric, and a row holding inf never sums to 1."""
+    if w.ndim != (3 if stacked else 2) or w.shape[-1] != w.shape[-2]:
         raise ValueError("weight matrix must be square")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
-    if (w != w.T).any():
+    if (w != w.swapaxes(-1, -2)).any():
         raise ValueError("weights must be exactly symmetric")
-    if not np.abs(w.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+    if not np.abs(w.sum(axis=-1) - 1.0).max() <= ROW_SUM_TOL:
         raise ValueError("rows must sum to 1")
     return w
 
@@ -141,16 +142,27 @@ def is_connected(g: Graph) -> bool:
     return bool(reached.all())
 
 
-def metropolis_array(m: int, edges: np.ndarray) -> np.ndarray:
-    """Metropolis-Hastings weights on m nodes from (E, 2) edge rows:
-    1/(1 + max(deg_i, deg_l)) on edges, the leftover mass on the
-    diagonal. Doubly stochastic, using only local degrees."""
-    deg = np.bincount(edges.ravel(), minlength=m)
-    i, l = edges.T
-    w = np.zeros((m, m))
-    w[i, l] = w[l, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[l]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+def metropolis_stack(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Metropolis-Hastings weights on m nodes for R rounds at once: slice
+    r is built from the (E, 2) edge rows whose ``keep[r]`` entry is set,
+    with 1/(1 + max(deg_i, deg_l)) on those edges and the leftover mass
+    on the diagonal. Each slice is doubly stochastic, using only local
+    degrees, and bit-equal to building it alone."""
+    r, e = np.nonzero(keep)
+    i, l = edges[e].T
+    R = len(keep)
+    deg = np.bincount(np.concatenate((r * m + i, r * m + l)), minlength=R * m).reshape(R, m)
+    w = np.zeros((R, m, m))
+    w[r, i, l] = w[r, l, i] = 1.0 / (1.0 + np.maximum(deg[r, i], deg[r, l]))
+    diag = np.arange(m)
+    w[:, diag, diag] = 1.0 - w.sum(axis=2)
     return w
+
+
+def metropolis_array(m: int, edges: np.ndarray) -> np.ndarray:
+    """The ``metropolis_stack`` slice of one round that keeps every edge
+    row."""
+    return metropolis_stack(m, edges, np.ones((1, len(edges)), dtype=bool))[0]
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
@@ -170,14 +182,22 @@ def slem(wm: WeightMatrix) -> float:
     return float(np.abs(ev).max())
 
 
+def keep_masks(g: Graph, f: FailureModel, first: int, rounds: int) -> np.ndarray:
+    """The (rounds, E) keep-masks of rounds first, first+1, ...: row e
+    of ``g.edges`` survives round k with probability 1-p, iff the e-th
+    uniform of one generator keyed on (seed, k) is >= p. Each row
+    depends only on (seed, round, edge row), so it is order-independent
+    and bitwise reproducible."""
+    draws = np.empty((rounds, len(g.edges)))
+    for r in range(rounds):
+        keyed_rng(f.seed, "edge-failure", first + r).random(out=draws[r])
+    return draws >= f.edge_drop_prob
+
+
 def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:
-    """The edge rows that survive one round. Row e of ``g.edges``
-    survives with probability 1-p: it is kept iff the e-th uniform of
-    one generator keyed on (seed, round) is >= p. The result depends
-    only on (seed, round, edge row), so it is order-independent and
-    bitwise reproducible; it stays sorted and duplicate-free."""
-    draws = keyed_rng(f.seed, "edge-failure", round_).random(len(g.edges))
-    return g.edges[draws >= f.edge_drop_prob]
+    """The edge rows that survive one round (see ``keep_masks``); they
+    stay sorted and duplicate-free."""
+    return g.edges[keep_masks(g, f, round_, 1)[0]]
 
 
 def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:

@@ -123,6 +123,13 @@ def consensus_error(states: ConsensusState) -> float:
     return float(np.max(est.max(axis=0) - est.min(axis=0)))
 
 
+def deviation_norms(est: np.ndarray) -> np.ndarray:
+    """``deviation_norm`` of each (m, j) slice of an (R, m, j) estimate
+    stack, in one pass."""
+    dev = (est - est.mean(axis=1, keepdims=True)).reshape(len(est), -1)
+    return np.sqrt(np.einsum("rk,rk->r", dev, dev))
+
+
 def deviation_norm(states: ConsensusState) -> float:
     """Frobenius norm of the estimate stack minus its agent-mean.
 
@@ -132,27 +139,37 @@ def deviation_norm(states: ConsensusState) -> float:
     rho). The max-pairwise ``consensus_error`` does *not* contract
     round by round in general, even though both vanish together.
     """
-    est = states.estimates
-    return float(np.linalg.norm(est - est.mean(axis=0)))
+    return float(deviation_norms(states.estimates[None])[0])
+
+
+def estimation_errors(est: np.ndarray, truth) -> np.ndarray:
+    """|estimate - truth| for an (R, m, j) estimate stack: per round,
+    agent and eigenvalue index."""
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (est.shape[2],):
+        raise ValueError(
+            f"truth has length {truth.size}, states track {est.shape[2]} values"
+        )
+    return np.abs(est - truth)
 
 
 def estimation_error(states: ConsensusState, truth) -> np.ndarray:
     """|estimate - truth| per agent (rows) and eigenvalue index
     (columns)."""
-    truth = np.asarray(truth, dtype=float)
-    est = states.estimates
-    if truth.shape != (est.shape[1],):
-        raise ValueError(
-            f"truth has length {truth.size}, states track {est.shape[1]} values"
-        )
-    return np.abs(est - truth)
+    return estimation_errors(states.estimates[None], truth)[0]
+
+
+def global_estimates(est: np.ndarray, gw: GlobalWeights) -> np.ndarray:
+    """The (R, j) convex combinations of the agent rows of an (R, m, j)
+    estimate stack."""
+    if gw.beta.shape != (est.shape[1],):
+        raise ValueError("one beta weight per agent required")
+    return gw.beta @ est
 
 
 def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
     """Componentwise convex combination of agent estimates."""
-    if gw.beta.shape != (len(states.estimates),):
-        raise ValueError("one beta weight per agent required")
-    return gw.beta @ states.estimates
+    return global_estimates(states.estimates[None], gw)[0]
 
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,

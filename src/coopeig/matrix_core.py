@@ -36,7 +36,8 @@ class JacobiConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A dense real symmetric matrix. Symmetry is enforced exactly at
+    """A dense real symmetric matrix. An asymmetry above SYMMETRY_TOL
+    times max(1, max|a|) is refused; the rest is removed at
     construction (averaging), so ``a[i, j] == a[j, i]`` bitwise."""
 
     a: np.ndarray
@@ -48,7 +49,7 @@ class DenseSymMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         asym = np.max(np.abs(arr - arr.T)) if arr.shape[0] > 1 else 0.0
-        if asym > SYMMETRY_TOL:
+        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(arr))):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)

@@ -16,7 +16,7 @@ import yaml
 
 from . import comm_graph, consensus, local_estimator, matrix_core
 from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
-from .consensus import ConsensusMode, deviation_norm, estimation_error
+from .consensus import ConsensusMode
 from .local_estimator import (
     MlpEstimator,
     NoisyOracleEstimator,
@@ -30,6 +30,12 @@ from .local_estimator import (
 )
 from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows, sturm_eigen
 from .seeding import child_seed, keyed_rng
+
+
+# Floats a stacked pass of the round loop may hold: a block of R
+# failing rounds' (m, m) weights, or R rounds' (m, j) estimates waiting
+# for their metrics.
+BLOCK_FLOATS = 2**15
 
 
 class ConfigError(ValueError):
@@ -229,31 +235,60 @@ def run_simulation(cfg: SimConfig) -> Trace:
         gw = consensus.block_size_weights(part.block_sizes)
 
     scalars_sent = [0]
-    errors, deviations, max_errors, mean_errors, estimates = [], [], [], [], []
+    failing = _failing_rounds(base, fm, cfg.max_rounds)
 
     def weights(k):
-        live = base.edges if cfg.failure_p == 0.0 else comm_graph.live_edges(base, fm, k)
-        scalars_sent.append(2 * j * len(live))
         if cfg.failure_p == 0.0:
+            scalars_sent.append(2 * j * len(base.edges))
             return w0.w
-        return comm_graph.check_weights(comm_graph.metropolis_array(base.m, live))
+        w, live = next(failing)
+        scalars_sent.append(2 * j * live)
+        return w
+
+    # Per-round metrics wait in a buffer of at most `capacity` rounds,
+    # then become column blocks in one stacked pass.
+    errors, pending, columns = [], [], []
+    capacity = max(1, BLOCK_FLOATS // (part.m * j))
+
+    def flush():
+        est = np.stack(pending)
+        pending.clear()
+        eps = consensus.estimation_errors(est, truth)
+        columns.append((consensus.deviation_norms(est), eps.max(axis=(1, 2)),
+                        eps.mean(axis=(1, 2)), consensus.global_estimates(est, gw)))
 
     def record(k, states, e):
-        eps = estimation_error(states, truth)
         errors.append(e)
-        deviations.append(deviation_norm(states))
-        max_errors.append(eps.max())
-        mean_errors.append(eps.mean())
-        estimates.append(consensus.aggregate_global(states, gw))
+        pending.append(states.estimates)
+        if len(pending) == capacity:
+            flush()
 
     states, _, stop_reason = consensus.run_rounds(
         states, weights, cfg.mode, cfg.tol, cfg.max_rounds, record)
+    if pending:
+        flush()
+    deviations, max_errors, mean_errors, estimates = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
-                 consensus_error=np.array(errors), deviation_norm=np.array(deviations),
-                 max_est_error=np.array(max_errors), mean_est_error=np.array(mean_errors),
-                 global_estimate=np.array(estimates), scalars_sent=np.array(scalars_sent),
+                 consensus_error=np.array(errors), deviation_norm=deviations,
+                 max_est_error=max_errors, mean_est_error=mean_errors,
+                 global_estimate=estimates, scalars_sent=np.array(scalars_sent),
                  final_estimates=states.estimates, stop_reason=stop_reason,
                  block_sizes=part.block_sizes)
+
+
+def _failing_rounds(base, fm, max_rounds):
+    """Each failing round's (weights, live edge count), rounds 1, 2, ...
+    in order. Rounds are drawn, built and checked in blocks of R =
+    max(1, min(BLOCK_FLOATS // m², rounds run so far, rounds left)), so
+    the rounds drawn ahead of a stop never outnumber the rounds used."""
+    k, m = 1, base.m
+    while True:
+        r = max(1, min(BLOCK_FLOATS // (m * m), k - 1, max_rounds - k + 1))
+        keep = comm_graph.keep_masks(base, fm, k, r)
+        ws = comm_graph.check_weights(comm_graph.metropolis_stack(m, base.edges, keep),
+                                      stacked=True)
+        yield from zip(ws, keep.sum(axis=1).tolist())
+        k += r
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,13 @@ class TestGenMatrix:
         assert code == 2
         assert "bad spectrum range" in capsys.readouterr().err
 
+    def test_wide_spectrum_passes_symmetry_check(self, tmp_path):
+        out = tmp_path / "m.txt"
+        code = main(["gen-matrix", "--n", "40", "--spectrum", "0.5:1e5",
+                     "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert load_matrix(out).n == 40
+
     def test_missing_n_is_usage_error(self, tmp_path, capsys):
         code = main(["gen-matrix", "--spectrum", "1:2",
                      "--out", str(tmp_path / "m.txt")])

@@ -11,8 +11,10 @@ from coopeig.comm_graph import (
     build_graph,
     check_weights,
     is_connected,
+    keep_masks,
     live_edges,
     metropolis_array,
+    metropolis_stack,
     metropolis_weights,
     slem,
 )
@@ -201,6 +203,18 @@ class TestMetropolisWeights:
         assert check_weights(w) is w
         assert np.array_equal(w, metropolis_weights(g).w)
 
+    @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("er:0.4", 15, 0.7),
+                                                ("complete", 6, 0.2)])
+    def test_stack_slices_match_array(self, topology, m, p):
+        # includes rounds that drop every edge and rounds that keep all
+        g = build_graph(topology, m, seed=4)
+        keep = keep_masks(g, FailureModel(p, seed=2), 1, 25)
+        keep[3], keep[7] = False, True
+        ws = metropolis_stack(m, g.edges, keep)
+        assert ws.shape == (25, m, m)
+        for w, mask in zip(ws, keep):
+            assert w.tobytes() == metropolis_array(m, g.edges[mask]).tobytes()
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -233,6 +247,30 @@ class TestCheckWeights:
             check_weights(np.array(w))
         with pytest.raises(ValueError, match=message):
             WeightMatrix(np.array(w))
+
+    @pytest.mark.parametrize("i, l, delta, message", [
+        (0, 1, -0.6, "nonnegative"),
+        (0, 1, 2**-52, "exactly symmetric"),
+        (2, 2, 1e-11, "rows must sum to 1"),
+    ])
+    def test_stack_rejects_one_bad_slice(self, i, l, delta, message):
+        g = build_graph("ring", 5)
+        ws = metropolis_stack(5, g.edges, keep_masks(g, FailureModel(0.3, seed=1), 1, 6))
+        assert check_weights(ws, stacked=True) is ws
+        ws[4, i, l] += delta
+        with pytest.raises(ValueError, match=message):
+            check_weights(ws, stacked=True)
+        check_weights(ws[3])
+        with pytest.raises(ValueError, match=message):
+            check_weights(ws[4])
+
+    def test_stack_must_be_square_slices(self):
+        with pytest.raises(ValueError, match="must be square"):
+            check_weights(np.full((2, 3, 3), 1 / 3))
+        with pytest.raises(ValueError, match="must be square"):
+            check_weights(np.full((3, 3), 1 / 3), stacked=True)
+        with pytest.raises(ValueError, match="must be square"):
+            check_weights(np.full((2, 2, 3), 1 / 3), stacked=True)
 
     def test_row_sum_tolerance_accepted(self):
         w = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-13]])
@@ -308,6 +346,14 @@ class TestApplyFailures:
         assert [loop_failure_reference(g, 7, 0.4, k) for k in range(3)] == expect
         assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
         assert [live_edges(g, fm, k).tolist() for k in range(3)] == expect
+
+    def test_keep_masks_are_the_rounds_live_edges(self):
+        g = build_graph("er:0.5", 10, seed=2)
+        fm = FailureModel(0.4, seed=7)
+        keep = keep_masks(g, fm, 5, 12)
+        assert keep.shape == (12, len(g.edges))
+        for r, mask in enumerate(keep):
+            assert g.edges[mask].tolist() == live_edges(g, fm, 5 + r).tolist()
 
     def test_drop_rate_and_round_independence(self):
         # Each edge survives a round with probability 1 - p, independently

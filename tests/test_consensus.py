@@ -14,7 +14,10 @@ from coopeig.consensus import (
     consensus_error,
     consensus_round,
     deviation_norm,
+    deviation_norms,
     estimation_error,
+    estimation_errors,
+    global_estimates,
     init_states,
     run_to_convergence,
     uniform_weights,
@@ -125,6 +128,30 @@ class TestMetrics:
     def test_estimation_error_length_mismatch(self):
         with pytest.raises(ValueError):
             estimation_error(init_states([[1.0]]), [1.0, 2.0])
+
+
+class TestStackedMetrics:
+    # each stacked metric is the per-round one, bit for bit, whatever
+    # the stack height
+    @pytest.mark.parametrize("rounds, m, j", [(1, 1, 1), (7, 40, 1), (300, 13, 3)])
+    def test_slices_equal_per_round_calls(self, rounds, m, j):
+        est = np.random.default_rng(rounds).normal(size=(rounds, m, j)) * 10.0 ** -np.arange(j)
+        truth = np.linspace(-1.0, 1.0, j)
+        gw = block_size_weights(np.arange(1, m + 1))
+        norms, eps, glob = deviation_norms(est), estimation_errors(est, truth), global_estimates(est, gw)
+        assert norms.shape == (rounds,) and eps.shape == est.shape and glob.shape == (rounds, j)
+        for r in range(rounds):
+            states = ConsensusState(est[r].copy(), est[r].copy())
+            assert norms[r] == deviation_norm(states)
+            assert eps[r].tobytes() == estimation_error(states, truth).tobytes()
+            assert glob[r].tobytes() == aggregate_global(states, gw).tobytes()
+
+    def test_shape_mismatches_rejected(self):
+        est = np.zeros((4, 3, 2))
+        with pytest.raises(ValueError, match="truth has length 1"):
+            estimation_errors(est, [1.0])
+        with pytest.raises(ValueError, match="one beta weight per agent"):
+            global_estimates(est, uniform_weights(2))
 
 
 class TestAggregateGlobal:

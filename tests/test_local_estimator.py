@@ -109,6 +109,11 @@ class TestTrainingSet:
             assert np.array_equal(ba.a, bb.a)
             assert np.array_equal(ta, tb)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_spectrum_range_passes_symmetry_check(self, seed):
+        tset = synthesize_training_set(4, 32, (0.5, 3e4), seed)
+        assert len(tset.samples) == 32
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             synthesize_training_set(2, 1, (2.0, 1.0), seed=0)

@@ -50,6 +50,20 @@ class TestDenseSymMatrix:
         m = DenseSymMatrix(a)
         assert m.a[0, 1] == m.a[1, 0]
 
+    def test_symmetry_tolerance_scales_with_entries(self):
+        # rounding in a generated matrix grows with its entries: at a
+        # 1e5-wide spectrum it exceeds an absolute 1e-12
+        a = generate_spd(40, np.linspace(0.5, 1e5, 40), seed=0).a.copy()
+        a[0, 1] += 1e-11
+        m = DenseSymMatrix(a)
+        assert m.a[0, 1] == m.a[1, 0]
+
+    def test_relative_asymmetry_still_refused(self):
+        a = np.full((3, 3), 1e5)
+        a[0, 1] += 1e-9 * 1e5
+        with pytest.raises(ValueError, match="not symmetric"):
+            DenseSymMatrix(a)
+
 
 class TestGenerateSpd:
     def test_prescribed_spectrum(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopeig import consensus
+from coopeig import comm_graph, consensus
 from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
     ConsensusMode,
@@ -258,8 +258,20 @@ def replay_graph_path(cfg):
     return np.array(errors), np.array(estimates), np.array(sent), states.estimates, reason
 
 
+def generated(n):
+    return MatrixSpec("generate", n=n, spectrum=tuple(np.linspace(0.5, 6.0, n)))
+
+
+# With 40 agents the failing rounds run in blocks of up to 20, and the
+# metrics in buffers of up to 819 rounds over one tracked value, 409
+# over two.
+MATRIX_40, MATRIX_80 = generated(40), generated(80)
+
 # Each failing config, and the stop reason it must reach. A ring under
-# p = 0.3 does not diverge in paper_literal mode; er:0.5 does.
+# p = 0.3 does not diverge in paper_literal mode; er:0.5 does. The last
+# three span many block refills: the ring converges at round 2695, the
+# prime max_rounds ends a shortened block, and the er:0.3 run diverges
+# at round 191, inside the block of rounds 173-192.
 FAILING = [
     (dict(agents=6, failure_p=0.5, tol=1e-8), "converged"),
     (dict(agents=8, topology="er:0.4", failure_p=0.3, tol=1e-8), "converged"),
@@ -269,6 +281,12 @@ FAILING = [
      "max_rounds"),
     (dict(agents=10, topology="er:0.5", mode=ConsensusMode("paper_literal"), failure_p=0.3,
           max_rounds=2000), "diverged"),
+    (dict(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-6, max_rounds=20000),
+     "converged"),
+    (dict(matrix=MATRIX_80, agents=40, mode=ConsensusMode("damped", gamma=0.9), tracked=2,
+          failure_p=0.5, max_rounds=1009), "max_rounds"),
+    (dict(matrix=MATRIX_40, agents=40, topology="er:0.3", mode=ConsensusMode("paper_literal"),
+          failure_p=0.3, max_rounds=3000), "diverged"),
 ]
 
 
@@ -305,6 +323,47 @@ class TestFailingRound:
         assert len(mixed) == 200
         for k, w in enumerate(mixed, start=1):
             assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
+
+    def test_round_weights_bit_equal_across_blocks(self, mixed):
+        # 75 rounds on 40 agents take blocks of 1, 1, 2, 4, 8, 16, 20, 20
+        # and a last one shortened to 3
+        cfg = small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-300,
+                        max_rounds=75, seed=5, mode=ConsensusMode("damped", gamma=0.9))
+        assert run_simulation(cfg).rounds_used == 75
+        base = build_graph("ring", 40, child_seed(5, "graph"))
+        fm = FailureModel(0.5, child_seed(5, "failures"))
+        assert len(mixed) == 75
+        for k, w in enumerate(mixed, start=1):
+            assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
+
+    @pytest.mark.parametrize("over", [dict(tol=1e-6, max_rounds=20000),
+                                      dict(tol=1e-300, max_rounds=1009)])
+    def test_rounds_drawn_ahead_bounded_by_rounds_used(self, monkeypatch, over):
+        drawn, rng = [], comm_graph.keyed_rng
+        monkeypatch.setattr(comm_graph, "keyed_rng",
+                            lambda seed, tag, k: drawn.append(k) or rng(seed, tag, k))
+        trace = run_simulation(small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, **over))
+        assert drawn == list(range(1, len(drawn) + 1))
+        assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
+
+    def test_trace_metrics_equal_per_round_calls(self, monkeypatch):
+        # two tracked values: buffers of 409 rounds, so 1009 rounds make
+        # two full buffers and a partial one
+        inputs, step = [], consensus._step
+        monkeypatch.setattr(consensus, "_step",
+                            lambda states, w, mode: inputs.append(states) or step(states, w, mode))
+        cfg = small_cfg(matrix=MATRIX_80, agents=40, mode=ConsensusMode("damped", gamma=0.9),
+                        tracked=2, failure_p=0.5, max_rounds=1009)
+        trace = run_simulation(cfg)
+        states = inputs + [consensus.ConsensusState(trace.final_estimates, inputs[0].anchors)]
+        assert len(states) == len(trace.consensus_error) == 1010
+        gw = uniform_weights(40)
+        for k, s in enumerate(states):
+            eps = consensus.estimation_error(s, trace.truth)
+            assert trace.deviation_norm[k] == consensus.deviation_norm(s)
+            assert trace.max_est_error[k] == eps.max()
+            assert trace.mean_est_error[k] == eps.mean()
+            assert trace.global_estimate[k].tobytes() == aggregate_global(s, gw).tobytes()
 
     def test_failure_free_rounds_mix_w0(self, mixed):
         trace = run_simulation(small_cfg(max_rounds=20, tol=1e-300))
