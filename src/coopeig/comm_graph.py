@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DenseSymMatrix, eigenvalues, sturm_eigen
-from .seeding import keyed_rng
+from .seeding import child_seed, keyed_rng
 
 ER_RETRY_CAP = 1000
 ROW_SUM_TOL = 1e-12
@@ -184,14 +184,20 @@ def slem(wm: WeightMatrix) -> float:
 
 def keep_masks(g: Graph, f: FailureModel, first: int, rounds: int) -> np.ndarray:
     """The (rounds, E) keep-masks of rounds first, first+1, ...: row e
-    of ``g.edges`` survives round k with probability 1-p, iff the e-th
-    uniform of one generator keyed on (seed, k) is >= p. Each row
-    depends only on (seed, round, edge row), so it is order-independent
-    and bitwise reproducible."""
-    draws = np.empty((rounds, len(g.edges)))
-    for r in range(rounds):
-        keyed_rng(f.seed, "edge-failure", first + r).random(out=draws[r])
-    return draws >= f.edge_drop_prob
+    of ``g.edges`` survives round k with probability 1-p, iff its
+    uniform is >= p. The uniforms come from one Philox4x64 stream keyed
+    on ``child_seed(seed, "edge-failure")``. A counter step gives four
+    64-bit words and a double takes one, so round k's E uniforms start
+    at counter k*c, c = ceil(E/4): the stream is advanced by first*c,
+    a (rounds, 4c) block is drawn, and its first E columns are kept.
+    Each row depends only on (seed, round, edge row), so it is
+    order-independent, bitwise reproducible, and equal whether drawn
+    alone or in a block (Salmon et al., SC 2011)."""
+    e = len(g.edges)
+    c = -(-e // 4)
+    bits = np.random.Philox(key=child_seed(f.seed, "edge-failure"))
+    bits.advance(first * c)
+    return np.random.Generator(bits).random((rounds, 4 * c))[:, :e] >= f.edge_drop_prob
 
 
 def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:

@@ -192,7 +192,9 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     while e >= tol and k < max_rounds:
         k += 1
         states = _step(states, weights(k), mode)
-        e = consensus_error(states) if np.all(np.isfinite(states.estimates)) else math.inf
+        e = consensus_error(states)
+        if not math.isfinite(e):  # max and min propagate NaN; inf gives inf or NaN
+            e = math.inf
         on_round(k, states, e)
         if math.isinf(e) or e > threshold:
             return states, k, "diverged"

@@ -4,6 +4,12 @@ One master seed per experiment; every random consumer derives its own
 child seed by hashing (master, purpose-tag, indices). Adding a new
 consumer never perturbs existing streams, and draws keyed on a counter
 (round, agent, ...) are reproducible independent of call order.
+
+Link failures draw from one counter-based stream per run: a Philox4x64
+bit generator keyed on ``child_seed(seed, "edge-failure")``, whose
+round k starts at counter k*ceil(E/4) for E edges (four 64-bit words
+per counter step, one per double); ``comm_graph.keep_masks`` draws a
+block of rounds as one call and keeps the first E columns.
 """
 
 import hashlib

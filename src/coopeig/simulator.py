@@ -381,11 +381,18 @@ def summary_report(trace: Trace) -> str:
 
 # --- config file handling -------------------------------------------------
 
+def _whole_number(v):
+    # int() alone would run 4.9 as 4 and true as 1
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"need a whole number, got {v!r}")
+    return int(v)
+
+
 def _hidden_sizes(v) -> tuple:
     # a bare string is iterable too: "32" would read as (3, 2)
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"estimator hidden must be a list of layer sizes, got {v!r}")
-    return tuple(int(h) for h in v)
+    return tuple(_whole_number(h) for h in v)
 
 
 def _spectrum_range(v) -> tuple:
@@ -395,11 +402,11 @@ def _spectrum_range(v) -> tuple:
 
 # Optional keys and their converters, in snapshot order; an absent key
 # takes the dataclass default.
-_SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": int,
-              "seed": int, "tracked": int}
+_SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": _whole_number,
+              "seed": _whole_number, "tracked": _whole_number}
 _EST_TYPES = {
     "kind": str, "sigma": float, "params_path": str, "hidden": _hidden_sizes,
-    "learning_rate": float, "epochs": int, "samples": int,
+    "learning_rate": float, "epochs": _whole_number, "samples": _whole_number,
     "spectrum_range": _spectrum_range,
 }
 # "parallel" is accepted and ignored: estimator training is serial.
@@ -457,7 +464,7 @@ def config_from_dict(d: dict) -> SimConfig:
     kind = str(md.get("kind", "generate"))
     if kind == "generate":
         _require(md, ("n", "spectrum"), "matrix")
-        n = _typed(int, md["n"], "matrix.n")
+        n = _typed(_whole_number, md["n"], "matrix.n")
         spectrum = _typed(lambda v: _resolve_spectrum(v, n, seed), md["spectrum"],
                           "matrix.spectrum")
         matrix = MatrixSpec("generate", n=n, spectrum=spectrum)
@@ -475,7 +482,7 @@ def config_from_dict(d: dict) -> SimConfig:
                          gamma=_typed(float, d.get("gamma", ConsensusMode.gamma), "gamma"))
     return SimConfig(
         matrix=matrix,
-        agents=_typed(int, d["agents"], "agents"),
+        agents=_typed(_whole_number, d["agents"], "agents"),
         topology=str(d["topology"]),
         estimator=est,
         mode=mode,

@@ -315,6 +315,23 @@ class TestSimulate:
         ({"estimator": {"kind": "mlp", "spectrum_range": [1, 2, 3]}},
          "estimator.spectrum_range"),
         ({"estimator": {"kind": "mlp", "spectrum_range": "15"}}, "estimator.spectrum_range"),
+        # whole-number keys refuse a bool and a non-integral float
+        ({"agents": 4.9}, "agents"),
+        ({"agents": True}, "agents"),
+        ({"max_rounds": 2.7}, "max_rounds"),
+        ({"max_rounds": True}, "max_rounds"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"tracked": 1.5}, "tracked"),
+        ({"tracked": True}, "tracked"),
+        ({"matrix": {"kind": "generate", "n": 12.5, "spectrum": "0.5:6.0"}}, "matrix.n"),
+        ({"matrix": {"kind": "generate", "n": True, "spectrum": "0.5:6.0"}}, "matrix.n"),
+        ({"estimator": {"kind": "mlp", "epochs": 3.5}}, "estimator.epochs"),
+        ({"estimator": {"kind": "mlp", "epochs": True}}, "estimator.epochs"),
+        ({"estimator": {"kind": "mlp", "samples": 8.5}}, "estimator.samples"),
+        ({"estimator": {"kind": "mlp", "samples": False}}, "estimator.samples"),
+        ({"estimator": {"kind": "mlp", "hidden": [8, 4.5]}}, "estimator.hidden"),
+        ({"estimator": {"kind": "mlp", "hidden": [True]}}, "estimator.hidden"),
     ])
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, over, key):
         cfg = base_config(tmp_path, **over)

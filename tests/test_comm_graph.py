@@ -19,7 +19,7 @@ from coopeig.comm_graph import (
     slem,
 )
 from coopeig.matrix_core import DenseSymMatrix, jacobi_eigen
-from coopeig.seeding import keyed_rng
+from coopeig.seeding import child_seed
 
 
 def random_connected_graph(m, seed, p_edge=0.4):
@@ -312,8 +312,12 @@ class TestSlem:
 
 
 def loop_failure_reference(g, seed, p, round_):
-    """One scalar draw per edge row, in row order."""
-    rng = keyed_rng(seed, "edge-failure", round_)
+    """One scalar draw per edge row, in row order, from a fresh Philox
+    stream keyed on (seed, "edge-failure") and advanced to counter
+    round_ * ceil(E/4)."""
+    bits = np.random.Philox(key=child_seed(seed, "edge-failure"))
+    bits.advance(round_ * -(-len(g.edges) // 4))
+    rng = np.random.Generator(bits)
     return [e for e in g.edges.tolist() if rng.random() >= p]
 
 
@@ -333,15 +337,17 @@ class TestApplyFailures:
 
     def test_failure_stream_pinned(self):
         # Pinned stream: round k draws one uniform per edge row, in row
-        # order, from the generator keyed on (seed, "edge-failure", k).
+        # order, from the Philox stream keyed on (seed, "edge-failure"),
+        # starting at counter k * ceil(E/4).
         g = build_graph("er:0.5", 10, seed=2)
         fm = FailureModel(0.4, seed=7)
         expect = [
-            [[1, 8], [2, 3], [2, 6], [2, 8], [5, 6], [6, 8], [7, 9]],
-            [[0, 2], [0, 8], [2, 3], [2, 5], [2, 6], [3, 4], [3, 6], [4, 7], [4, 9],
-             [5, 8], [6, 8], [6, 9], [7, 9], [8, 9]],
-            [[0, 2], [0, 4], [1, 4], [2, 3], [2, 6], [2, 9], [3, 4], [3, 6], [3, 8],
-             [4, 9], [5, 6], [5, 9], [6, 8], [6, 9], [7, 9], [8, 9]],
+            [[1, 4], [2, 3], [2, 8], [2, 9], [3, 6], [3, 8], [4, 7], [4, 9], [5, 8],
+             [5, 9], [6, 9], [8, 9]],
+            [[0, 4], [0, 8], [1, 4], [2, 3], [2, 5], [2, 8], [2, 9], [3, 8], [4, 7],
+             [5, 6], [6, 8]],
+            [[0, 2], [0, 4], [1, 4], [1, 8], [2, 5], [2, 6], [2, 9], [3, 4], [3, 6],
+             [3, 8], [4, 9], [5, 6], [5, 8], [6, 9], [8, 9]],
         ]
         assert [loop_failure_reference(g, 7, 0.4, k) for k in range(3)] == expect
         assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
@@ -354,6 +360,18 @@ class TestApplyFailures:
         assert keep.shape == (12, len(g.edges))
         for r, mask in enumerate(keep):
             assert g.edges[mask].tolist() == live_edges(g, fm, 5 + r).tolist()
+
+    @pytest.mark.parametrize("topology, m", [("path", 8), ("path", 14), ("ring", 40)],
+                             ids=["E7", "E13", "E40"])
+    def test_keep_masks_match_reference_when_padded(self, topology, m):
+        # E = 7 and 13 leave 1 and 3 padding words per round; E = 40 none
+        g = build_graph(topology, m)
+        fm = FailureModel(0.5, seed=3)
+        keep = keep_masks(g, fm, 3, 9)
+        for r, mask in enumerate(keep):
+            assert g.edges[mask].tolist() == loop_failure_reference(g, 3, 0.5, 3 + r)
+        single = np.concatenate([keep_masks(g, fm, k, 1) for k in range(3, 12)])
+        assert single.tobytes() == keep.tobytes()
 
     def test_drop_rate_and_round_independence(self):
         # Each edge survives a round with probability 1 - p, independently

@@ -19,6 +19,7 @@ from coopeig.consensus import (
     estimation_errors,
     global_estimates,
     init_states,
+    run_rounds,
     run_to_convergence,
     uniform_weights,
 )
@@ -216,6 +217,27 @@ class TestRunToConvergence:
         states = init_states([[float(i)] for i in range(10)])
         _, rounds, _, reason = run_to_convergence(states, w, MATRIX_FORM, 1e-300, 5)
         assert rounds == 5 and reason == "max_rounds"
+
+
+class TestRunRounds:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_estimate_diverges_with_infinite_error(self, bad):
+        # identity weights keep the error at 3 until round 3 scales
+        # agent 1's estimate by the bad value
+        def weights(k):
+            w = np.eye(4)
+            if k == 3:
+                w[1, 1] = bad
+            return w
+
+        errors = []
+        states, rounds, reason = run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]), weights,
+                                            MATRIX_FORM, 1e-9, 100,
+                                            lambda _k, _s, e: errors.append(e))
+        assert (rounds, reason) == (3, "diverged")
+        assert errors == [3.0, 3.0, 3.0, float("inf")]
+        assert not np.isfinite(states.estimates[1, 0])
 
 
 class TestDynamicsProperties:

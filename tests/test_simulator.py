@@ -339,9 +339,10 @@ class TestFailingRound:
     @pytest.mark.parametrize("over", [dict(tol=1e-6, max_rounds=20000),
                                       dict(tol=1e-300, max_rounds=1009)])
     def test_rounds_drawn_ahead_bounded_by_rounds_used(self, monkeypatch, over):
-        drawn, rng = [], comm_graph.keyed_rng
-        monkeypatch.setattr(comm_graph, "keyed_rng",
-                            lambda seed, tag, k: drawn.append(k) or rng(seed, tag, k))
+        drawn, masks = [], comm_graph.keep_masks
+        monkeypatch.setattr(comm_graph, "keep_masks",
+                            lambda g, f, first, rounds: drawn.extend(range(first, first + rounds))
+                            or masks(g, f, first, rounds))
         trace = run_simulation(small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, **over))
         assert drawn == list(range(1, len(drawn) + 1))
         assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
@@ -432,7 +433,7 @@ class TestExportCsv:
     @pytest.mark.parametrize("over, digest", [
         ({}, "994fd2e54fa1907dbb1566a6a4d691a10ae738f35fce06dea20927ce6cba91f9"),
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
-         "215fda827f24146f07decebf16ddada27e568bb5710eafc781cd99177da86e13"),
+         "7b492e6ecb4851ef68dab11027474e42f43e5c09babbd1e0250c4d07fa40841b"),
     ], ids=["failure-free", "link-failures"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
