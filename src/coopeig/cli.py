@@ -3,10 +3,9 @@
 Subcommands: gen-matrix, train, simulate, sweep, report.
 Exit codes are a stable contract: 0 success/converged, 2 usage error
 (including a graph that cannot be built), 3 max-rounds reached,
-4 divergence (consensus, estimator training, or a Jacobi block solve;
-the truth and SLEM solves always terminate),
-5 I/O failure. Config files may set ``parallel``; it is accepted and
-ignored.
+4 divergence (consensus or estimator training; every eigenvalue solve
+terminates), 5 I/O failure. Config files may set ``parallel``; it is
+accepted and ignored.
 """
 
 import argparse
@@ -26,7 +25,6 @@ from .local_estimator import (
     synthesize_training_set,
     train,
 )
-from .matrix_core import JacobiConvergenceError
 from .seeding import child_seed
 from .simulator import (
     ConfigError,
@@ -221,7 +219,7 @@ def main(argv=None) -> int:
     except (ValueError, GraphConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, JacobiConvergenceError) as exc:
+    except TrainingDivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues, sturm_eigen
+from .matrix_core import DenseSymMatrix, eigenvalues
 from .seeding import child_seed, keyed_rng
 
 ER_RETRY_CAP = 1000
@@ -178,7 +178,7 @@ def slem(wm: WeightMatrix) -> float:
     positive-weight graph is connected."""
     if wm.m == 1:
         return 0.0
-    ev = eigenvalues(DenseSymMatrix(wm.w), sturm_eigen, (0, wm.m - 2))
+    ev = eigenvalues(DenseSymMatrix(wm.w), (0, wm.m - 2))
     return float(np.abs(ev).max())
 
 

@@ -1,6 +1,8 @@
-"""Per-agent local spectral estimators: the exact Jacobi oracle, a
-variance-bounded noisy oracle, and a small fully-connected network
-trained by full-batch gradient descent on (block, spectrum) pairs.
+"""Per-agent local spectral estimators: the exact oracle (every block
+eigenvalue from ``matrix_core.eigenvalues``, the solve behind the truth
+and the SLEM too), a variance-bounded noisy oracle, and a small
+fully-connected network trained by full-batch gradient descent on
+(block, spectrum) pairs.
 
 The network maps a flattened k x k block to k eigenvalue predictions
 (tanh hidden layers, linear output, sorted ascending). Inputs and
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues, jacobi_eigen, spd_stack
+from .matrix_core import DenseSymMatrix, eigenvalues, spd_stack
 from .seeding import keyed_rng
 
 TARGET_CHECK_TOL = 1e-10
@@ -84,8 +86,8 @@ def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:
 class TrainingSet:
     """(block, sorted spectrum) pairs of one fixed block size, also held
     stacked: ``inputs`` is (S, k*k), the flattened blocks, and
-    ``targets`` is (S, k). Targets are checked against the Jacobi oracle
-    at construction."""
+    ``targets`` is (S, k). Targets that callers build are checked against
+    the oracle's ``eigenvalues`` at construction."""
 
     samples: list  # of (DenseSymMatrix, np.ndarray)
     inputs: np.ndarray = field(init=False, repr=False)
@@ -93,7 +95,8 @@ class TrainingSet:
 
     def __post_init__(self):
         self._stack()
-        oracle = np.stack([jacobi_eigen(block).eigenvalues for block, _ in self.samples])
+        oracle = np.stack([eigenvalues(block, tuple(range(block.n)))
+                           for block, _ in self.samples])
         if np.max(np.abs(oracle - self.targets)) > TARGET_CHECK_TOL:
             raise ValueError("targets disagree with the eigensolver oracle")
 
@@ -293,7 +296,7 @@ def train(p: MlpParams, tset: TrainingSet, cfg: TrainConfig):
 
 @dataclass(frozen=True)
 class OracleEstimator:
-    """Exact local spectra from the Jacobi eigensolver."""
+    """Exact local spectra: all k block eigenvalues, sorted ascending."""
 
 
 @dataclass(frozen=True)
@@ -317,11 +320,10 @@ class MlpEstimator:
 def estimate(kind, block: DenseSymMatrix,
              agent: int = 0, round_: int = 0) -> np.ndarray:
     """Local eigenvalue estimates for one block: length k, sorted."""
-    if isinstance(kind, OracleEstimator):
-        return eigenvalues(block, jacobi_eigen)
-    if isinstance(kind, NoisyOracleEstimator):
-        values = eigenvalues(block, jacobi_eigen)
-        if kind.sigma == 0.0:
+    if isinstance(kind, (OracleEstimator, NoisyOracleEstimator)):
+        # Sturm brackets each index on its own, so rounding may swap near-equal values.
+        values = np.sort(eigenvalues(block, tuple(range(block.n))))
+        if isinstance(kind, OracleEstimator) or kind.sigma == 0.0:
             return values
         rng = keyed_rng(kind.seed, "estimator-noise", agent, round_)
         return np.sort(values + rng.normal(0.0, kind.sigma, block.n))

@@ -1,10 +1,10 @@
 """Dense symmetric matrices: generation with known spectra, row
-partitioning, principal diagonal blocks, and two eigensolvers. The
-global truth and the SLEM need only a few eigenvalues of a large
-matrix, and ``sturm_eigen`` (Householder tridiagonalization, then Sturm
-multisection) finds just those. Block solves and direct calls use
-``jacobi_eigen``, the cyclic-Jacobi reference oracle for the full
-spectrum of a small matrix.
+partitioning, principal diagonal blocks, and two eigensolvers. Every
+solve of a run (truth, SLEM, agent blocks, caller-built training
+targets) goes through ``eigenvalues``, which runs ``sturm_eigen``
+(Householder tridiagonalization, then Sturm multisection) for just the
+eigenvalues asked for. ``jacobi_eigen``, a cyclic-Jacobi solver for the
+full spectrum, stays as the tests' reference; no run path calls it.
 """
 
 import hashlib
@@ -86,7 +86,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray  # jacobi_eigen: all, ascending; sturm_eigen: as asked
+    eigenvalues: np.ndarray  # sturm_eigen: as asked; jacobi_eigen (reference): all, ascending
     iterations_used: int  # full Jacobi sweeps, or multisection passes
     residual: float  # max |off-diagonal|, or widest bracket, at termination
 
@@ -255,8 +255,8 @@ def sturm_eigen(A: DenseSymMatrix, indices: tuple) -> SpectrumResult:
     return SpectrumResult((lo + hi) / 2.0, passes, float((hi - lo).max()))
 
 
-# (solver, its arguments, matrix content) -> the read-only eigenvalues,
-# while a reuse scope is open.
+# (indices, matrix shape, matrix content digest) -> the read-only
+# eigenvalues, while a reuse scope is open.
 _spectra = ContextVar("coopeig_spectra", default=None)
 
 
@@ -271,19 +271,19 @@ def reuse_spectra():
         _spectra.reset(token)
 
 
-def eigenvalues(A: DenseSymMatrix, solve, *args) -> np.ndarray:
-    """``solve(A, *args).eigenvalues``. Inside ``reuse_spectra()`` it is
-    stored read-only, keyed on ``solve``, ``args``, the shape of ``A``
-    and a sha256 digest of its bytes, so no copy of ``A`` is kept, and
-    handed back for every equal matrix solved the same way. A solve
-    that raises stores nothing."""
+def eigenvalues(A: DenseSymMatrix, indices: tuple) -> np.ndarray:
+    """``sturm_eigen(A, indices).eigenvalues``, the one solve of every run
+    path. Inside ``reuse_spectra()`` it is stored read-only, keyed on
+    ``indices``, the shape of ``A`` and a sha256 digest of its bytes, so
+    no copy of ``A`` is kept, and handed back for every equal matrix
+    asked for the same indices. A solve that raises stores nothing."""
     memo = _spectra.get()
     if memo is None:
-        return solve(A, *args).eigenvalues
-    key = (solve, args, A.a.shape, hashlib.sha256(A.a.tobytes()).digest())
+        return sturm_eigen(A, indices).eigenvalues
+    key = (indices, A.a.shape, hashlib.sha256(A.a.tobytes()).digest())
     values = memo.get(key)
     if values is None:
-        values = solve(A, *args).eigenvalues
+        values = sturm_eigen(A, indices).eigenvalues
         values.setflags(write=False)
         memo[key] = values
     return values

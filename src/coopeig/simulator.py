@@ -28,7 +28,7 @@ from .local_estimator import (
     synthesize_training_set,
     train_stack,
 )
-from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows, sturm_eigen
+from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows
 from .seeding import child_seed, keyed_rng
 
 
@@ -216,7 +216,7 @@ def run_simulation(cfg: SimConfig) -> Trace:
             f"cannot track {j} eigenvalues with smallest block size "
             f"{min(part.block_sizes)}"
         )
-    truth = matrix_core.eigenvalues(A, sturm_eigen, tuple(range(j)))
+    truth = matrix_core.eigenvalues(A, tuple(range(j)))
 
     estimators = _setup_estimators(cfg, blocks)
     anchors = [

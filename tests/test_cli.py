@@ -1,10 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from coopeig import cli, comm_graph, local_estimator, simulator
+from coopeig import cli, matrix_core, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import load_params
 from coopeig.matrix_core import (
@@ -46,20 +47,16 @@ def file_config(tmp_path, **over):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The matrices that reach sturm_eigen through the truth and SLEM
-    call sites and jacobi_eigen through the block call site, one
-    (n, bytes) entry per real solve."""
+    """The matrices that reach sturm_eigen, the one solve behind the
+    truth, the SLEM and the block call sites, one (n, bytes) entry per
+    real solve."""
     calls = []
 
-    def counting(solve):
-        def counted(A, *args, **kwargs):
-            calls.append((A.n, A.a.tobytes()))
-            return solve(A, *args, **kwargs)
-        return counted
+    def counted(A, indices):
+        calls.append((A.n, A.a.tobytes()))
+        return sturm_eigen(A, indices)
 
-    monkeypatch.setattr(local_estimator, "jacobi_eigen", counting(jacobi_eigen))
-    for module in (simulator, comm_graph):
-        monkeypatch.setattr(module, "sturm_eigen", counting(sturm_eigen))
+    monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
     return calls
 
 
@@ -489,16 +486,19 @@ class TestSweepReusesSpectra:
 
     def test_nothing_outlives_a_failed_sweep(self, tmp_path, capsys, monkeypatch, solves):
         cfg = file_config(tmp_path)
-        counted = comm_graph.sturm_eigen
+        counted = matrix_core.sturm_eigen
 
-        def stuck(A, *args, **kwargs):
-            raise JacobiConvergenceError(1.0, 100)
+        def stuck(A, indices):
+            if A.n == self.M:  # W0; the matrix is 12x12 and its blocks 3x3
+                raise ValueError("solve failed")
+            return counted(A, indices)
 
         # the truth and the blocks are solved, then the SLEM solve fails
-        monkeypatch.setattr(comm_graph, "sturm_eigen", stuck)
-        assert main(SWEEP + [str(cfg)]) == 4
+        monkeypatch.setattr(matrix_core, "sturm_eigen", stuck)
+        assert main(SWEEP + [str(cfg)]) == 2
+        assert "solve failed" in capsys.readouterr().err
         assert len(solves) == 1 + self.M
-        monkeypatch.setattr(comm_graph, "sturm_eigen", counted)
+        monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
         assert len(solves) == 2 * (1 + self.M) + 1
 
@@ -528,13 +528,24 @@ class TestLibraryErrorExitCodes:
         assert "Traceback" not in err
 
     def test_jacobi_convergence_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def stuck(A, *args, **kwargs):
+        # No run path reaches Jacobi, so a Jacobi that cannot converge
+        # leaves every command at exit 0, and exit 4 is never Jacobi's.
+        def stuck(*args, **kwargs):
             raise JacobiConvergenceError(1.0, 100)
 
-        # only the block solves use Jacobi
-        monkeypatch.setattr(local_estimator, "jacobi_eigen", stuck)
-        assert main(["simulate", "--config", str(base_config(tmp_path))]) == 4
-        assert "Jacobi did not converge" in capsys.readouterr().err
+        modules = [m for name, m in sys.modules.items() if name.startswith("coopeig")]
+        for module in modules:
+            if getattr(module, "jacobi_eigen", None) is jacobi_eigen:
+                monkeypatch.setattr(module, "jacobi_eigen", stuck)
+        assert matrix_core.jacobi_eigen is stuck
+        for estimator, param, values in [({"kind": "oracle"}, "p", "0,0.3"),
+                                         ({"kind": "noisy_oracle", "sigma": 0.1},
+                                          "sigma", "0.05,0.1")]:
+            cfg = str(base_config(tmp_path, estimator=estimator))
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+            assert main(["sweep", "--config", cfg, "--param", param, "--values", values,
+                         "--trials", "2"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestUsage:

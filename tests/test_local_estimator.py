@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopeig import local_estimator
+from coopeig import matrix_core
 from coopeig.local_estimator import (
     TARGET_CHECK_TOL,
     MlpEstimator,
@@ -138,7 +138,7 @@ class TestTrainingSet:
         def solve(*args, **kwargs):
             raise AssertionError("synthesized targets are prescribed, not solved")
 
-        monkeypatch.setattr(local_estimator, "jacobi_eigen", solve)
+        monkeypatch.setattr(matrix_core, "sturm_eigen", solve)
         synthesize_training_set(3, 4, (0.5, 2.0), seed=2)
         block = generate_spd(2, [1.0, 2.0], seed=0)
         with pytest.raises(AssertionError):

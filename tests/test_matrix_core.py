@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopeig import matrix_core
 from coopeig.comm_graph import build_graph, metropolis_weights
-from coopeig.local_estimator import NoisyOracleEstimator, estimate
+from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
 from coopeig.matrix_core import (
     DEFAULT_TOL,
     MAX_PASSES,
@@ -270,12 +271,21 @@ def ring_weights(m):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSturmEigen:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 40, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 33, 40, 64, 128])
     def test_matches_jacobi(self, n):
         A = generate_spd(n, np.geomspace(0.1, 10.0, n), seed=n)
         r = sturm_eigen(A, tuple(range(n)))
-        assert np.abs(r.eigenvalues - jacobi_eigen(A).eigenvalues).max() <= 1e-12
+        reference = jacobi_eigen(A).eigenvalues
+        assert np.abs(r.eigenvalues - reference).max() <= 1e-12
         assert r.iterations_used < MAX_PASSES
+        # the oracle's block solve, A as one agent's whole block
+        assert np.abs(estimate(OracleEstimator(), A) - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("value", [0.0, -3.75, 1e-300, 0.1, 2.0 / 3.0, 5.123456789e12])
+    def test_one_by_one_block_is_its_entry(self, value):
+        block = DenseSymMatrix([[value]])
+        assert estimate(OracleEstimator(), block).tolist() == [value]
+        assert sturm_eigen(block, (0,)).iterations_used == 0
 
     def test_matches_eigvalsh_at_256(self):
         A = generate_spd(256, np.linspace(0.5, 5.0, 256), seed=1)
@@ -287,17 +297,22 @@ class TestSturmEigen:
     @pytest.mark.parametrize("A", [
         DenseSymMatrix(np.diag([3.0, 1.0, 2.0, -4.0])),  # every Householder column is zero
         DenseSymMatrix(np.eye(5)),
+        DenseSymMatrix(np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])),
         ring_weights(10),  # eigenvalues in pairs, one negative pair
         ring_weights(2),
         DenseSymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),  # -1 and 1
         DenseSymMatrix(-generate_spd(12, np.linspace(0.5, 6.0, 12), seed=3).a),
         tridiag(8, 2.0, 1.0),
-    ], ids=["diagonal", "identity", "ring-10", "ring-2", "swap", "negative-definite",
-            "tridiagonal"])
+    ], ids=["diagonal", "identity", "repeated", "ring-10", "ring-2", "swap",
+            "negative-definite", "tridiagonal"])
     def test_degenerate_inputs(self, A):
         r = sturm_eigen(A, tuple(range(A.n)))
-        assert np.abs(r.eigenvalues - jacobi_eigen(A).eigenvalues).max() <= 1e-12
+        reference = jacobi_eigen(A).eigenvalues
+        assert np.abs(r.eigenvalues - reference).max() <= 1e-12
         assert r.iterations_used < MAX_PASSES
+        oracle = estimate(OracleEstimator(), A)
+        assert np.all(np.diff(oracle) >= 0)
+        assert np.abs(oracle - reference).max() <= 1e-12
 
     def test_identity_needs_no_pass(self):
         r = sturm_eigen(DenseSymMatrix(np.eye(4)), (0, 3))
@@ -324,74 +339,85 @@ class TestSturmEigen:
         assert _sturm_counts(d, e * e, x, pivmin).tolist() == [0, 1, 2, 3, 4]
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The (n, indices) of every real solve behind ``eigenvalues``."""
+    calls = []
+
+    def counted(A, indices):
+        calls.append((A.n, indices))
+        return sturm_eigen(A, indices)
+
+    monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
+    return calls
+
+
 class TestReuseSpectra:
-    @staticmethod
-    def counting():
-        calls = []
-
-        def solve(A):
-            calls.append(A)
-            return jacobi_eigen(A)
-
-        return solve, calls
-
-    def test_each_distinct_matrix_solved_once(self):
-        solve, calls = self.counting()
+    def test_each_distinct_matrix_solved_once(self, solves):
         a, b = tridiag(5, 2.0, 1.0), tridiag(5, 2.0, 0.5)
+        every = tuple(range(5))
         with reuse_spectra():
-            first = eigenvalues(a, solve)
-            assert eigenvalues(DenseSymMatrix(a.a.copy()), solve) is first
-            assert np.array_equal(eigenvalues(b, solve), jacobi_eigen(b).eigenvalues)
-        assert len(calls) == 2
-        assert np.array_equal(first, jacobi_eigen(a).eigenvalues)
+            first = eigenvalues(a, every)
+            assert eigenvalues(DenseSymMatrix(a.a.copy()), every) is first
+            assert np.array_equal(eigenvalues(b, every), sturm_eigen(b, every).eigenvalues)
+            eigenvalues(a, (0,))
+            eigenvalues(a, (0,))
+        assert solves == [(5, every), (5, every), (5, (0,))]
+        assert np.array_equal(first, sturm_eigen(a, every).eigenvalues)
 
-    def test_keyed_on_the_solve(self):
+    def test_keyed_on_the_indices(self, solves):
         # The truth of A is its smallest eigenvalue alone; the noisy
-        # oracle on A as an agent's whole block needs all six.
+        # oracle on A as an agent's whole block (a one-agent run) still
+        # needs all six.
         A = generate_spd(6, np.linspace(0.5, 3.0, 6), seed=1)
         noisy = NoisyOracleEstimator(0.5, 9)
         standalone = estimate(noisy, A)
         with reuse_spectra():
-            truth = eigenvalues(A, sturm_eigen, (0,))
-            assert np.array_equal(estimate(noisy, A), standalone)
-            assert np.array_equal(eigenvalues(A, sturm_eigen, (0,)), truth)
-            assert len(eigenvalues(A, sturm_eigen, (0, 1))) == 2
+            truth = eigenvalues(A, (0,))
+            scoped = estimate(noisy, A)
+            assert len(scoped) == 6 and np.array_equal(scoped, standalone)
+            assert eigenvalues(A, (0,)) is truth
+            assert len(eigenvalues(A, (0, 1))) == 2
+        assert [indices for _, indices in solves[1:]] == [(0,), tuple(range(6)), (0, 1)]
 
     def test_handed_out_read_only(self):
-        solve, _ = self.counting()
         with reuse_spectra():
-            values = eigenvalues(tridiag(4, 2.0, 1.0), solve)
+            values = eigenvalues(tridiag(4, 2.0, 1.0), (0, 1))
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 0.0
 
-    def test_outside_a_scope_every_call_solves(self):
-        solve, calls = self.counting()
+    def test_outside_a_scope_every_call_solves(self, solves):
         a = tridiag(4, 2.0, 1.0)
-        first, second = eigenvalues(a, solve), eigenvalues(a, solve)
-        assert len(calls) == 2 and first is not second and first.flags.writeable
+        first, second = eigenvalues(a, (0,)), eigenvalues(a, (0,))
+        assert len(solves) == 2 and first is not second and first.flags.writeable
 
-    def test_failed_solve_not_stored(self):
-        def stuck(A):
-            raise JacobiConvergenceError(1.0, 1)
+    def test_failed_solve_not_stored(self, monkeypatch):
+        calls = []
 
-        solve, calls = self.counting()
+        def fails_once(A, indices):
+            calls.append(indices)
+            if len(calls) == 1:
+                raise RuntimeError("solve failed")
+            return sturm_eigen(A, indices)
+
+        monkeypatch.setattr(matrix_core, "sturm_eigen", fails_once)
         a = tridiag(4, 2.0, 1.0)
         with reuse_spectra():
-            with pytest.raises(JacobiConvergenceError):
-                eigenvalues(a, stuck)
-            eigenvalues(a, solve)
-        assert len(calls) == 1
+            with pytest.raises(RuntimeError):
+                eigenvalues(a, (0,))
+            eigenvalues(a, (0,))
+            eigenvalues(a, (0,))
+        assert len(calls) == 2
 
-    def test_scope_closes_on_exception(self):
-        solve, calls = self.counting()
+    def test_scope_closes_on_exception(self, solves):
         a = tridiag(4, 2.0, 1.0)
         with pytest.raises(RuntimeError):
             with reuse_spectra():
-                eigenvalues(a, solve)
+                eigenvalues(a, (0,))
                 raise RuntimeError("trial failed")
-        eigenvalues(a, solve)
-        assert len(calls) == 2
+        eigenvalues(a, (0,))
+        assert len(solves) == 2
 
     def test_memo_keeps_no_matrix_bytes(self):
         # 20 distinct 100x100 matrices hold 1.6 MB; a digest-keyed memo
@@ -401,7 +427,7 @@ class TestReuseSpectra:
             tracemalloc.start()
             try:
                 for A in mats:
-                    eigenvalues(A, jacobi_eigen)
+                    eigenvalues(A, tuple(range(100)))
                 held, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

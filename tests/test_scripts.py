@@ -32,10 +32,10 @@ def sha256(data):
 # shows here.
 @pytest.mark.parametrize("args, csv_digest, stdout_digest", [
     (["--n", "12", "--agents", "4"],
-     "106f4690b7938b535c015efb41f4004f2517614be5ffba19983dab36b98e6d62",
+     "ee155f214674f462361b2aff9b03ec6572b37d454eff01c3b2fd6f6ae2aa05e4",
      "d0b51c32e3a73e1d7c55d70186d7b24415cb9e5052dcf8a0dca567c3aeb41e5d"),
     (["--topology", "er:0.5", "--seed", "3"],
-     "161ad82ffb38cdf05cbb43f93341471da4e41c3d8573bbc39fc04d1480499d23",
+     "2c900fd4976dddfbf4cb42b74286019f8913dfffacfe8cf0150d8d3f8d6b9406",
      "a87dbfa8bb49575e82cb85427938743d7c86d640b0f5e650e8ef77a601250423"),
 ], ids=["ring", "er"])
 def test_decay_outputs_pinned(tmp_path, args, csv_digest, stdout_digest):

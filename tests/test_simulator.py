@@ -197,7 +197,7 @@ class TestRunSimulation:
         trace = run_simulation(cfg)
         A = generate_spd(12, np.array(cfg.matrix.spectrum), child_seed(7, "matrix"))
         part = partition_rows(12, 10)
-        states = init_states([jacobi_eigen(diagonal_block(A, part, i)).eigenvalues[:1]
+        states = init_states([estimate(OracleEstimator(), diagonal_block(A, part, i))[:1]
                               for i in range(10)])
         w = metropolis_weights(build_graph("ring", 10, child_seed(7, "graph")))
         if mode == "paper_literal":
@@ -431,9 +431,9 @@ class TestExportCsv:
     # sha256 of the exported bytes, one failure-free run and one under
     # link failures: any change to a CSV byte shows here
     @pytest.mark.parametrize("over, digest", [
-        ({}, "994fd2e54fa1907dbb1566a6a4d691a10ae738f35fce06dea20927ce6cba91f9"),
+        ({}, "0dcde59a23d54337b26a3936b9c667d8fb837c71d8e6dff07de9edbdf853fea9"),
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
-         "7b492e6ecb4851ef68dab11027474e42f43e5c09babbd1e0250c4d07fa40841b"),
+         "1ab0157e5c27418e56805fe8f982ee7168a6dc0ccfb5246d4658fdd8f50c1fb0"),
     ], ids=["failure-free", "link-failures"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
