@@ -13,14 +13,12 @@ stack, one batched pass per epoch for all of them.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix_core import DenseSymMatrix, eigenvalues, spd_stack
 from .seeding import keyed_rng
-
-TARGET_CHECK_TOL = 1e-10
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,6 +48,8 @@ class MlpParams:
                 raise ValueError(f"layer {li} has incompatible shapes")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
+        if not (np.isfinite(self.input_scale) and self.input_scale > 0):
+            raise ValueError(f"input_scale must be finite and > 0, got {self.input_scale}")
         self.layer_sizes = sizes
 
     @property
@@ -58,14 +58,6 @@ class MlpParams:
         if k * k != self.layer_sizes[0]:
             raise ValueError("input layer is not a flattened square block")
         return k
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.input_scale,
-        )
 
 
 def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:
@@ -82,43 +74,21 @@ def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:
     return MlpParams(sizes, weights, biases)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingSet:
-    """(block, sorted spectrum) pairs of one fixed block size, also held
-    stacked: ``inputs`` is (S, k*k), the flattened blocks, and
-    ``targets`` is (S, k). Targets that callers build are checked against
-    the oracle's ``eigenvalues`` at construction."""
+    """Training data for k x k blocks: row s of ``inputs`` (S, k*k) is a
+    flattened block, row s of ``targets`` (S, k) its spectrum, sorted
+    ascending and taken as given: no solver checks it."""
 
-    samples: list  # of (DenseSymMatrix, np.ndarray)
-    inputs: np.ndarray = field(init=False, repr=False)
-    targets: np.ndarray = field(init=False, repr=False)
+    inputs: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        self._stack()
-        oracle = np.stack([eigenvalues(block, tuple(range(block.n)))
-                           for block, _ in self.samples])
-        if np.max(np.abs(oracle - self.targets)) > TARGET_CHECK_TOL:
-            raise ValueError("targets disagree with the eigensolver oracle")
-
-    @classmethod
-    def _prescribed(cls, samples) -> "TrainingSet":
-        """A set whose targets are the spectra the blocks were built
-        from, so the oracle check is skipped."""
-        tset = cls.__new__(cls)
-        tset.samples = samples
-        tset._stack()
-        return tset
-
-    def _stack(self):
-        if not self.samples:
-            raise ValueError("training set must be non-empty")
-        k = self.samples[0][0].n
-        self.samples = [(block, np.asarray(targets, dtype=float))
-                        for block, targets in self.samples]
-        if any(block.n != k or targets.shape != (k,) for block, targets in self.samples):
-            raise ValueError("all samples must share one block size")
-        self.inputs = np.stack([block.a.reshape(-1) for block, _ in self.samples])
-        self.targets = np.stack([targets for _, targets in self.samples])
+        if self.targets.ndim != 2 or 0 in self.targets.shape:
+            raise ValueError(f"targets must be (S, k), S, k >= 1, got {self.targets.shape}")
+        s, k = self.targets.shape
+        if self.inputs.shape != (s, k * k):
+            raise ValueError(f"inputs must be ({s}, {k * k}), got {self.inputs.shape}")
         if np.any(np.diff(self.targets, axis=1) < 0):
             raise ValueError("targets must be sorted ascending")
 
@@ -131,10 +101,10 @@ def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> Tr
     block's target is the sorted spectrum it was built from.
     Deterministic per seed."""
     lo, hi = spectrum_range
+    if k < 1 or count < 1:
+        raise ValueError(f"need k >= 1 and count >= 1, got k={k}, count={count}")
     if not 0 < lo < hi < np.inf:
         raise ValueError("need 0 < lo < hi < inf")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     rng = keyed_rng(seed, "training-spectra")
     spectra, seeds = np.empty((count, k)), []
     for idx in range(count):
@@ -142,7 +112,8 @@ def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> Tr
         # not int(): child_seed hashes the np.int64's repr (NumPy >= 2)
         seeds.append(rng.integers(2**63))
     blocks = spd_stack(spectra, seeds)
-    return TrainingSet._prescribed([(DenseSymMatrix(a), s) for a, s in zip(blocks, spectra)])
+    blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0  # DenseSymMatrix's average
+    return TrainingSet(blocks.reshape(count, -1), spectra)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Dense symmetric matrices: generation with known spectra, row
 partitioning, principal diagonal blocks, and two eigensolvers. Every
-solve of a run (truth, SLEM, agent blocks, caller-built training
-targets) goes through ``eigenvalues``, which runs ``sturm_eigen``
-(Householder tridiagonalization, then Sturm multisection) for just the
-eigenvalues asked for. ``jacobi_eigen``, a cyclic-Jacobi solver for the
-full spectrum, stays as the tests' reference; no run path calls it.
+solve of a run (truth, SLEM, agent blocks) goes through ``eigenvalues``:
+``sturm_eigen`` (Householder tridiagonalization, then Sturm
+multisection) for just the eigenvalues asked for. ``jacobi_eigen``, a
+cyclic-Jacobi solver for the full spectrum, stays as the tests'
+reference; no run path calls it.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ from .seeding import keyed_rng
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-12
+MAX_NORM = float(np.sqrt(np.finfo(float).max))
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -36,9 +37,9 @@ class JacobiConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A dense real symmetric matrix. An asymmetry above SYMMETRY_TOL
-    times max(1, max|a|) is refused; the rest is removed at
-    construction (averaging), so ``a[i, j] == a[j, i]`` bitwise."""
+    """A dense real symmetric matrix. Refused: max|a| > MAX_NORM / n (a
+    solve squares values up to ||A||_F <= n max|a|) and an asymmetry over
+    SYMMETRY_TOL max(1, max|a|); averaging makes the rest bitwise symmetric."""
 
     a: np.ndarray
 
@@ -48,8 +49,12 @@ class DenseSymMatrix:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
+        biggest = np.max(np.abs(arr))
+        if biggest > MAX_NORM / arr.shape[0]:  # n * biggest may overflow
+            raise ValueError(f"matrix entries must be at most sqrt(max float) / n "
+                             f"= {MAX_NORM / arr.shape[0]:.3e} in magnitude, got {biggest:.3e}")
         asym = np.max(np.abs(arr - arr.T)) if arr.shape[0] > 1 else 0.0
-        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(arr))):
+        if asym > SYMMETRY_TOL * max(1.0, biggest):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
@@ -312,8 +317,8 @@ def spd_stack(spectra: np.ndarray, seeds) -> np.ndarray:
     """Q diag(s) Q^T for each row s of ``spectra`` (B, n), with Q the
     orthogonal factor of a Gaussian keyed on the matching seed. One
     stacked QR and one stacked product serve the whole stack, and each
-    matrix is bit-equal to building it alone. No checks: callers wrap
-    each matrix in a DenseSymMatrix."""
+    matrix is bit-equal to building it alone. Callers check and
+    symmetrize."""
     n = spectra.shape[1]
     g = np.stack([keyed_rng(seed, "spd-orthogonal").standard_normal((n, n)) for seed in seeds])
     q, r = np.linalg.qr(g)
@@ -351,8 +356,7 @@ def save_matrix(A: DenseSymMatrix, path) -> None:
 
 
 def load_matrix(path) -> DenseSymMatrix:
-    """Load the plain-text matrix format; asymmetry beyond 1e-12 is
-    rejected, below it the matrix is symmetrized by averaging."""
+    """Load the plain-text matrix format through DenseSymMatrix's checks."""
     with open(path) as f:
         tokens = f.read().split()
     if not tokens:

@@ -128,6 +128,12 @@ class TestTrain:
         assert code == 2
         assert "learning_rate must be positive" in capsys.readouterr().err
 
+    def test_zero_block_size_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--k", "0", "--samples", "4", "--epochs", "2",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "need k >= 1" in capsys.readouterr().err
+
     def test_infinite_spectrum_range_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
                      "--hi", "inf", "--out", str(tmp_path / "p.json")])
@@ -267,6 +273,30 @@ class TestSimulate:
         cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+    # A params file comes from outside the program: a negative scale
+    # flipped every prediction's sign, a zero one divided by zero and a
+    # NaN one surfaced as "state values must be finite".
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan")], ids=["negative", "zero", "nan"])
+    def test_bad_input_scale_in_params_file_is_usage_error(self, tmp_path, capsys, scale):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"layer_sizes": [9, 3], "weights": [[[0.0] * 9] * 3],
+                                    "biases": [[0.0] * 3], "input_scale": scale}))
+        cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "input_scale must be finite and > 0" in capsys.readouterr().err
+
+    # Finite entries whose squares overflow a solve: at 1e200 the truth
+    # came out NaN with exit 0; 1.5e308 overflowed the symmetrizing average.
+    @pytest.mark.parametrize("rows", [[[1.0, 1e200], [1e200, 1.0]], [[1.5e308]]],
+                             ids=["1e200", "1.5e308"])
+    def test_matrix_too_large_to_solve_is_usage_error(self, tmp_path, capsys, rows):
+        mpath = tmp_path / "A.txt"
+        mpath.write_text(f"{len(rows)}\n" + "".join(" ".join(map(repr, r)) + "\n" for r in rows))
+        cfg = base_config(tmp_path, agents=len(rows), topology="complete",
+                          matrix={"kind": "file", "path": str(mpath)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "sqrt(max float) / n" in capsys.readouterr().err
 
     def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

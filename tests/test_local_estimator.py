@@ -1,9 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from coopeig import matrix_core
 from coopeig.local_estimator import (
-    TARGET_CHECK_TOL,
     MlpEstimator,
     MlpParams,
     NoisyOracleEstimator,
@@ -62,13 +63,13 @@ def numeric_grad(params, tset, step=1e-5):
 def loop_loss_and_grad(p, tset):
     """Reference: one sample at a time, one layer at a time, with the
     sort permutation taken per sample (stable, ties by index)."""
-    nsamp = len(tset.samples)
+    nsamp = len(tset.inputs)
     last = len(p.weights) - 1
     loss = 0.0
     gw = [np.zeros_like(w) for w in p.weights]
     gb = [np.zeros_like(b) for b in p.biases]
-    for block, targets in tset.samples:
-        acts = [block.a.reshape(-1) * p.input_scale]
+    for x, targets in zip(tset.inputs, tset.targets):
+        acts = [x * p.input_scale]
         for li, (w, b) in enumerate(zip(p.weights, p.biases)):
             z = w @ acts[-1] + b
             acts.append(z if li == last else np.tanh(z))
@@ -91,28 +92,38 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+def block_of(tset, row):
+    """Row ``row`` of a training set as a k x k matrix."""
+    k = tset.targets.shape[1]
+    return DenseSymMatrix(tset.inputs[row].reshape(k, k))
+
+
 class TestTrainingSet:
     def test_one_by_one_blocks(self):
         tset = synthesize_training_set(1, 3, (1.0, 2.0), seed=0)
-        for block, targets in tset.samples:
-            assert targets[0] == pytest.approx(block.a[0, 0], abs=1e-12)
+        assert tset.inputs.shape == tset.targets.shape == (3, 1)
+        assert np.allclose(tset.targets, tset.inputs, rtol=0, atol=1e-12)
 
     def test_targets_match_oracle(self):
         tset = synthesize_training_set(2, 1, (0.5, 3.0), seed=1)
-        block, targets = tset.samples[0]
-        assert np.max(np.abs(jacobi_eigen(block).eigenvalues - targets)) < 1e-10
+        oracle = jacobi_eigen(block_of(tset, 0)).eigenvalues
+        assert np.max(np.abs(oracle - tset.targets[0])) < 1e-10
 
     def test_deterministic(self):
         a = synthesize_training_set(3, 4, (0.5, 2.0), seed=5)
         b = synthesize_training_set(3, 4, (0.5, 2.0), seed=5)
-        for (ba, ta), (bb, tb) in zip(a.samples, b.samples):
-            assert np.array_equal(ba.a, bb.a)
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.targets, b.targets)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_wide_spectrum_range_passes_symmetry_check(self, seed):
+        # the blocks are symmetrized as DenseSymMatrix would, bitwise
         tset = synthesize_training_set(4, 32, (0.5, 3e4), seed)
-        assert len(tset.samples) == 32
+        assert tset.inputs.shape == (32, 16)
+        blocks = tset.inputs.reshape(32, 4, 4)
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        for row in range(32):
+            assert np.array_equal(block_of(tset, row).a, blocks[row])
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -121,18 +132,15 @@ class TestTrainingSet:
             synthesize_training_set(2, 1, (0.5, np.inf), seed=0)
         with pytest.raises(ValueError):
             synthesize_training_set(2, 0, (1.0, 2.0), seed=0)
-
-    def test_rejects_wrong_targets(self):
-        block = generate_spd(2, [1.0, 2.0], seed=0)
-        with pytest.raises(ValueError):
-            TrainingSet([(block, np.array([5.0, 6.0]))])
+        with pytest.raises(ValueError, match="need k >= 1"):
+            synthesize_training_set(0, 1, (1.0, 2.0), seed=0)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_synthesized_targets_agree_with_oracle(self, k):
         tset = synthesize_training_set(k, 6, (0.5, 5.0), seed=k)
-        for block, targets in tset.samples:
-            oracle = jacobi_eigen(block).eigenvalues
-            assert np.max(np.abs(oracle - targets)) <= TARGET_CHECK_TOL
+        for row, targets in enumerate(tset.targets):
+            oracle = jacobi_eigen(block_of(tset, row)).eigenvalues
+            assert np.max(np.abs(oracle - targets)) <= 1e-10
 
     def test_synthesized_set_is_not_re_solved(self, monkeypatch):
         def solve(*args, **kwargs):
@@ -140,16 +148,12 @@ class TestTrainingSet:
 
         monkeypatch.setattr(matrix_core, "sturm_eigen", solve)
         synthesize_training_set(3, 4, (0.5, 2.0), seed=2)
-        block = generate_spd(2, [1.0, 2.0], seed=0)
-        with pytest.raises(AssertionError):
-            TrainingSet([(block, np.array([1.0, 2.0]))])
 
     def test_stacked_arrays(self):
         tset = synthesize_training_set(3, 5, (0.5, 2.0), seed=8)
         assert tset.inputs.shape == (5, 9) and tset.targets.shape == (5, 3)
-        for row, (block, targets) in enumerate(tset.samples):
-            assert np.array_equal(tset.inputs[row], block.a.reshape(-1))
-            assert np.array_equal(tset.targets[row], targets)
+        assert tset.inputs.dtype == tset.targets.dtype == np.float64
+        assert np.all(np.diff(tset.targets, axis=1) >= 0)
 
     @pytest.mark.parametrize("k, count", [(1, 3), (4, 32), (5, 7)])
     def test_stacked_blocks_match_per_sample_loop(self, k, count):
@@ -164,11 +168,15 @@ class TestTrainingSet:
         assert np.array_equal(tset.targets, np.stack(ref_targets))
 
     def test_rejects_mixed_block_sizes_and_unsorted_targets(self):
-        a = DenseSymMatrix(np.diag([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            TrainingSet([(a, np.array([1.0, 2.0])), (DenseSymMatrix([[1.0]]), np.array([1.0]))])
-        with pytest.raises(ValueError):
-            TrainingSet([(a, np.array([2.0, 1.0]))])
+        a = np.diag([1.0, 2.0]).reshape(1, -1)
+        with pytest.raises(ValueError, match=r"inputs must be \(1, 1\), got \(1, 4\)"):
+            TrainingSet(a, np.array([[1.0]]))
+        with pytest.raises(ValueError, match=r"inputs must be \(2, 4\)"):
+            TrainingSet(a, np.array([[1.0, 2.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="targets must be"):
+            TrainingSet(a.reshape(-1), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="sorted ascending"):
+            TrainingSet(a, np.array([[2.0, 1.0]]))
 
 
 class TestForward:
@@ -211,8 +219,7 @@ class TestForward:
 class TestLoss:
     def test_zero_at_exact_predictions(self):
         # single sample, network rigged to output the targets exactly
-        block = DenseSymMatrix(np.diag([1.0, 2.0]))
-        tset = TrainingSet([(block, np.array([1.0, 2.0]))])
+        tset = TrainingSet(np.diag([1.0, 2.0]).reshape(1, -1), np.array([[1.0, 2.0]]))
         p = init_mlp(2, hidden=(4,), seed=0)
         for w in p.weights:
             w[:] = 0.0
@@ -221,17 +228,15 @@ class TestLoss:
         assert mlp_loss(p, tset) == pytest.approx(0.0, abs=1e-30)
 
     def test_single_value_squared_error(self):
-        block = DenseSymMatrix([[2.0]])
-        tset = TrainingSet([(block, np.array([2.0]))])
+        tset = TrainingSet(np.array([[2.0]]), np.array([[2.0]]))
         p = init_mlp(1, hidden=(), seed=0)
         p.weights[0][:] = 0.0
         p.biases[0][:] = 0.0
         assert mlp_loss(p, tset) == pytest.approx(4.0)
 
     def test_componentwise_sum(self):
-        block = DenseSymMatrix(np.diag([0.0 + 1e-9, 2.0]))  # spectrum ~ [0, 2]
-        targets = jacobi_eigen(block).eigenvalues
-        tset = TrainingSet([(block, targets)])
+        block = np.diag([0.0 + 1e-9, 2.0])  # spectrum ~ [0, 2]
+        tset = TrainingSet(block.reshape(1, -1), np.array([[1e-9, 2.0]]))
         p = init_mlp(2, hidden=(), seed=0)
         p.weights[0][:] = 0.0
         p.biases[0][:] = [1.0, 1.0]
@@ -239,13 +244,12 @@ class TestLoss:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            TrainingSet([])
+            TrainingSet(np.empty((0, 4)), np.empty((0, 2)))
 
 
 class TestGradient:
     def test_zero_at_zero_loss(self):
-        block = DenseSymMatrix(np.diag([1.0, 2.0]))
-        tset = TrainingSet([(block, np.array([1.0, 2.0]))])
+        tset = TrainingSet(np.diag([1.0, 2.0]).reshape(1, -1), np.array([[1.0, 2.0]]))
         p = init_mlp(2, hidden=(4,), seed=0)
         for w in p.weights:
             w[:] = 0.0
@@ -283,9 +287,8 @@ class TestGradient:
     def test_tied_outputs_keep_index_order(self):
         # constant outputs (2, 1, 1): the stable sort orders them as
         # indices 1, 2, 0, so output 1 meets the smallest target
-        block = DenseSymMatrix(np.diag([1.0, 2.0, 3.0]))
         targets = np.array([1.0, 2.0, 3.0])
-        tset = TrainingSet([(block, targets)])
+        tset = TrainingSet(np.diag(targets).reshape(1, -1), targets[None])
         p = init_mlp(3, hidden=(4,), seed=0)
         for w in p.weights:
             w[:] = 0.0
@@ -307,8 +310,7 @@ class TestGradient:
 
     def test_duplicate_sample_leaves_gradient_unchanged(self):
         tset1 = synthesize_training_set(2, 1, (0.5, 2.0), seed=3)
-        block, targets = tset1.samples[0]
-        tset2 = TrainingSet([(block, targets), (block, targets)])
+        tset2 = TrainingSet(np.repeat(tset1.inputs, 2, axis=0), np.repeat(tset1.targets, 2, axis=0))
         p = init_mlp(2, hidden=(4,), seed=1)
         g1 = flatten_grads(*mlp_grad(p, tset1))
         g2 = flatten_grads(*mlp_grad(p, tset2))
@@ -322,7 +324,7 @@ class TestTrain:
         eta = 0.01
         trained, losses = train(p0, tset, TrainConfig(eta, 1))
         # replicate by hand
-        manual = p0.copy()
+        manual = copy.deepcopy(p0)
         manual.input_scale = trained.input_scale
         gw, gb = mlp_grad(manual, tset)
         for w, dw in zip(manual.weights, gw):
@@ -340,9 +342,8 @@ class TestTrain:
         _, losses = train(p0, tset, TrainConfig(0.05, 80))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         # and approaches the closed-form least-squares optimum
-        x = np.stack([b.a.reshape(-1) * (1.0 / max(1.0, tset.max_abs_entry()))
-                      for b, _ in tset.samples])
-        y = np.array([t[0] for _, t in tset.samples])
+        x = tset.inputs * (1.0 / max(1.0, tset.max_abs_entry()))
+        y = tset.targets[:, 0]
         xa = np.hstack([x, np.ones((len(y), 1))])
         coef, *_ = np.linalg.lstsq(xa, y, rcond=None)
         opt_loss = float(np.mean((xa @ coef - y) ** 2))
@@ -353,15 +354,15 @@ class TestTrain:
         tset = synthesize_training_set(2, 1, (0.5, 2.0), seed=9)
         p0 = init_mlp(2, hidden=(16,), seed=4)
         trained, losses = train(p0, tset, TrainConfig(0.05, 3000))
-        block, targets = tset.samples[0]
-        assert np.max(np.abs(mlp_forward(trained, block) - targets)) < 1e-3
+        out = mlp_forward(trained, block_of(tset, 0))
+        assert np.max(np.abs(out - tset.targets[0])) < 1e-3
 
     def test_loss_curve_matches_reference_loop(self):
         tset = synthesize_training_set(4, 6, (0.5, 3.0), seed=12)
         p0 = init_mlp(4, hidden=(8,), seed=6)
         eta = 0.02
         trained, losses = train(p0, tset, TrainConfig(eta, 5))
-        ref = p0.copy()
+        ref = copy.deepcopy(p0)
         ref.input_scale = 1.0 / max(1.0, tset.max_abs_entry())
         ref_losses = []
         for _ in range(5):
@@ -521,6 +522,12 @@ class TestParamsFile:
         assert q.input_scale == p.input_scale
         for a, b in zip(p.weights + p.biases, q.weights + q.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_input_scale(self, scale):
+        p = init_mlp(2, hidden=(3,), seed=0)
+        with pytest.raises(ValueError, match="input_scale must be finite and > 0"):
+            MlpParams(p.layer_sizes, p.weights, p.biases, scale)
 
     def test_validation_of_shapes(self):
         with pytest.raises(ValueError):

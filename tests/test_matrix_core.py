@@ -10,6 +10,7 @@ from coopeig.comm_graph import build_graph, metropolis_weights
 from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
 from coopeig.matrix_core import (
     DEFAULT_TOL,
+    MAX_NORM,
     MAX_PASSES,
     DenseSymMatrix,
     JacobiConvergenceError,
@@ -63,6 +64,24 @@ class TestDenseSymMatrix:
         a = np.full((3, 3), 1e5)
         a[0, 1] += 1e-9 * 1e5
         with pytest.raises(ValueError, match="not symmetric"):
+            DenseSymMatrix(a)
+
+    # finite entries whose squares overflow a solve: 1e200 gave a NaN
+    # truth, 1.5e308 overflowed the symmetrizing average
+    @pytest.mark.parametrize("rows", [[[1.0, 1e200], [1e200, 1.0]], [[1.5e308]]],
+                             ids=["1e200", "1.5e308"])
+    def test_refuses_entries_a_solve_would_overflow(self, rows):
+        with pytest.raises(ValueError, match=r"sqrt\(max float\) / n"):
+            DenseSymMatrix(rows)
+
+    def test_entries_at_the_bound_solve_to_finite_values(self):
+        n = 4
+        a = np.full((n, n), MAX_NORM / n)
+        a[0, 1] = a[1, 0] = -MAX_NORM / n
+        values = sturm_eigen(DenseSymMatrix(a), tuple(range(n))).eigenvalues
+        assert np.all(np.isfinite(values))
+        a[2, 2] = np.nextafter(MAX_NORM / n, np.inf)
+        with pytest.raises(ValueError, match="in magnitude"):
             DenseSymMatrix(a)
 
 

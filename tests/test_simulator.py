@@ -428,13 +428,16 @@ class TestExportCsv:
             assert int(scal) == trace.scalars_sent[r]
             assert int(flops) == trace.flops_local[r]
 
-    # sha256 of the exported bytes, one failure-free run and one under
-    # link failures: any change to a CSV byte shows here
+    # sha256 of the exported bytes of a failure-free run, a run under
+    # link failures and a run whose MLP estimators train in the run:
+    # any change to a CSV byte shows here
     @pytest.mark.parametrize("over, digest", [
         ({}, "0dcde59a23d54337b26a3936b9c667d8fb837c71d8e6dff07de9edbdf853fea9"),
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
          "1ab0157e5c27418e56805fe8f982ee7168a6dc0ccfb5246d4658fdd8f50c1fb0"),
-    ], ids=["failure-free", "link-failures"])
+        ({"estimator": EstimatorConfig("mlp", learning_rate=0.01)},
+         "0b6a93b720686c52ad2706e5a846a1597c9741043c3af3ef3147a3462e617885"),
+    ], ids=["failure-free", "link-failures", "mlp-trained-in-run"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
         export_csv(run_simulation(small_cfg(**over)), path)
