@@ -12,6 +12,11 @@ Three update dynamics are provided:
   radius above 1, in which case the iterate diverges.
 * ``damped(gamma)``: lambda^(k+1) = (1-gamma) anchor + gamma W lambda^(k),
   a contraction that keeps the anchor as a persistent drive term.
+
+One round loop, ``run_rounds``, drives every run. It mixes rounds in
+blocks: each round writes into a preallocated (R, m, j) stack, one
+stacked pass takes the block's consensus errors, and the block is cut
+at its first stopping round before anyone sees it.
 """
 
 import math
@@ -22,6 +27,10 @@ import numpy as np
 from .comm_graph import WeightMatrix
 
 MODES = ("matrix_form", "paper_literal", "damped")
+
+# Floats a stacked pass of the round loop may hold: a block of R rounds'
+# (m, j) estimates, or of R failing rounds' (m, m) weights.
+BLOCK_FLOATS = 2**15
 
 
 class DivergenceError(RuntimeError):
@@ -96,16 +105,19 @@ def init_states(anchors) -> ConsensusState:
     return ConsensusState(anchors.copy(), anchors)
 
 
-def _step(states: ConsensusState, w: np.ndarray, mode: ConsensusMode) -> ConsensusState:
-    """One synchronous round with the (m, m) weight array ``w``."""
-    est, anc = states.estimates, states.anchors
-    if mode.kind == "matrix_form":
-        nxt = w @ est
-    elif mode.kind == "paper_literal":
-        nxt = anc + w @ est - est
-    else:  # damped
-        nxt = (1.0 - mode.gamma) * anc + mode.gamma * (w @ est)
-    return ConsensusState(nxt, anc)
+def _step(est: np.ndarray, anc: np.ndarray, w: np.ndarray, mode: ConsensusMode,
+          out: np.ndarray) -> None:
+    """One synchronous round with the (m, m) weight array ``w``: writes
+    the estimates that follow ``est`` into ``out``. Each mode's
+    expression runs as the same operations on the same operands, so the
+    bits are those of evaluating it into a new array."""
+    np.matmul(w, est, out=out)
+    if mode.kind == "paper_literal":  # anc + w @ est - est
+        np.add(anc, out, out=out)
+        out -= est
+    elif mode.kind == "damped":  # (1 - gamma) anc + gamma (w @ est)
+        out *= mode.gamma
+        out += (1.0 - mode.gamma) * anc
 
 
 def consensus_round(states: ConsensusState, wm: WeightMatrix,
@@ -113,14 +125,22 @@ def consensus_round(states: ConsensusState, wm: WeightMatrix,
     """One synchronous round: every agent reads only round-k values."""
     if wm.m != len(states.estimates):
         raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
-    return _step(states, wm.w, mode)
+    out = np.empty_like(states.estimates)
+    _step(states.estimates, states.anchors, wm.w, mode, out)
+    return ConsensusState(out, states.anchors)
+
+
+def consensus_errors(est: np.ndarray) -> np.ndarray:
+    """``consensus_error`` of each (m, j) slice of an (R, m, j) estimate
+    stack, in one pass. Max and min do not round, so the values are
+    exact."""
+    return (est.max(axis=1) - est.min(axis=1)).max(axis=1)
 
 
 def consensus_error(states: ConsensusState) -> float:
     """Maximum pairwise disagreement over agents and eigenvalue
     indices."""
-    est = states.estimates
-    return float(np.max(est.max(axis=0) - est.min(axis=0)))
+    return float(consensus_errors(states.estimates[None])[0])
 
 
 def deviation_norms(est: np.ndarray) -> np.ndarray:
@@ -173,32 +193,51 @@ def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
 
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
-               max_rounds: int, on_round):
+               max_rounds: int, on_block):
     """The round loop. Round k mixes with ``weights(k)``, an (m, m) array
     that passes ``comm_graph.check_weights``. The loop stops when
     consensus_error < tol ("converged"), after max_rounds ("max_rounds"),
     or when the iterate turns non-finite or exceeds the divergence
-    threshold ("diverged"). ``on_round(k, states, error)`` sees round 0
-    and every round after it; the error of a non-finite iterate is inf.
-    Returns (final states, rounds used, stop reason)."""
+    threshold ("diverged"); the error of a non-finite iterate is inf.
+
+    Rounds run in blocks of R = min(BLOCK_FLOATS // (m j), rounds run so
+    far but at least 1, rounds left). The R rounds mix into one
+    (R, m, j) stack, one stacked pass takes their errors, and the block
+    is cut after its first round that stops the loop.
+    ``on_block(first, estimates, errors)`` then receives the n kept
+    rounds first, ..., first + n - 1 as an (n, m, j) stack and their n
+    errors; round 0 comes first, alone. Rounds mixed past a stop never
+    outnumber the rounds used and never reach ``on_block``. They may
+    overflow, so a block mixes, ``weights(k)`` calls included, with
+    overflow and invalid-value warnings off. Returns (final states,
+    rounds used, stop reason)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    e = consensus_error(states)
+    est, anc = states.estimates, states.anchors
+    errors = consensus_errors(est[None])
+    e = float(errors[0])
     # Far enough above any converging trajectory to be unambiguous,
     # small enough to trip long before float overflow.
     threshold = 1e9 * max(1.0, e)
-    on_round(0, states, e)
-    k = 0
+    on_block(0, est[None], errors)
+    k, size = 0, max(1, BLOCK_FLOATS // est.size)
     while e >= tol and k < max_rounds:
-        k += 1
-        states = _step(states, weights(k), mode)
-        e = consensus_error(states)
-        if not math.isfinite(e):  # max and min propagate NaN; inf gives inf or NaN
-            e = math.inf
-        on_round(k, states, e)
-        if math.isinf(e) or e > threshold:
-            return states, k, "diverged"
-    return states, k, "converged" if e < tol else "max_rounds"
+        block = np.empty((min(size, max(1, k), max_rounds - k), *est.shape))
+        # Rounds past a divergence may overflow; they are dropped unseen.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, out in enumerate(block, start=k + 1):
+                _step(est, anc, weights(i), mode, out)
+                est = out
+            errors = consensus_errors(block)
+        errors[~np.isfinite(errors)] = math.inf  # max and min propagate NaN; inf gives inf or NaN
+        diverged = np.isinf(errors) | (errors > threshold)
+        stops = np.flatnonzero(diverged | (errors < tol))
+        n = int(stops[0]) + 1 if len(stops) else len(block)
+        on_block(k + 1, block[:n], errors[:n])
+        k, est, e = k + n, block[n - 1], float(errors[n - 1])
+        if diverged[n - 1]:
+            return ConsensusState(est.copy(), anc), k, "diverged"
+    return ConsensusState(est.copy(), anc), k, "converged" if e < tol else "max_rounds"
 
 
 def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: ConsensusMode,
@@ -211,7 +250,7 @@ def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: Consensus
         raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
     history = []
     states, k, reason = run_rounds(states, lambda _: wm.w, mode, tol, max_rounds,
-                                   lambda _k, _s, e: history.append(e))
+                                   lambda _first, _est, errors: history.extend(errors.tolist()))
     if reason == "diverged":
         raise DivergenceError(k, history[-1])
     return states, k, history, reason

@@ -325,7 +325,7 @@ _PARAM_TYPES = {
 def load_params(path) -> MlpParams:
     """Read ``save_params`` output. A file that is not a mapping, lacks
     a key or holds a value of the wrong type raises a ValueError naming
-    the key."""
+    the key; every ValueError names the file."""
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, dict):
@@ -338,4 +338,7 @@ def load_params(path) -> MlpParams:
             values.append(convert(data[key]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
-    return MlpParams(*values)
+    try:
+        return MlpParams(*values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

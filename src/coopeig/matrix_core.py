@@ -238,6 +238,8 @@ def sturm_eigen(A: DenseSymMatrix, indices: tuple) -> SpectrumResult:
     n = A.n
     if idx.ndim != 1 or len(idx) == 0 or idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
+    if n == 1:  # the bracket [a - 0, a + 0] needs no pass; its midpoint is a + 0
+        return SpectrumResult(np.full(len(idx), A.a[0, 0] + 0.0), 0, 0.0)
     d, e = _tridiagonalize(A)
     ae = np.abs(np.concatenate(([0.0], e, [0.0])))
     radius = ae[:-1] + ae[1:]

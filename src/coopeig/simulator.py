@@ -16,7 +16,7 @@ import yaml
 
 from . import comm_graph, consensus, local_estimator, matrix_core
 from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
-from .consensus import ConsensusMode
+from .consensus import BLOCK_FLOATS, ConsensusMode
 from .local_estimator import (
     MlpEstimator,
     NoisyOracleEstimator,
@@ -30,12 +30,6 @@ from .local_estimator import (
 )
 from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows
 from .seeding import child_seed, keyed_rng
-
-
-# Floats a stacked pass of the round loop may hold: a block of R
-# failing rounds' (m, m) weights, or R rounds' (m, j) estimates waiting
-# for their metrics.
-BLOCK_FLOATS = 2**15
 
 
 class ConfigError(ValueError):
@@ -245,33 +239,22 @@ def run_simulation(cfg: SimConfig) -> Trace:
         scalars_sent.append(2 * j * live)
         return w
 
-    # Per-round metrics wait in a buffer of at most `capacity` rounds,
-    # then become column blocks in one stacked pass.
-    errors, pending, columns = [], [], []
-    capacity = max(1, BLOCK_FLOATS // (part.m * j))
+    columns = []
 
-    def flush():
-        est = np.stack(pending)
-        pending.clear()
+    def on_block(_first, est, errors):
         eps = consensus.estimation_errors(est, truth)
-        columns.append((consensus.deviation_norms(est), eps.max(axis=(1, 2)),
+        columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
                         eps.mean(axis=(1, 2)), consensus.global_estimates(est, gw)))
 
-    def record(k, states, e):
-        errors.append(e)
-        pending.append(states.estimates)
-        if len(pending) == capacity:
-            flush()
-
-    states, _, stop_reason = consensus.run_rounds(
-        states, weights, cfg.mode, cfg.tol, cfg.max_rounds, record)
-    if pending:
-        flush()
-    deviations, max_errors, mean_errors, estimates = map(np.concatenate, zip(*columns))
+    states, rounds, stop_reason = consensus.run_rounds(
+        states, weights, cfg.mode, cfg.tol, cfg.max_rounds, on_block)
+    errors, deviations, max_errors, mean_errors, estimates = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
-                 consensus_error=np.array(errors), deviation_norm=deviations,
+                 consensus_error=errors, deviation_norm=deviations,
                  max_est_error=max_errors, mean_est_error=mean_errors,
-                 global_estimate=estimates, scalars_sent=np.array(scalars_sent),
+                 global_estimate=estimates,
+                 # weights(k) also ran for the rounds mixed past the stop
+                 scalars_sent=np.array(scalars_sent[:rounds + 1]),
                  final_estimates=states.estimates, stop_reason=stop_reason,
                  block_sizes=part.block_sizes)
 
@@ -279,8 +262,9 @@ def run_simulation(cfg: SimConfig) -> Trace:
 def _failing_rounds(base, fm, max_rounds):
     """Each failing round's (weights, live edge count), rounds 1, 2, ...
     in order. Rounds are drawn, built and checked in blocks of R =
-    max(1, min(BLOCK_FLOATS // m², rounds run so far, rounds left)), so
-    the rounds drawn ahead of a stop never outnumber the rounds used."""
+    max(1, min(BLOCK_FLOATS // m², rounds asked for so far, rounds
+    left)), so the rounds drawn ahead never outnumber the rounds asked
+    for."""
     k, m = 1, base.m
     while True:
         r = max(1, min(BLOCK_FLOATS // (m * m), k - 1, max_rounds - k + 1))

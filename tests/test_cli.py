@@ -286,6 +286,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "input_scale must be finite and > 0" in capsys.readouterr().err
 
+    # The network's own checks name the file, as the reader's do.
+    @pytest.mark.parametrize("params, message", [
+        ({"layer_sizes": [9, 3], "weights": [[[0.0] * 9] * 3], "biases": [[0.0] * 3],
+          "input_scale": -1}, "input_scale must be finite and > 0"),
+        ({"layer_sizes": [9, 3], "weights": [[[0.0] * 9] * 2], "biases": [[0.0] * 3],
+          "input_scale": 1.0}, "layer 0 has incompatible shapes"),
+    ], ids=["input-scale", "layer-shape"])
+    def test_params_file_value_error_names_the_file(self, tmp_path, capsys, params, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     # Finite entries whose squares overflow a solve: at 1e200 the truth
     # came out NaN with exit 0; 1.5e308 overflowed the symmetrizing average.
     @pytest.mark.parametrize("rows", [[[1.0, 1e200], [1e200, 1.0]], [[1.5e308]]],

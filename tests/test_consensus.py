@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,10 +236,141 @@ class TestRunRounds:
         errors = []
         states, rounds, reason = run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]), weights,
                                             MATRIX_FORM, 1e-9, 100,
-                                            lambda _k, _s, e: errors.append(e))
+                                            lambda _first, _est, e: errors.extend(e.tolist()))
         assert (rounds, reason) == (3, "diverged")
         assert errors == [3.0, 3.0, 3.0, float("inf")]
         assert not np.isfinite(states.estimates[1, 0])
+
+
+def reference_rounds(states, weights, mode, tol, max_rounds):
+    """The round loop one round at a time, each mode's expression into a
+    new array and the error from its own max-min scan: (per-round
+    estimates, per-round errors, rounds used, stop reason)."""
+    est, anc = states.estimates, states.anchors
+    e = float(np.max(est.max(axis=0) - est.min(axis=0)))
+    threshold = 1e9 * max(1.0, e)
+    ests, errors, k = [est], [e], 0
+    while e >= tol and k < max_rounds:
+        k += 1
+        w = weights(k)
+        if mode.kind == "matrix_form":
+            est = w @ est
+        elif mode.kind == "paper_literal":
+            est = anc + w @ est - est
+        else:
+            est = (1.0 - mode.gamma) * anc + mode.gamma * (w @ est)
+        e = float(np.max(est.max(axis=0) - est.min(axis=0)))
+        if not math.isfinite(e):
+            e = math.inf
+        ests.append(est)
+        errors.append(e)
+        if math.isinf(e) or e > threshold:
+            return ests, errors, k, "diverged"
+    return ests, errors, k, "converged" if e < tol else "max_rounds"
+
+
+def ring_states(m=8, j=2, seed=3):
+    return init_states(np.random.default_rng(seed).uniform(0.5, 5.0, (m, j)))
+
+
+RING_W = metropolis_weights(build_graph("ring", 8)).w
+
+
+def fixed(w):
+    return lambda _k: w
+
+
+def bad_at(k_bad, value):
+    # identity weights keep the error fixed until round k_bad scales
+    # agent 1's estimate by the bad value
+    def weights(k):
+        w = np.eye(4)
+        if k == k_bad:
+            w[1, 1] = value
+        return w
+    return weights
+
+
+def blows_up_at(k_bad):
+    # from round k_bad on, every round multiplies by 1e100: the rounds a
+    # block mixes past the stop overflow to inf, then to NaN
+    def weights(k):
+        return np.eye(2) if k < k_bad else np.array([[0.0, 1e100], [1e100, 0.0]])
+    return weights
+
+
+FOUR = init_states([[1.0], [2.0], [3.0], [4.0]])
+
+# (states, weights, mode, tol, max_rounds, stop reason, rounds used).
+# Blocks hold 1, 1, 2, 4, 8, 16, ... rounds, cut by the rounds left.
+BLOCK_CASES = {
+    "converged-round-0": (init_states([[2.0]] * 3), fixed(RING_W), MATRIX_FORM, 1e-9, 50,
+                          "converged", 0),
+    "converged-round-1": (ring_states(), fixed(metropolis_weights(build_graph("complete", 8)).w),
+                          MATRIX_FORM, 1e-9, 50, "converged", 1),
+    "converged-mid-block": (ring_states(), fixed(RING_W), MATRIX_FORM, 1e-6, 1000,
+                            "converged", None),
+    "max-rounds-cut-block-matrix-form": (ring_states(), fixed(RING_W), MATRIX_FORM, 1e-300, 11,
+                                         "max_rounds", 11),
+    "max-rounds-cut-block-damped": (ring_states(), fixed(RING_W), damped(0.7), 1e-300, 27,
+                                    "max_rounds", 27),
+    "max-rounds-cut-block-literal": (ring_states(), fixed(RING_W), LITERAL, 1e-300, 6,
+                                     "max_rounds", 6),
+    # anchors 4e-6 apart settle 1.2e-7 apart under damping 0.99
+    "converged-mid-block-damped": (init_states(1.0 + 1e-6 * ring_states().estimates),
+                                   fixed(RING_W), damped(0.99), 2e-7, 1000, "converged", None),
+    "diverged-literal-growth": (ring_states(), fixed(RING_W), LITERAL, 1e-9, 10_000,
+                                "diverged", None),
+    "diverged-literal-swap": (init_states([[0.0], [1.0]]), fixed(SWAP_W.w), LITERAL, 1e-9, 500,
+                              "diverged", None),
+    "diverged-nan": (FOUR, bad_at(11, float("nan")), MATRIX_FORM, 1e-9, 100, "diverged", 11),
+    "diverged-+inf": (FOUR, bad_at(11, float("inf")), MATRIX_FORM, 1e-9, 100, "diverged", 11),
+    "diverged--inf": (FOUR, bad_at(11, -float("inf")), MATRIX_FORM, 1e-9, 100, "diverged", 11),
+    "diverged-overflow-past-stop": (init_states([[1.0], [2.0]]), blows_up_at(40), MATRIX_FORM,
+                                    1e-9, 1000, "diverged", 40),
+}
+
+# These stop inside a block: rounds past the stop are mixed, then dropped.
+STOPS_INSIDE_A_BLOCK = {"converged-mid-block", "converged-mid-block-damped",
+                        "diverged-literal-growth", "diverged-literal-swap", "diverged-nan",
+                        "diverged-+inf", "diverged--inf", "diverged-overflow-past-stop"}
+
+
+class TestBlockRounds:
+    """The block loop against the one-round-at-a-time reference: the same
+    stop, the same bits, and nothing past the stop seen by the caller."""
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_bit_equal_to_reference_loop(self, name):
+        states, weights, mode, tol, max_rounds, reason, rounds = BLOCK_CASES[name]
+        ref_ests, ref_errors, ref_rounds, ref_reason = reference_rounds(
+            states, weights, mode, tol, max_rounds)
+        asked, blocks = [], []
+
+        def counted(k):
+            asked.append(k)
+            return weights(k)
+
+        final, used, why = run_rounds(states, counted, mode, tol, max_rounds,
+                                      lambda first, est, errors: blocks.append(
+                                          (first, est.copy(), errors.copy())))
+        assert (used, why) == (ref_rounds, ref_reason)
+        assert why == reason and (rounds is None or used == rounds)
+        # the kept rounds reach the caller once each, in order, and no more
+        assert [first for first, _, _ in blocks] == list(
+            np.cumsum([0] + [len(est) for _, est, _ in blocks[:-1]]))
+        est = np.concatenate([est for _, est, _ in blocks])
+        errors = np.concatenate([errors for _, _, errors in blocks])
+        assert len(est) == len(errors) == used + 1
+        assert errors.tobytes() == np.array(ref_errors).tobytes()
+        assert est.tobytes() == np.stack(ref_ests).tobytes()
+        assert final.estimates.tobytes() == ref_ests[-1].tobytes()
+        # rounds are asked for in order, and those mixed past the stop
+        # never outnumber the rounds used
+        assert asked == list(range(1, len(asked) + 1))
+        assert used <= len(asked) <= max(0, 2 * used - 1)
+        if name in STOPS_INSIDE_A_BLOCK:
+            assert len(asked) > used
 
 
 class TestDynamicsProperties:

@@ -300,11 +300,13 @@ class TestSturmEigen:
         # the oracle's block solve, A as one agent's whole block
         assert np.abs(estimate(OracleEstimator(), A) - reference).max() <= 1e-12
 
-    @pytest.mark.parametrize("value", [0.0, -3.75, 1e-300, 0.1, 2.0 / 3.0, 5.123456789e12])
+    # -0.0 comes out as +0.0, the midpoint of its bracket [-0.0, +0.0]
+    @pytest.mark.parametrize("value", [0.0, -0.0, -3.75, 1e-300, 0.1, 2.0 / 3.0, 5.123456789e12])
     def test_one_by_one_block_is_its_entry(self, value):
         block = DenseSymMatrix([[value]])
         assert estimate(OracleEstimator(), block).tolist() == [value]
         assert sturm_eigen(block, (0,)).iterations_used == 0
+        assert sturm_eigen(block, (0, 0)).eigenvalues.tobytes() == np.full(2, value + 0.0).tobytes()
 
     def test_matches_eigvalsh_at_256(self):
         A = generate_spd(256, np.linspace(0.5, 5.0, 256), seed=1)

@@ -262,10 +262,11 @@ def generated(n):
     return MatrixSpec("generate", n=n, spectrum=tuple(np.linspace(0.5, 6.0, n)))
 
 
-# With 40 agents the failing rounds run in blocks of up to 20, and the
-# metrics in buffers of up to 819 rounds over one tracked value, 409
-# over two.
-MATRIX_40, MATRIX_80 = generated(40), generated(80)
+# With 40 agents the failing rounds' weights come in blocks of up to 20
+# rounds, and the rounds mix in blocks of up to 819 rounds over one
+# tracked value, 409 over two. From 129 agents on, every block of
+# weights is one round, while a block of estimates still holds up to 254.
+MATRIX_40, MATRIX_80, MATRIX_129 = generated(40), generated(80), generated(129)
 
 # Each failing config, and the stop reason it must reach. A ring under
 # p = 0.3 does not diverge in paper_literal mode; er:0.5 does. The last
@@ -295,7 +296,8 @@ def mixed(monkeypatch):
     """Every weight array the round loop mixes with, in round order."""
     seen, step = [], consensus._step
     monkeypatch.setattr(consensus, "_step",
-                        lambda states, w, mode: seen.append(w.copy()) or step(states, w, mode))
+                        lambda est, anc, w, mode, out: seen.append(w.copy())
+                        or step(est, anc, w, mode, out))
     return seen
 
 
@@ -310,6 +312,33 @@ class TestFailingRound:
         assert trace.global_estimate.tobytes() == estimates.tobytes()
         assert trace.scalars_sent.tolist() == sent.tolist()
         assert trace.final_estimates.tobytes() == final.tobytes()
+
+    # The ring converges at round 239, inside the block of rounds 129-256;
+    # the damped run's last block is cut from 254 rounds to 44.
+    @pytest.mark.parametrize("over, reason", [
+        (dict(tol=0.06, max_rounds=20000), "converged"),
+        (dict(mode=ConsensusMode("damped", gamma=0.9), tol=1e-300, max_rounds=300),
+         "max_rounds"),
+    ])
+    def test_one_round_weight_blocks_bit_equal_to_graph_path(self, monkeypatch, over, reason):
+        drawn, masks = [], comm_graph.keep_masks
+        monkeypatch.setattr(comm_graph, "keep_masks",
+                            lambda g, f, first, rounds: drawn.append(rounds)
+                            or masks(g, f, first, rounds))
+        kept, run_rounds = [], consensus.run_rounds
+        monkeypatch.setattr(consensus, "run_rounds",
+                            lambda *args: run_rounds(*args[:-1], lambda first, est, errors:
+                                                     kept.append(len(est))
+                                                     or args[-1](first, est, errors)))
+        cfg = small_cfg(matrix=MATRIX_129, agents=129, failure_p=0.5, **over)
+        trace = run_simulation(cfg)
+        errors, estimates, sent, final, ref_reason = replay_graph_path(cfg)
+        assert trace.stop_reason == ref_reason == reason
+        assert trace.consensus_error.tobytes() == errors.tobytes()
+        assert trace.global_estimate.tobytes() == estimates.tobytes()
+        assert trace.scalars_sent.tolist() == sent.tolist()
+        assert trace.final_estimates.tobytes() == final.tobytes()
+        assert set(drawn) == {1} and max(kept) > 1 and sum(kept) == trace.rounds_used + 1
 
     @pytest.mark.parametrize("topology, m, p", [("ring", 10, 0.5), ("er:0.4", 8, 0.3),
                                                 ("complete", 6, 0.2)])
@@ -348,11 +377,13 @@ class TestFailingRound:
         assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
 
     def test_trace_metrics_equal_per_round_calls(self, monkeypatch):
-        # two tracked values: buffers of 409 rounds, so 1009 rounds make
-        # two full buffers and a partial one
+        # two tracked values: blocks of at most 409 rounds, so 1009 rounds
+        # take blocks of 1, 1, 2, ..., 256, then 409 and one cut to 88
         inputs, step = [], consensus._step
         monkeypatch.setattr(consensus, "_step",
-                            lambda states, w, mode: inputs.append(states) or step(states, w, mode))
+                            lambda est, anc, w, mode, out: inputs.append(
+                                consensus.ConsensusState(est.copy(), anc))
+                            or step(est, anc, w, mode, out))
         cfg = small_cfg(matrix=MATRIX_80, agents=40, mode=ConsensusMode("damped", gamma=0.9),
                         tracked=2, failure_p=0.5, max_rounds=1009)
         trace = run_simulation(cfg)
