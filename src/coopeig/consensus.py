@@ -194,11 +194,14 @@ def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
                max_rounds: int, on_block):
-    """The round loop. Round k mixes with ``weights(k)``, an (m, m) array
-    that passes ``comm_graph.check_weights``. The loop stops when
-    consensus_error < tol ("converged"), after max_rounds ("max_rounds"),
-    or when the iterate turns non-finite or exceeds the divergence
-    threshold ("diverged"); the error of a non-finite iterate is inf.
+    """The round loop. Round k mixes with ``weights(k)``, a symmetric
+    doubly-stochastic (m, m) array that the loop does not check again:
+    a ``WeightMatrix``'s ``w`` (``check_weights``) or a slice of
+    ``comm_graph.metropolis_stack`` (checked on its edge rows). The
+    loop stops when consensus_error < tol ("converged"), after
+    max_rounds ("max_rounds"), or when the iterate turns non-finite or
+    exceeds the divergence threshold ("diverged"); the error of a
+    non-finite iterate is inf.
 
     Rounds run in blocks of R = min(BLOCK_FLOATS // (m j), rounds run so
     far but at least 1, rounds left). The R rounds mix into one

@@ -261,16 +261,16 @@ def run_simulation(cfg: SimConfig) -> Trace:
 
 def _failing_rounds(base, fm, max_rounds):
     """Each failing round's (weights, live edge count), rounds 1, 2, ...
-    in order. Rounds are drawn, built and checked in blocks of R =
-    max(1, min(BLOCK_FLOATS // m², rounds asked for so far, rounds
-    left)), so the rounds drawn ahead never outnumber the rounds asked
-    for."""
+    in order. Rounds are drawn and built in blocks of R = max(1,
+    min(BLOCK_FLOATS // m², rounds asked for so far, rounds left)), so
+    the rounds drawn ahead never outnumber the rounds asked for.
+    ``metropolis_stack`` checks each block on its edge rows, so no
+    O(m²) check runs here."""
     k, m = 1, base.m
     while True:
         r = max(1, min(BLOCK_FLOATS // (m * m), k - 1, max_rounds - k + 1))
         keep = comm_graph.keep_masks(base, fm, k, r)
-        ws = comm_graph.check_weights(comm_graph.metropolis_stack(m, base.edges, keep),
-                                      stacked=True)
+        ws = comm_graph.metropolis_stack(m, base.edges, keep)
         yield from zip(ws, keep.sum(axis=1).tolist())
         k += r
 

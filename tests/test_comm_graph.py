@@ -9,6 +9,7 @@ from coopeig.comm_graph import (
     WeightMatrix,
     apply_failures,
     build_graph,
+    check_edge_weights,
     check_weights,
     is_connected,
     keep_masks,
@@ -188,8 +189,31 @@ class TestMetropolisWeights:
         for i, l in g.edges.tolist():
             ref[i, l] = ref[l, i] = 1.0 / (1.0 + max(deg[i], deg[l]))
         for i in range(15):
-            ref[i, i] = 1.0 - ref[i].sum()
+            # rows (i, .) then rows (., i), each summed in edge-row order
+            lo = hi = 0.0
+            for a, b in g.edges.tolist():
+                if a == i:
+                    lo += ref[a, b]
+                if b == i:
+                    hi += ref[a, b]
+            ref[i, i] = 1.0 - (lo + hi)
         assert np.array_equal(metropolis_weights(g).w, ref)
+
+    @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("ring", 3, 0.3),
+                                                ("path", 22, 0.5), ("path", 2, 0.5)])
+    def test_ring_and_path_match_dense_row_sum(self, topology, m, p):
+        # at most two live neighbours per node, so the edge-order diagonal
+        # equals the pairwise row sum the dense build used
+        g = build_graph(topology, m)
+        keep = keep_masks(g, FailureModel(p, seed=3), 1, 30)
+        keep[0], keep[1] = True, False
+        ref = np.zeros((30, m, m))
+        for w, mask in zip(ref, keep):
+            i, l = g.edges[mask].T
+            deg = np.bincount(np.concatenate((i, l)), minlength=m)
+            w[i, l] = w[l, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[l]))
+            w[np.diag_indices(m)] = 1.0 - w.sum(axis=1)
+        assert metropolis_stack(m, g.edges, keep).tobytes() == ref.tobytes()
 
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -214,6 +238,30 @@ class TestMetropolisWeights:
         assert ws.shape == (25, m, m)
         for w, mask in zip(ws, keep):
             assert w.tobytes() == metropolis_array(m, g.edges[mask]).tobytes()
+
+    def test_stack_checks_the_edge_rows_it_writes(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("coopeig.comm_graph.check_edge_weights", lambda *a: seen.append(a))
+        g = build_graph("er:0.4", 10, seed=1)
+        keep = keep_masks(g, FailureModel(0.3, seed=2), 1, 5)
+        ws = metropolis_stack(10, g.edges, keep)
+        [(weights, inc, diag)] = seen
+        r, e = np.nonzero(keep)
+        i, l = g.edges[e].T
+        assert weights.tobytes() == ws[r, i, l].tobytes()
+        assert diag.tobytes() == np.diagonal(ws, axis1=1, axis2=2).tobytes()
+        assert np.array_equal(diag, 1.0 - inc)
+
+    @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("er:0.3", 20, 0.4),
+                                                ("complete", 12, 0.3), ("complete", 1, 0.5)])
+    def test_stack_slices_pass_dense_check(self, topology, m, p):
+        # the edge-form check stands in for check_weights on every slice
+        g = build_graph(topology, m, seed=5)
+        keep = keep_masks(g, FailureModel(p, seed=6), 1, 40)
+        keep[2], keep[9] = False, True
+        for w in metropolis_stack(m, g.edges, keep):
+            assert check_weights(w) is w
+            assert w.tobytes() == w.T.tobytes()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -256,10 +304,7 @@ class TestCheckWeights:
     def test_stack_rejects_one_bad_slice(self, i, l, delta, message):
         g = build_graph("ring", 5)
         ws = metropolis_stack(5, g.edges, keep_masks(g, FailureModel(0.3, seed=1), 1, 6))
-        assert check_weights(ws, stacked=True) is ws
         ws[4, i, l] += delta
-        with pytest.raises(ValueError, match=message):
-            check_weights(ws, stacked=True)
         check_weights(ws[3])
         with pytest.raises(ValueError, match=message):
             check_weights(ws[4])
@@ -267,10 +312,25 @@ class TestCheckWeights:
     def test_stack_must_be_square_slices(self):
         with pytest.raises(ValueError, match="must be square"):
             check_weights(np.full((2, 3, 3), 1 / 3))
-        with pytest.raises(ValueError, match="must be square"):
-            check_weights(np.full((3, 3), 1 / 3), stacked=True)
-        with pytest.raises(ValueError, match="must be square"):
-            check_weights(np.full((2, 2, 3), 1 / 3), stacked=True)
+
+    # edge form: (edge weights, incident sums, diagonal), one row per node
+    @pytest.mark.parametrize("weights, inc, diag, message", [
+        ([-0.5, 0.5], [0.5, 0.5], [0.5, 0.5], "nonnegative"),
+        ([-INF], [0.0], [1.0], "nonnegative"),
+        ([0.5], [1.5, 0.5], [-0.5, 0.5], "nonnegative"),
+        ([0.5], [0.5, 0.5], [0.5, 0.6], "rows must sum to 1"),
+        ([0.5], [0.5, 0.5], [0.5, 0.5 + 1e-11], "rows must sum to 1"),
+        ([NAN], [NAN, NAN], [NAN, NAN], "rows must sum to 1"),
+        ([0.5], [0.5, NAN], [0.5, 0.5], "rows must sum to 1"),
+        ([INF], [INF, INF], [1.0, 1.0], "rows must sum to 1"),
+    ])
+    def test_edge_form_rejections(self, weights, inc, diag, message):
+        with pytest.raises(ValueError, match=message):
+            check_edge_weights(*map(np.array, (weights, inc, diag)))
+
+    def test_edge_form_tolerance_accepted(self):
+        check_edge_weights(np.array([0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.5 + 5e-13]))
+        check_edge_weights(np.zeros(0), np.zeros(3), np.ones(3))
 
     def test_row_sum_tolerance_accepted(self):
         w = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-13]])

@@ -365,6 +365,14 @@ class TestFailingRound:
         for k, w in enumerate(mixed, start=1):
             assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
 
+    def test_dense_check_runs_once_for_w0(self, monkeypatch):
+        # failing rounds are checked on their edge rows, never as (m, m)
+        checked, check = [], comm_graph.check_weights
+        monkeypatch.setattr(comm_graph, "check_weights", lambda w: checked.append(w) or check(w))
+        cfg = small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-300, max_rounds=75)
+        assert run_simulation(cfg).rounds_used == 75
+        assert len(checked) == 1
+
     @pytest.mark.parametrize("over", [dict(tol=1e-6, max_rounds=20000),
                                       dict(tol=1e-300, max_rounds=1009)])
     def test_rounds_drawn_ahead_bounded_by_rounds_used(self, monkeypatch, over):
