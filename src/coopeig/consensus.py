@@ -14,11 +14,13 @@ Three update dynamics are provided:
   a contraction that keeps the anchor as a persistent drive term.
 
 One round loop, ``run_rounds``, drives every run. It mixes rounds in
-blocks: each round writes into a preallocated (R, m, j) stack, one
+blocks: one ``weights(first, R)`` call hands over the block's R weight
+arrays, each round writes into a preallocated (R, m, j) stack, one
 stacked pass takes the block's consensus errors, and the block is cut
 at its first stopping round before anyone sees it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -194,25 +196,27 @@ def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
                max_rounds: int, on_block):
-    """The round loop. Round k mixes with ``weights(k)``, a symmetric
-    doubly-stochastic (m, m) array that the loop does not check again:
-    a ``WeightMatrix``'s ``w`` (``check_weights``) or a slice of
-    ``comm_graph.metropolis_stack`` (checked on its edge rows). The
-    loop stops when consensus_error < tol ("converged"), after
+    """The round loop. ``weights(first, r)`` yields exactly r arrays,
+    the weights of rounds first, ..., first + r - 1 (more or fewer raise
+    ValueError): symmetric doubly-stochastic (m, m) arrays that the loop
+    does not check again, a ``WeightMatrix``'s ``w`` (``check_weights``)
+    or slices of ``comm_graph.metropolis_stack`` (checked on their edge
+    rows). The loop stops when consensus_error < tol ("converged"), after
     max_rounds ("max_rounds"), or when the iterate turns non-finite or
     exceeds the divergence threshold ("diverged"); the error of a
     non-finite iterate is inf.
 
     Rounds run in blocks of R = min(BLOCK_FLOATS // (m j), rounds run so
-    far but at least 1, rounds left). The R rounds mix into one
-    (R, m, j) stack, one stacked pass takes their errors, and the block
-    is cut after its first round that stops the loop.
+    far but at least 1, rounds left), one ``weights`` call each. The R
+    rounds mix into one (R, m, j) stack, one stacked pass takes their
+    errors, and the block is cut after its first round that stops the
+    loop.
     ``on_block(first, estimates, errors)`` then receives the n kept
     rounds first, ..., first + n - 1 as an (n, m, j) stack and their n
     errors; round 0 comes first, alone. Rounds mixed past a stop never
     outnumber the rounds used and never reach ``on_block``. They may
-    overflow, so a block mixes, ``weights(k)`` calls included, with
-    overflow and invalid-value warnings off. Returns (final states,
+    overflow, so a block mixes, its weights drawn and built included,
+    with overflow and invalid-value warnings off. Returns (final states,
     rounds used, stop reason)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -228,8 +232,8 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
         block = np.empty((min(size, max(1, k), max_rounds - k), *est.shape))
         # Rounds past a divergence may overflow; they are dropped unseen.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, out in enumerate(block, start=k + 1):
-                _step(est, anc, weights(i), mode, out)
+            for w, out in zip(weights(k + 1, len(block)), block, strict=True):
+                _step(est, anc, w, mode, out)
                 est = out
             errors = consensus_errors(block)
         errors[~np.isfinite(errors)] = math.inf  # max and min propagate NaN; inf gives inf or NaN
@@ -252,7 +256,8 @@ def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: Consensus
     if wm.m != len(states.estimates):
         raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
     history = []
-    states, k, reason = run_rounds(states, lambda _: wm.w, mode, tol, max_rounds,
+    states, k, reason = run_rounds(states, lambda _first, r: itertools.repeat(wm.w, r),
+                                   mode, tol, max_rounds,
                                    lambda _first, _est, errors: history.extend(errors.tolist()))
     if reason == "diverged":
         raise DivergenceError(k, history[-1])

@@ -228,16 +228,20 @@ def run_simulation(cfg: SimConfig) -> Trace:
     else:
         gw = consensus.block_size_weights(part.block_sizes)
 
-    scalars_sent = [0]
-    failing = _failing_rounds(base, fm, cfg.max_rounds)
+    live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
+    chunk = max(1, BLOCK_FLOATS // part.m**2)
 
-    def weights(k):
-        if cfg.failure_p == 0.0:
-            scalars_sent.append(2 * j * len(base.edges))
-            return w0.w
-        w, live = next(failing)
-        scalars_sent.append(2 * j * live)
-        return w
+    def failure_free(_first, r):
+        live.append(np.full(r, len(base.edges)))
+        return itertools.repeat(w0.w, r)
+
+    def failing(first, r):
+        # One chunk of weights is held at a time; keep_masks' rows are
+        # the same however the rounds are split.
+        for k in range(first, first + r, chunk):
+            keep = comm_graph.keep_masks(base, fm, k, min(chunk, first + r - k))
+            live.append(keep.sum(axis=1))
+            yield from comm_graph.metropolis_stack(part.m, base.edges, keep)
 
     columns = []
 
@@ -247,32 +251,17 @@ def run_simulation(cfg: SimConfig) -> Trace:
                         eps.mean(axis=(1, 2)), consensus.global_estimates(est, gw)))
 
     states, rounds, stop_reason = consensus.run_rounds(
-        states, weights, cfg.mode, cfg.tol, cfg.max_rounds, on_block)
+        states, failure_free if cfg.failure_p == 0.0 else failing, cfg.mode, cfg.tol,
+        cfg.max_rounds, on_block)
     errors, deviations, max_errors, mean_errors, estimates = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
                  consensus_error=errors, deviation_norm=deviations,
                  max_est_error=max_errors, mean_est_error=mean_errors,
                  global_estimate=estimates,
-                 # weights(k) also ran for the rounds mixed past the stop
-                 scalars_sent=np.array(scalars_sent[:rounds + 1]),
+                 # live also counts the rounds mixed past the stop
+                 scalars_sent=2 * j * np.concatenate(live)[:rounds + 1],
                  final_estimates=states.estimates, stop_reason=stop_reason,
                  block_sizes=part.block_sizes)
-
-
-def _failing_rounds(base, fm, max_rounds):
-    """Each failing round's (weights, live edge count), rounds 1, 2, ...
-    in order. Rounds are drawn and built in blocks of R = max(1,
-    min(BLOCK_FLOATS // m², rounds asked for so far, rounds left)), so
-    the rounds drawn ahead never outnumber the rounds asked for.
-    ``metropolis_stack`` checks each block on its edge rows, so no
-    O(m²) check runs here."""
-    k, m = 1, base.m
-    while True:
-        r = max(1, min(BLOCK_FLOATS // (m * m), k - 1, max_rounds - k + 1))
-        keep = comm_graph.keep_masks(base, fm, k, r)
-        ws = comm_graph.metropolis_stack(m, base.edges, keep)
-        yield from zip(ws, keep.sum(axis=1).tolist())
-        k += r
 
 
 @dataclass(frozen=True)

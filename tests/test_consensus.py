@@ -234,12 +234,25 @@ class TestRunRounds:
             return w
 
         errors = []
-        states, rounds, reason = run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]), weights,
-                                            MATRIX_FORM, 1e-9, 100,
+        states, rounds, reason = run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]),
+                                            blocks_of(weights), MATRIX_FORM, 1e-9, 100,
                                             lambda _first, _est, e: errors.extend(e.tolist()))
         assert (rounds, reason) == (3, "diverged")
         assert errors == [3.0, 3.0, 3.0, float("inf")]
         assert not np.isfinite(states.estimates[1, 0])
+
+    # blocks of 1, 1, 2 and 4 rounds: the fourth block's provider is
+    # one array short or one long
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_provider_of_wrong_length_rejected(self, extra):
+        def weights(first, r):
+            return [np.eye(4)] * (r + extra if first == 5 else r)
+
+        seen = []
+        with pytest.raises(ValueError, match="zip"):
+            run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]), weights, MATRIX_FORM, 1e-9,
+                       100, lambda first, _est, _e: seen.append(first))
+        assert seen == [0, 1, 2, 3]
 
 
 def reference_rounds(states, weights, mode, tol, max_rounds):
@@ -274,6 +287,11 @@ def ring_states(m=8, j=2, seed=3):
 
 
 RING_W = metropolis_weights(build_graph("ring", 8)).w
+
+
+def blocks_of(weights):
+    """The round loop's provider for a one-round ``weights(k)``."""
+    return lambda first, r: map(weights, range(first, first + r))
 
 
 def fixed(w):
@@ -347,9 +365,9 @@ class TestBlockRounds:
             states, weights, mode, tol, max_rounds)
         asked, blocks = [], []
 
-        def counted(k):
-            asked.append(k)
-            return weights(k)
+        def counted(first, r):
+            asked.extend(range(first, first + r))
+            return blocks_of(weights)(first, r)
 
         final, used, why = run_rounds(states, counted, mode, tol, max_rounds,
                                       lambda first, est, errors: blocks.append(

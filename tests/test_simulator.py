@@ -262,9 +262,9 @@ def generated(n):
     return MatrixSpec("generate", n=n, spectrum=tuple(np.linspace(0.5, 6.0, n)))
 
 
-# With 40 agents the failing rounds' weights come in blocks of up to 20
+# With 40 agents the failing rounds' weights come in chunks of up to 20
 # rounds, and the rounds mix in blocks of up to 819 rounds over one
-# tracked value, 409 over two. From 129 agents on, every block of
+# tracked value, 409 over two. From 129 agents on, every chunk of
 # weights is one round, while a block of estimates still holds up to 254.
 MATRIX_40, MATRIX_80, MATRIX_129 = generated(40), generated(80), generated(129)
 
@@ -288,6 +288,9 @@ FAILING = [
           failure_p=0.5, max_rounds=1009), "max_rounds"),
     (dict(matrix=MATRIX_40, agents=40, topology="er:0.3", mode=ConsensusMode("paper_literal"),
           failure_p=0.3, max_rounds=3000), "diverged"),
+    # 2^15 // 200^2 is 0: one round of weights is still built at a time
+    (dict(matrix=generated(200), agents=200, topology="er:0.05", failure_p=0.3, tol=1e-8,
+          max_rounds=20000), "converged"),
 ]
 
 
@@ -354,8 +357,9 @@ class TestFailingRound:
             assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
 
     def test_round_weights_bit_equal_across_blocks(self, mixed):
-        # 75 rounds on 40 agents take blocks of 1, 1, 2, 4, 8, 16, 20, 20
-        # and a last one shortened to 3
+        # 75 rounds on 40 agents mix in blocks of 1, 1, 2, 4, 8, 16, 32
+        # and 11, whose weights come in chunks of 1, 1, 2, 4, 8, 16, 20,
+        # 12 and 11
         cfg = small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-300,
                         max_rounds=75, seed=5, mode=ConsensusMode("damped", gamma=0.9))
         assert run_simulation(cfg).rounds_used == 75
@@ -376,13 +380,14 @@ class TestFailingRound:
     @pytest.mark.parametrize("over", [dict(tol=1e-6, max_rounds=20000),
                                       dict(tol=1e-300, max_rounds=1009)])
     def test_rounds_drawn_ahead_bounded_by_rounds_used(self, monkeypatch, over):
-        drawn, masks = [], comm_graph.keep_masks
+        drawn, asked, masks = [], [], comm_graph.keep_masks
         monkeypatch.setattr(comm_graph, "keep_masks",
                             lambda g, f, first, rounds: drawn.extend(range(first, first + rounds))
-                            or masks(g, f, first, rounds))
+                            or asked.append(rounds) or masks(g, f, first, rounds))
         trace = run_simulation(small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, **over))
         assert drawn == list(range(1, len(drawn) + 1))
         assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
+        assert max(asked) <= consensus.BLOCK_FLOATS // 40**2 == 20
 
     def test_trace_metrics_equal_per_round_calls(self, monkeypatch):
         # two tracked values: blocks of at most 409 rounds, so 1009 rounds
