@@ -1,8 +1,11 @@
-"""Per-agent local spectral estimators: the exact oracle (every block
-eigenvalue from ``matrix_core.eigenvalues``, the solve behind the truth
+"""Per-agent local spectral estimators: the exact oracle (block
+eigenvalues from ``matrix_core.eigenvalues``, the solve behind the truth
 and the SLEM too), a variance-bounded noisy oracle, and a small
 fully-connected network trained by full-batch gradient descent on
-(block, spectrum) pairs.
+(block, spectrum) pairs. Agents that share a block size are estimated
+as one stack: one Sturm solve, for only the tracked indices under the
+exact oracle and for all k under the noisy one, whose noise may
+reorder them; or one forward pass of the stacked networks.
 
 The network maps a flattened k x k block to k eigenvalue predictions
 (tanh hidden layers, linear output, sorted ascending). Inputs and
@@ -163,8 +166,7 @@ def _forward_raw(weights, biases, scale, x: np.ndarray):
 
 def mlp_forward(p: MlpParams, block: DenseSymMatrix) -> np.ndarray:
     """Predicted eigenvalues, unscaled and sorted ascending."""
-    raw, _ = _forward_raw(*_stack_networks([p], block.a.size), block.a.reshape(1, 1, -1))
-    return np.sort(raw[0, 0] / p.input_scale)
+    return estimate(MlpEstimator(p), block)
 
 
 # Divergence is reported by the finite-loss check in train_stack, so the
@@ -267,7 +269,8 @@ def train(p: MlpParams, tset: TrainingSet, cfg: TrainConfig):
 
 @dataclass(frozen=True)
 class OracleEstimator:
-    """Exact local spectra: all k block eigenvalues, sorted ascending."""
+    """Exact local spectra: the block's smallest eigenvalues, sorted
+    ascending; all k of them unless fewer are tracked."""
 
 
 @dataclass(frozen=True)
@@ -288,19 +291,44 @@ class MlpEstimator:
     params: MlpParams
 
 
+def estimate_stack(kinds, blocks: np.ndarray, agents, round_: int = 0,
+                   tracked=None) -> np.ndarray:
+    """Local eigenvalue estimates for a (B, k, k) stack of blocks as
+    DenseSymMatrix holds them: row b is the estimate of agent
+    ``agents[b]`` with ``kinds[b]`` (one kind for all) in round
+    ``round_``, its smallest ``tracked`` values (default k), sorted
+    ascending. One pass serves the stack: one Sturm solve, or one
+    forward pass of the stacked networks. The exact oracle solves only
+    the tracked indices; the noisy oracle solves all k, since its noise
+    may reorder them. Each row is bit-equal to estimating its block alone
+    for the same indices."""
+    nb, k, _ = blocks.shape
+    j = k if tracked is None else tracked
+    kind = type(kinds[0])
+    if any(type(e) is not kind for e in kinds):
+        raise TypeError("a stack takes one estimator kind")
+    if kind is OracleEstimator:
+        # Sturm brackets each index on its own, so rounding may swap near-equal values.
+        return np.sort(eigenvalues(blocks, tuple(range(j))), axis=1)
+    if kind is NoisyOracleEstimator:
+        values = np.sort(eigenvalues(blocks, tuple(range(k))), axis=1)
+        for b, (e, agent) in enumerate(zip(kinds, agents)):
+            if e.sigma != 0.0:
+                noise = keyed_rng(e.seed, "estimator-noise", agent, round_).normal(0.0, e.sigma, k)
+                values[b] = np.sort(values[b] + noise)
+        return values[:, :j]
+    if kind is MlpEstimator:
+        weights, biases, scale = _stack_networks([e.params for e in kinds], k * k)
+        raw, _ = _forward_raw(weights, biases, scale, blocks.reshape(nb, 1, -1))
+        return np.sort(raw[:, 0] / scale[:, 0], axis=1)[:, :j]
+    raise TypeError(f"unknown estimator kind {kinds[0]!r}")
+
+
 def estimate(kind, block: DenseSymMatrix,
              agent: int = 0, round_: int = 0) -> np.ndarray:
-    """Local eigenvalue estimates for one block: length k, sorted."""
-    if isinstance(kind, (OracleEstimator, NoisyOracleEstimator)):
-        # Sturm brackets each index on its own, so rounding may swap near-equal values.
-        values = np.sort(eigenvalues(block, tuple(range(block.n))))
-        if isinstance(kind, OracleEstimator) or kind.sigma == 0.0:
-            return values
-        rng = keyed_rng(kind.seed, "estimator-noise", agent, round_)
-        return np.sort(values + rng.normal(0.0, kind.sigma, block.n))
-    if isinstance(kind, MlpEstimator):
-        return mlp_forward(kind.params, block)
-    raise TypeError(f"unknown estimator kind {kind!r}")
+    """Local eigenvalue estimates for one block: length k, sorted; the
+    one-block stack of ``estimate_stack``."""
+    return estimate_stack([kind], block.a[None], [agent], round_)[0]
 
 
 def save_params(p: MlpParams, path) -> None:

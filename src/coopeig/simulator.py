@@ -22,7 +22,7 @@ from .local_estimator import (
     NoisyOracleEstimator,
     OracleEstimator,
     TrainConfig,
-    estimate,
+    estimate_stack,
     init_mlp,
     load_params,
     synthesize_training_set,
@@ -134,12 +134,11 @@ class Trace:
 
     @property
     def bound(self) -> np.ndarray:
-        """The geometric bound per round. Each value comes from the
-        scalar ``theoretical_bound``; a vectorised power may round
-        differently."""
-        e0 = float(self.consensus_error[0])
-        return np.array([theoretical_bound(e0, self.rho, k)
-                         for k in range(len(self.consensus_error))])
+        """The geometric bound per round, each value the scalar power of
+        ``theoretical_bound``; a vectorised power may round differently."""
+        e0, rho = float(self.consensus_error[0]), self.rho
+        _check_bound(e0, rho)
+        return np.array([rho**k * e0 for k in range(len(self.consensus_error))])
 
     @property
     def flops_local(self) -> np.ndarray:
@@ -149,10 +148,14 @@ class Trace:
         return flops
 
 
-def theoretical_bound(e0: float, rho: float, k: int) -> float:
-    """Geometric consensus-error bound rho^k * e0."""
+def _check_bound(e0: float, rho: float) -> None:
     if e0 < 0 or not 0.0 <= rho <= 1.0:
         raise ValueError("need e0 >= 0 and 0 <= rho <= 1")
+
+
+def theoretical_bound(e0: float, rho: float, k: int) -> float:
+    """Geometric consensus-error bound rho^k * e0."""
+    _check_bound(e0, rho)
     return rho**k * e0
 
 
@@ -161,6 +164,12 @@ def _resolve_matrix(cfg: SimConfig) -> matrix_core.DenseSymMatrix:
         return generate_spd(cfg.matrix.n, np.array(cfg.matrix.spectrum),
                             child_seed(cfg.seed, "matrix"))
     return load_matrix(cfg.matrix.path)
+
+
+def _size_groups(blocks):
+    """The runs of agents whose blocks share a size, in agent order; a
+    balanced partition has at most two."""
+    return [list(g) for _, g in itertools.groupby(range(len(blocks)), key=lambda i: blocks[i].n)]
 
 
 def _setup_estimators(cfg: SimConfig, blocks):
@@ -186,8 +195,8 @@ def _setup_estimators(cfg: SimConfig, blocks):
     # is the one a one-by-one loop would have met first.
     estimators = []
     tcfg = TrainConfig(ecfg.learning_rate, ecfg.epochs)
-    for k, group in itertools.groupby(range(len(blocks)), key=lambda i: blocks[i].n):
-        agents = list(group)
+    for agents in _size_groups(blocks):
+        k = blocks[agents[0]].n
         tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
                                          child_seed(cfg.seed, "mlp-data", i)) for i in agents]
         p0s = [init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i)) for i in agents]
@@ -213,10 +222,12 @@ def run_simulation(cfg: SimConfig) -> Trace:
     truth = matrix_core.eigenvalues(A, tuple(range(j)))
 
     estimators = _setup_estimators(cfg, blocks)
-    anchors = [
-        estimate(estimators[i], blocks[i], agent=i, round_=0)[:j]
-        for i in range(part.m)
-    ]
+    # One stacked estimate per block size, each agent's first j values.
+    anchors = np.empty((part.m, j))
+    for agents in _size_groups(blocks):
+        anchors[agents] = estimate_stack([estimators[i] for i in agents],
+                                         np.stack([blocks[i].a for i in agents]), agents,
+                                         round_=0, tracked=j)
     states = consensus.init_states(anchors)
 
     base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))

@@ -9,6 +9,7 @@ from coopeig import cli, matrix_core, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import load_params
 from coopeig.matrix_core import (
+    DenseSymMatrix,
     JacobiConvergenceError,
     generate_spd,
     jacobi_eigen,
@@ -47,13 +48,14 @@ def file_config(tmp_path, **over):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The matrices that reach sturm_eigen, the one solve behind the
-    truth, the SLEM and the block call sites, one (n, bytes) entry per
-    real solve."""
+    """The matrices and block stacks that reach sturm_eigen, the one
+    solve behind the truth, the SLEM and the block call sites, one
+    (shape, bytes) entry per real solve."""
     calls = []
 
     def counted(A, indices):
-        calls.append((A.n, A.a.tobytes()))
+        a = A.a if isinstance(A, DenseSymMatrix) else A
+        calls.append((a.shape, a.tobytes()))
         return sturm_eigen(A, indices)
 
     monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
@@ -312,6 +314,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "sqrt(max float) / n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["-2", "2.5"], ids=["negative", "fractional"])
+    def test_bad_matrix_size_header_is_usage_error(self, tmp_path, capsys, header):
+        mpath = tmp_path / "A.txt"
+        mpath.write_text(f"{header}\n1 0\n0 1\n")
+        cfg = base_config(tmp_path, agents=2, matrix={"kind": "file", "path": str(mpath)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{mpath}: size header must be a whole number >= 1, got {header!r}" in err
+        assert "Traceback" not in err
+
     def test_report_on_incomplete_snapshot_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         snap = tmp_path / "snap.json"
@@ -483,19 +495,20 @@ SWEEP = ["sweep", "--param", "p", "--values", "0,0.3", "--trials", "3", "--confi
 
 
 class TestSweepReusesSpectra:
-    M = 4  # agents in base_config
+    M = 4  # agents in base_config; its 12 rows give M blocks of 3 x 3, one stack
 
     def test_each_distinct_matrix_solved_once(self, tmp_path, capsys, solves):
         assert main(SWEEP + [str(file_config(tmp_path))]) == 0
-        # the truth, the m diagonal blocks and the ring's W0, once each
-        # (each of the 2 x 3 trials solved all of them before)
-        assert len(solves) == 1 + self.M + 1
+        # the truth, the stack of the M diagonal blocks and the ring's W0,
+        # once each (each of the 2 x 3 trials solved all of them before)
+        assert [shape for shape, _ in solves] == [(12, 12), (self.M, 3, 3), (self.M, self.M)]
         assert len(set(solves)) == len(solves)
 
     def test_generated_matrices_each_solved(self, tmp_path, capsys, solves):
-        # every trial seed draws a new matrix; the ring's W0 is shared
+        # every trial seed draws a new matrix, so a new truth and block
+        # stack; the ring's W0 is shared
         assert main(SWEEP + [str(base_config(tmp_path))]) == 0
-        assert len(solves) == 2 * 3 * (1 + self.M) + 1
+        assert len(solves) == 2 * 3 * (1 + 1) + 1
         assert len(set(solves)) == len(solves)
 
     @pytest.mark.parametrize("matrix", ["file", "generate"])
@@ -521,7 +534,7 @@ class TestSweepReusesSpectra:
 
     def test_nothing_outlives_a_command(self, tmp_path, capsys, solves):
         cfg = file_config(tmp_path)
-        per_run = 1 + self.M + 1
+        per_run = 1 + 1 + 1  # the truth, the block stack, W0
         assert main(SWEEP + [str(cfg)]) == 0
         assert main(SWEEP + [str(cfg)]) == 0
         assert len(solves) == 2 * per_run
@@ -533,18 +546,19 @@ class TestSweepReusesSpectra:
         counted = matrix_core.sturm_eigen
 
         def stuck(A, indices):
-            if A.n == self.M:  # W0; the matrix is 12x12 and its blocks 3x3
+            # W0; the matrix is 12x12 and its blocks a (4, 3, 3) stack
+            if isinstance(A, DenseSymMatrix) and A.n == self.M:
                 raise ValueError("solve failed")
             return counted(A, indices)
 
-        # the truth and the blocks are solved, then the SLEM solve fails
+        # the truth and the block stack are solved, then the SLEM solve fails
         monkeypatch.setattr(matrix_core, "sturm_eigen", stuck)
         assert main(SWEEP + [str(cfg)]) == 2
         assert "solve failed" in capsys.readouterr().err
-        assert len(solves) == 1 + self.M
+        assert len(solves) == 1 + 1
         monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
-        assert len(solves) == 2 * (1 + self.M) + 1
+        assert len(solves) == 2 * (1 + 1) + 1
 
 
 class TestLibraryErrorExitCodes:

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from coopeig import matrix_core
+from coopeig import matrix_core, simulator
 from coopeig.local_estimator import (
     MlpEstimator,
     MlpParams,
@@ -13,6 +13,7 @@ from coopeig.local_estimator import (
     TrainingDivergedError,
     TrainingSet,
     estimate,
+    estimate_stack,
     init_mlp,
     load_params,
     mlp_forward,
@@ -509,6 +510,90 @@ class TestEstimate:
         for est in (OracleEstimator(), NoisyOracleEstimator(0.5, seed=0)):
             out = estimate(est, block, agent=1, round_=1)
             assert np.all(np.diff(out) >= 0)
+
+
+def block_stack(k, count, seed=0):
+    return np.stack([generate_spd(k, np.linspace(0.5, 5.0, k) + i, seed=seed + i).a
+                     for i in range(count)])
+
+
+class TestEstimateStack:
+    """Anchors come from one stacked pass per block size; each row is
+    bit-equal to the agent's own one-block ``estimate``."""
+
+    AGENTS = [3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_noisy_rows_bit_equal_to_estimate(self, k):
+        stack = block_stack(k, 5, seed=k)
+        kinds = [NoisyOracleEstimator(0.3, seed=11)] * 5
+        for j in {1, k}:
+            rows = estimate_stack(kinds, stack, self.AGENTS, round_=2, tracked=j)
+            assert rows.shape == (5, j)
+            for row, kind, block, agent in zip(rows, kinds, stack, self.AGENTS):
+                alone = estimate(kind, DenseSymMatrix(block), agent=agent, round_=2)[:j]
+                assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("k, hidden", [(1, (4,)), (3, (8,)), (4, (32, 16))])
+    def test_mlp_rows_bit_equal_to_estimate(self, k, hidden):
+        stack = block_stack(k, 5, seed=k)
+        kinds = [MlpEstimator(init_mlp(k, hidden, seed=i)) for i in range(5)]
+        for j in {1, k}:
+            rows = estimate_stack(kinds, stack, self.AGENTS, tracked=j)
+            for row, kind, block in zip(rows, kinds, stack):
+                assert row.tobytes() == estimate(kind, DenseSymMatrix(block))[:j].tobytes()
+
+    def test_exact_oracle_solves_only_the_tracked_indices(self, monkeypatch):
+        asked, solve = [], matrix_core.sturm_eigen
+
+        def counted(A, indices):
+            asked.append((np.shape(A), indices))
+            return solve(A, indices)
+
+        monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
+        stack = block_stack(4, 5)
+        exact = estimate_stack([OracleEstimator()] * 5, stack, self.AGENTS, tracked=2)
+        estimate_stack([NoisyOracleEstimator(0.1)] * 5, stack, self.AGENTS, tracked=2)
+        assert asked == [((5, 4, 4), (0, 1)), ((5, 4, 4), (0, 1, 2, 3))]
+        reference = [jacobi_eigen(DenseSymMatrix(b)).eigenvalues[:2] for b in stack]
+        assert np.abs(exact - reference).max() <= 1e-12
+
+    def test_one_kind_per_stack(self):
+        with pytest.raises(TypeError, match="one estimator kind"):
+            estimate_stack([OracleEstimator(), NoisyOracleEstimator(0.1)], block_stack(2, 2),
+                           [0, 1])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(TypeError, match="unknown estimator kind"):
+            estimate("bogus", generate_spd(2, [1.0, 2.0], seed=0))
+
+    def test_run_anchors_bit_equal_to_per_agent_estimates(self, monkeypatch):
+        # n = 42 over 10 agents: a stack of two 5x5 blocks, then eight 4x4
+        captured = []
+
+        def kept(*args, **kwargs):
+            captured.append(estimate_stack(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(simulator, "estimate_stack", kept)
+        for est in ({"kind": "noisy_oracle", "sigma": 0.2},
+                    {"kind": "mlp", "learning_rate": 0.01, "epochs": 5, "samples": 4,
+                     "hidden": [8]}):
+            captured.clear()
+            cfg = config_from_dict({
+                "matrix": {"kind": "generate", "n": 42, "spectrum": "0.5:5.0"}, "agents": 10,
+                "topology": "ring", "estimator": est, "mode": "matrix_form", "tol": 1e-6,
+                "max_rounds": 5, "seed": 3, "tracked": 2})
+            run_simulation(cfg)
+            A = generate_spd(42, np.array(cfg.matrix.spectrum), child_seed(3, "matrix"))
+            part = partition_rows(42, 10)
+            blocks = [diagonal_block(A, part, i) for i in range(10)]
+            kinds = _setup_estimators(cfg, blocks)
+            anchors = np.concatenate(captured)
+            assert [len(c) for c in captured] == [2, 8]
+            for i in range(10):
+                alone = estimate(kinds[i], blocks[i], agent=i, round_=0)[:2]
+                assert anchors[i].tobytes() == alone.tobytes()
 
 
 class TestParamsFile:

@@ -17,6 +17,7 @@ from coopeig.matrix_core import (
     Partition,
     _round_robin,
     _sturm_counts,
+    _tridiagonalize,
     diagonal_block,
     eigenvalues,
     generate_spd,
@@ -360,13 +361,79 @@ class TestSturmEigen:
         assert _sturm_counts(d, e * e, x, pivmin).tolist() == [0, 1, 2, 3, 4]
 
 
+def spd_blocks(k, count, seed=0):
+    """A (count, k, k) stack of SPD blocks with distinct spectra."""
+    return np.stack([generate_spd(k, np.geomspace(0.1, 10.0, k) * (1 + i), seed=seed + i).a
+                     for i in range(count)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSturmStack:
+    """A (B, n, n) stack is solved in one pass; each block keeps the
+    bits of solving it alone as a stack of one."""
+
+    @staticmethod
+    def check_blocks(stack, indices):
+        r = sturm_eigen(stack, indices)
+        assert r.eigenvalues.shape == (len(stack), len(indices))
+        for b, block in enumerate(stack):
+            alone = sturm_eigen(stack[b:b + 1], indices)
+            assert r.eigenvalues[b].tobytes() == alone.eigenvalues[0].tobytes()
+            assert r.iterations_used[b] == alone.iterations_used[0] < MAX_PASSES
+            assert r.residual[b] == alone.residual[0]
+            one = sturm_eigen(DenseSymMatrix(block), indices)
+            assert one.eigenvalues.tobytes() == alone.eigenvalues[0].tobytes()
+            assert one.iterations_used == alone.iterations_used[0]
+            reference = jacobi_eigen(DenseSymMatrix(block)).eigenvalues[list(indices)]
+            assert np.abs(r.eigenvalues[b] - reference).max() <= 1e-12
+        return r
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_blocks_match_jacobi_and_their_solo_bits(self, k):
+        stack = spd_blocks(k, 5, seed=k)
+        self.check_blocks(stack, tuple(range(k)))
+        self.check_blocks(stack, (0,))
+
+    def test_diagonal_block_next_to_a_dense_one(self):
+        # every Householder column of the diagonal block is zero
+        stack = np.stack([np.diag([3.0, 1.0, 2.0, -4.0, 0.5, 7.0]), spd_blocks(6, 1)[0],
+                          np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) + np.diag(np.ones(5), 1)
+                          + np.diag(np.ones(5), -1)])
+        self.check_blocks(stack, tuple(range(6)))
+        d, e = _tridiagonalize(stack)
+        assert d[0].tolist() == [3.0, 1.0, 2.0, -4.0, 0.5, 7.0]  # H = I for this block
+        assert not e[0].any()
+        assert np.isfinite(d).all() and np.isfinite(e).all()
+
+    def test_repeated_eigenvalues(self):
+        ring = metropolis_weights(build_graph("ring", 6)).w  # eigenvalues in pairs
+        stack = np.stack([np.eye(6), np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]), ring,
+                          generate_spd(6, [1.0, 1.0, 1.0, 2.0, 2.0, 5.0], seed=4).a])
+        self.check_blocks(stack, tuple(range(6)))
+
+    def test_narrow_block_stops_while_the_others_narrow(self):
+        # the identity needs no pass, a near-multiple of it few, and the
+        # dense blocks more; none is narrowed past its own stop
+        near = 5.0 * np.eye(4) + 1e-9 * spd_blocks(4, 1, seed=9)[0]
+        stack = np.stack([spd_blocks(4, 1)[0], np.eye(4), near, spd_blocks(4, 1, seed=5)[0]])
+        r = self.check_blocks(stack, (0, 3))
+        assert r.iterations_used[1] == 0
+        assert 0 < r.iterations_used[2] < min(r.iterations_used[0], r.iterations_used[3])
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4,), (0, 3, 3)])
+    def test_rejects_a_stack_that_is_not_square(self, shape):
+        with pytest.raises(ValueError):
+            sturm_eigen(np.zeros(shape), (0,))
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """The (n, indices) of every real solve behind ``eigenvalues``."""
+    """The (n, indices) of every real solve behind ``eigenvalues``, for a
+    matrix or a stack of n x n blocks."""
     calls = []
 
     def counted(A, indices):
-        calls.append((A.n, indices))
+        calls.append((A.n if isinstance(A, DenseSymMatrix) else A.shape[-1], indices))
         return sturm_eigen(A, indices)
 
     monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
@@ -431,6 +498,36 @@ class TestReuseSpectra:
             eigenvalues(a, (0,))
         assert len(calls) == 2
 
+    def test_stack_solved_once(self, solves):
+        stack = spd_blocks(3, 4)
+        with reuse_spectra():
+            first = eigenvalues(stack, (0, 1))
+            assert eigenvalues(stack.copy(), (0, 1)) is first
+            assert not first.flags.writeable
+            assert np.array_equal(eigenvalues(stack[::-1], (0, 1)), first[::-1])
+            eigenvalues(stack[:3], (0, 1))  # a shorter stack is another key
+            eigenvalues(stack, (0,))
+        assert solves == [(3, (0, 1)), (3, (0, 1)), (3, (0, 1)), (3, (0,))]
+        assert np.array_equal(first, sturm_eigen(stack, (0, 1)).eigenvalues)
+
+    def test_failed_stack_solve_not_stored(self, monkeypatch):
+        calls = []
+
+        def fails_once(A, indices):
+            calls.append(indices)
+            if len(calls) == 1:
+                raise RuntimeError("solve failed")
+            return sturm_eigen(A, indices)
+
+        monkeypatch.setattr(matrix_core, "sturm_eigen", fails_once)
+        stack = spd_blocks(3, 4)
+        with reuse_spectra():
+            with pytest.raises(RuntimeError):
+                eigenvalues(stack, (0,))
+            eigenvalues(stack, (0,))
+            eigenvalues(stack, (0,))
+        assert len(calls) == 2
+
     def test_scope_closes_on_exception(self, solves):
         a = tridiag(4, 2.0, 1.0)
         with pytest.raises(RuntimeError):
@@ -486,3 +583,30 @@ class TestMatrixFile:
         path.write_text("3\n1 0 0\n0 1 0\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    # A negative header failed in NumPy's reshape ("can only specify one
+    # unknown dimension") and a fractional one in int(), neither naming
+    # the file.
+    @pytest.mark.parametrize("text", ["-2\n1 0 0 1\n", "2.5\n1 0 0 1\n", "0\n", "two\n1\n"],
+                             ids=["negative", "fractional", "zero", "word"])
+    def test_rejects_bad_size_header(self, tmp_path, text):
+        path = tmp_path / "header.txt"
+        path.write_text(text)
+        header = text.split()[0]
+        with pytest.raises(ValueError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: size header must be a whole number >= 1, got {header!r}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("2\n1 2\n3 1\n", "matrix is not symmetric"),
+        ("3\n1 0 0\n0 1 0\n", "expected 9 values, found 6"),
+        ("2\n1 0\n0 x\n", "could not convert string to float"),
+        ("2\n1 0\n0 nan\n", "matrix entries must be finite"),
+        ("1\n1e308\n", "matrix entries must be at most"),
+    ], ids=["asymmetric", "truncated", "not-a-number", "nan", "too-large"])
+    def test_every_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_matrix(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
