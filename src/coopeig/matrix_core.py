@@ -358,8 +358,8 @@ def generate_spd(n: int, spectrum, seed: int) -> DenseSymMatrix:
         raise ValueError("n must be >= 1")
     if spectrum.shape != (n,):
         raise ValueError(f"spectrum must have length {n}")
-    if np.any(spectrum <= 0):
-        raise ValueError("spectrum entries must all be positive")
+    if not np.all(np.isfinite(spectrum) & (spectrum > 0)):
+        raise ValueError(f"spectrum entries must all be finite and positive, got {spectrum}")
     return DenseSymMatrix(spd_stack(spectrum[None], [seed])[0])
 
 

@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration: build or load a matrix,
-partition it over agents, set up local estimators (training them if
-needed), run consensus rounds under a link-failure model, and record
-per-round metrics, complexity counters and exportable traces.
+partition it over agents, estimate the agents' blocks one run of equal
+block size at a time (training networks if needed), run consensus
+rounds under a link-failure model, and record per-round metrics,
+complexity counters and exportable traces.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from .local_estimator import (
     synthesize_training_set,
     train_stack,
 )
-from .matrix_core import diagonal_block, generate_spd, load_matrix, partition_rows
+from .matrix_core import generate_spd, load_matrix, partition_rows
 from .seeding import child_seed, keyed_rng
 
 
@@ -166,43 +167,40 @@ def _resolve_matrix(cfg: SimConfig) -> matrix_core.DenseSymMatrix:
     return load_matrix(cfg.matrix.path)
 
 
-def _size_groups(blocks):
-    """The runs of agents whose blocks share a size, in agent order; a
-    balanced partition has at most two."""
-    return [list(g) for _, g in itertools.groupby(range(len(blocks)), key=lambda i: blocks[i].n)]
-
-
-def _setup_estimators(cfg: SimConfig, blocks):
-    """One estimator per agent."""
-    ecfg = cfg.estimator
+def _anchors(cfg: SimConfig, A: matrix_core.DenseSymMatrix, part, j: int) -> np.ndarray:
+    """Every agent's first ``j`` estimates in round 0, (m, j): per run of
+    equal block size, one estimator setup and one ``estimate_stack`` call
+    on a (B, k, k) stack sliced from A. A is exactly symmetric and its
+    checks bound every block, so each slice has ``diagonal_block``'s bits."""
+    ecfg, anchors, stop = cfg.estimator, np.empty((part.m, j)), 0
     if ecfg.kind == "oracle":
-        return [OracleEstimator() for _ in blocks]
-    if ecfg.kind == "noisy_oracle":
-        noise_seed = child_seed(cfg.seed, "estimator-noise")
-        return [NoisyOracleEstimator(ecfg.sigma, noise_seed) for _ in blocks]
-    if ecfg.params_path:
-        params = load_params(ecfg.params_path)
-        for b in blocks:
-            if b.n != params.block_dim:
-                raise ConfigError(
-                    f"pretrained network expects {params.block_dim}x{params.block_dim} "
-                    f"blocks, agent block is {b.n}x{b.n}"
-                )
-        return [MlpEstimator(params) for _ in blocks]
-
-    # Agents that share a block size sit next to each other and train as
-    # one stack; groups train in agent order, so the first to diverge
-    # is the one a one-by-one loop would have met first.
-    estimators = []
-    tcfg = TrainConfig(ecfg.learning_rate, ecfg.epochs)
-    for agents in _size_groups(blocks):
-        k = blocks[agents[0]].n
-        tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
-                                         child_seed(cfg.seed, "mlp-data", i)) for i in agents]
-        p0s = [init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i)) for i in agents]
-        params, _ = train_stack(p0s, tsets, tcfg)
-        estimators += [MlpEstimator(p) for p in params]
-    return estimators
+        shared = OracleEstimator()
+    elif ecfg.kind == "noisy_oracle":
+        shared = NoisyOracleEstimator(ecfg.sigma, child_seed(cfg.seed, "estimator-noise"))
+    elif ecfg.params_path:
+        shared = MlpEstimator(load_params(ecfg.params_path))
+    else:
+        shared, tcfg = None, TrainConfig(ecfg.learning_rate, ecfg.epochs)
+    for k, run in itertools.groupby(part.block_sizes):
+        start, stop = stop, stop + len(list(run))
+        agents = range(start, stop)
+        if shared is None:
+            # One stack per run, runs in agent order: the first network to
+            # diverge is the one a one-by-one loop would have met first.
+            tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
+                                             child_seed(cfg.seed, "mlp-data", i)) for i in agents]
+            p0s = [init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i)) for i in agents]
+            kinds = [MlpEstimator(p) for p in train_stack(p0s, tsets, tcfg)[0]]
+        else:
+            if isinstance(shared, MlpEstimator) and shared.params.block_dim != k:
+                dim = shared.params.block_dim
+                raise ConfigError(f"pretrained network expects {dim}x{dim} blocks, "
+                                  f"agent block is {k}x{k}")
+            kinds = [shared] * len(agents)
+        rows = part.offsets[start] + np.arange(len(agents) * k).reshape(-1, k)
+        anchors[start:stop] = estimate_stack(kinds, A.a[rows[:, :, None], rows[:, None, :]],
+                                             agents, round_=0, tracked=j)
+    return anchors
 
 
 def run_simulation(cfg: SimConfig) -> Trace:
@@ -212,7 +210,6 @@ def run_simulation(cfg: SimConfig) -> Trace:
     if cfg.agents > A.n:
         raise ConfigError("more agents than matrix rows")
     part = partition_rows(A.n, cfg.agents)
-    blocks = [diagonal_block(A, part, i) for i in range(part.m)]
     j = cfg.tracked
     if j > min(part.block_sizes):
         raise ConfigError(
@@ -221,14 +218,7 @@ def run_simulation(cfg: SimConfig) -> Trace:
         )
     truth = matrix_core.eigenvalues(A, tuple(range(j)))
 
-    estimators = _setup_estimators(cfg, blocks)
-    # One stacked estimate per block size, each agent's first j values.
-    anchors = np.empty((part.m, j))
-    for agents in _size_groups(blocks):
-        anchors[agents] = estimate_stack([estimators[i] for i in agents],
-                                         np.stack([blocks[i].a for i in agents]), agents,
-                                         round_=0, tracked=j)
-    states = consensus.init_states(anchors)
+    states = consensus.init_states(_anchors(cfg, A, part, j))
 
     base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))
     w0 = metropolis_weights(base)
@@ -242,6 +232,8 @@ def run_simulation(cfg: SimConfig) -> Trace:
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
     chunk = max(1, BLOCK_FLOATS // part.m**2)
 
+    # Not keep_masks + metropolis_stack at p = 0: the same bits, but
+    # sweep_solve ran slower through them in every pair measured.
     def failure_free(_first, r):
         live.append(np.full(r, len(base.edges)))
         return itertools.repeat(w0.w, r)

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import yaml
 
 from coopeig import cli, matrix_core, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
-from coopeig.local_estimator import load_params
+from coopeig.local_estimator import init_mlp, load_params, save_params
 from coopeig.matrix_core import (
     DenseSymMatrix,
     JacobiConvergenceError,
@@ -107,6 +108,20 @@ class TestGenMatrix:
         code = main(["gen-matrix", "--n", "3", "--spectrum", str(spec),
                      "--out", str(tmp_path / "m.txt")])
         assert code == 2
+
+    # "nan" and "inf" pass a "<= 0" check; inf then warned in the
+    # matrix build before "matrix entries must be finite".
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spectrum_file_is_usage_error(self, tmp_path, capsys, value):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"1 2 {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen-matrix", "--n", "3", "--spectrum", str(spec),
+                         "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "spectrum entries must all be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestTrain:
@@ -235,10 +250,17 @@ class TestSimulate:
         ({"estimator": {"kind": "noisy_oracle", "sigma": float("nan")}}, "sigma must be >= 0"),
         ({"matrix": {"kind": "generate", "n": 12, "spectrum": "nan:5"}}, "bad spectrum range"),
         ({"matrix": {"kind": "generate", "n": 12, "spectrum": "1:inf"}}, "bad spectrum range"),
+        # an explicit inf warned in the matrix build, a traceback under
+        # -W error::RuntimeWarning
+        *(({"matrix": {"kind": "generate", "n": 4, "spectrum": [1.0, 2.0, 3.0, v]},
+            "agents": 2}, "spectrum entries must all be finite and positive")
+          for v in (float("inf"), float("nan"))),
     ])
     def test_nan_is_usage_error(self, tmp_path, capsys, over, message):
         cfg = base_config(tmp_path, **over)
-        assert main(["simulate", "--config", str(cfg)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
     def test_generated_matrix_without_n_is_usage_error(self, tmp_path, capsys):
@@ -313,6 +335,18 @@ class TestSimulate:
                           matrix={"kind": "file", "path": str(mpath)})
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "sqrt(max float) / n" in capsys.readouterr().err
+
+    # n = 42 over 10 agents gives 5x5 blocks, then 4x4: a network for
+    # either size fails on the other run.
+    @pytest.mark.parametrize("k, other", [(4, 5), (5, 4)])
+    def test_pretrained_block_size_mismatch_is_usage_error(self, tmp_path, capsys, k, other):
+        path = tmp_path / "params.json"
+        save_params(init_mlp(k, hidden=(3,), seed=0), path)
+        cfg = base_config(tmp_path, matrix={"kind": "generate", "n": 42, "spectrum": "0.5:5.0"},
+                          agents=10, estimator={"kind": "mlp", "params_path": str(path)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert (f"pretrained network expects {k}x{k} blocks, agent block is {other}x{other}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("header", ["-2", "2.5"], ids=["negative", "fractional"])
     def test_bad_matrix_size_header_is_usage_error(self, tmp_path, capsys, header):

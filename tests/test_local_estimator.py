@@ -32,7 +32,7 @@ from coopeig.matrix_core import (
     partition_rows,
 )
 from coopeig.seeding import child_seed, keyed_rng
-from coopeig.simulator import _setup_estimators, config_from_dict, run_simulation
+from coopeig.simulator import config_from_dict, run_simulation
 
 
 def flatten_grads(gw, gb):
@@ -393,7 +393,7 @@ class TestTrain:
             run_simulation(cfg)
         assert info.value.epoch == epoch
 
-    def test_stacked_agents_match_training_one_at_a_time(self):
+    def test_stacked_agents_match_training_one_at_a_time(self, monkeypatch):
         # 42 rows over 10 agents: two 5x5 blocks, then eight 4x4 blocks
         cfg = config_from_dict({
             "matrix": {"kind": "generate", "n": 42, "spectrum": "0.5:5.0"},
@@ -401,13 +401,18 @@ class TestTrain:
             "estimator": {"kind": "mlp", "learning_rate": 0.01, "hidden": [8, 8]},
             "mode": "matrix_form", "tol": 1e-8, "max_rounds": 500, "seed": 7,
         })
-        A = generate_spd(42, np.linspace(0.5, 5.0, 42), seed=3)
-        part = partition_rows(42, 10)
-        blocks = [diagonal_block(A, part, i) for i in range(10)]
-        assert [b.n for b in blocks] == [5, 5] + [4] * 8
+        estimators = []
+
+        def kept(kinds, *args, **kwargs):
+            estimators.extend(kinds)
+            return estimate_stack(kinds, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "estimate_stack", kept)
+        run_simulation(cfg)
+        assert [e.params.block_dim for e in estimators] == [5, 5] + [4] * 8
         ecfg = cfg.estimator
-        for i, est in enumerate(_setup_estimators(cfg, blocks)):
-            k = blocks[i].n
+        for i, est in enumerate(estimators):
+            k = est.params.block_dim
             tset = synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
                                            child_seed(7, "mlp-data", i))
             p0 = init_mlp(k, ecfg.hidden, child_seed(7, "mlp-init", i))
@@ -567,33 +572,43 @@ class TestEstimateStack:
         with pytest.raises(TypeError, match="unknown estimator kind"):
             estimate("bogus", generate_spd(2, [1.0, 2.0], seed=0))
 
-    def test_run_anchors_bit_equal_to_per_agent_estimates(self, monkeypatch):
-        # n = 42 over 10 agents: a stack of two 5x5 blocks, then eight 4x4
-        captured = []
+    def test_run_anchors_bit_equal_to_per_agent_estimates(self, monkeypatch, tmp_path):
+        # Each call's kinds, blocks, agents and anchors
+        calls = []
 
-        def kept(*args, **kwargs):
-            captured.append(estimate_stack(*args, **kwargs))
-            return captured[-1]
+        def kept(kinds, blocks, agents, **kwargs):
+            calls.append((kinds, blocks, list(agents),
+                          estimate_stack(kinds, blocks, agents, **kwargs)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(simulator, "estimate_stack", kept)
-        for est in ({"kind": "noisy_oracle", "sigma": 0.2},
-                    {"kind": "mlp", "learning_rate": 0.01, "epochs": 5, "samples": 4,
-                     "hidden": [8]}):
-            captured.clear()
+        params = tmp_path / "params.json"
+        save_params(init_mlp(4, hidden=(8,), seed=1), params)
+        # n = 42 over 10 agents: a stack of two 5x5 blocks, then eight 4x4.
+        # A pretrained network takes one block size, so it runs on n = 40:
+        # one stack of ten 4x4 blocks.
+        for n, est, runs in (
+                (42, {"kind": "oracle"}, [2, 8]),
+                (42, {"kind": "noisy_oracle", "sigma": 0.2}, [2, 8]),
+                (42, {"kind": "mlp", "learning_rate": 0.01, "epochs": 5, "samples": 4,
+                      "hidden": [8]}, [2, 8]),
+                (40, {"kind": "mlp", "params_path": str(params)}, [10])):
+            calls.clear()
             cfg = config_from_dict({
-                "matrix": {"kind": "generate", "n": 42, "spectrum": "0.5:5.0"}, "agents": 10,
+                "matrix": {"kind": "generate", "n": n, "spectrum": "0.5:5.0"}, "agents": 10,
                 "topology": "ring", "estimator": est, "mode": "matrix_form", "tol": 1e-6,
                 "max_rounds": 5, "seed": 3, "tracked": 2})
             run_simulation(cfg)
-            A = generate_spd(42, np.array(cfg.matrix.spectrum), child_seed(3, "matrix"))
-            part = partition_rows(42, 10)
-            blocks = [diagonal_block(A, part, i) for i in range(10)]
-            kinds = _setup_estimators(cfg, blocks)
-            anchors = np.concatenate(captured)
-            assert [len(c) for c in captured] == [2, 8]
-            for i in range(10):
-                alone = estimate(kinds[i], blocks[i], agent=i, round_=0)[:2]
-                assert anchors[i].tobytes() == alone.tobytes()
+            A = generate_spd(n, np.array(cfg.matrix.spectrum), child_seed(3, "matrix"))
+            part = partition_rows(n, 10)
+            assert [len(agents) for _, _, agents, _ in calls] == runs
+            assert [i for _, _, agents, _ in calls for i in agents] == list(range(10))
+            for kinds, blocks, agents, anchors in calls:
+                for kind, block, i, anchor in zip(kinds, blocks, agents, anchors):
+                    own = diagonal_block(A, part, i)
+                    assert block.tobytes() == own.a.tobytes()
+                    alone = estimate(kind, own, agent=i, round_=0)[:2]
+                    assert anchor.tobytes() == alone.tobytes()
 
 
 class TestParamsFile:

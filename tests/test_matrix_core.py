@@ -121,10 +121,10 @@ class TestGenerateSpd:
                               generate_spd(n, spectrum[::-1], seed=n + 1).a)
 
     def test_rejects_nonpositive_spectrum(self):
-        with pytest.raises(ValueError):
-            generate_spd(2, [1.0, 0.0], seed=0)
-        with pytest.raises(ValueError):
-            generate_spd(2, [1.0, -1.0], seed=0)
+        # inf is > 0 and NaN fails every comparison, so "<= 0" let both through
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="spectrum entries must all be finite and positive"):
+                generate_spd(2, [1.0, bad], seed=0)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
