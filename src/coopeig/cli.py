@@ -51,14 +51,26 @@ def _parse_spectrum(spec: str, n: int, seed: int):
     'lo:hi' range drawn uniformly with a seed-derived stream."""
     if os.path.exists(spec):
         with open(spec) as f:
-            values = np.array([float(t) for t in f.read().split()])
+            text = f.read()
+        try:
+            values = np.array([float(t) for t in text.split()])
+        except ValueError as exc:
+            raise ValueError(f"spectrum file {spec}: {exc}") from None
         if values.shape != (n,):
             raise ValueError(f"spectrum file holds {values.size} values, need {n}")
         return np.sort(values)
-    return np.array(simulator._resolve_spectrum(spec, n, seed))
+    try:
+        return np.array(simulator._resolve_spectrum(spec, n, seed))
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ValueError(f"--spectrum {spec!r} is neither an existing file "
+                         "nor a 'lo:hi' range") from None
 
 
 def cmd_gen_matrix(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     spectrum = _parse_spectrum(args.spectrum, args.n, args.seed)
     A = matrix_core.generate_spd(args.n, spectrum, child_seed(args.seed, "matrix"))
     matrix_core.save_matrix(A, args.out)

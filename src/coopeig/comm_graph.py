@@ -190,15 +190,10 @@ def metropolis_stack(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return w.reshape(-1, m, m)
 
 
-def metropolis_array(m: int, edges: np.ndarray) -> np.ndarray:
-    """The ``metropolis_stack`` slice of one round that keeps every edge
-    row."""
-    return metropolis_stack(m, edges, np.ones((1, len(edges)), dtype=bool))[0]
-
-
 def metropolis_weights(g: Graph) -> WeightMatrix:
-    """The Metropolis weights of ``g``, checked as a WeightMatrix."""
-    return WeightMatrix(metropolis_array(g.m, g.edges))
+    """The Metropolis weights of ``g``, checked as a WeightMatrix: the
+    ``metropolis_stack`` slice of one round that keeps every edge row."""
+    return WeightMatrix(metropolis_stack(g.m, g.edges, np.ones((1, len(g.edges)), bool))[0])
 
 
 def slem(wm: WeightMatrix) -> float:
@@ -213,30 +208,29 @@ def slem(wm: WeightMatrix) -> float:
     return float(np.abs(ev).max())
 
 
-def keep_masks(g: Graph, f: FailureModel, first: int, rounds: int) -> np.ndarray:
-    """The (rounds, E) keep-masks of rounds first, first+1, ...: row e
-    of ``g.edges`` survives round k with probability 1-p, iff its
-    uniform is >= p. The uniforms come from one Philox4x64 stream keyed
-    on ``child_seed(seed, "edge-failure")``. A counter step gives four
+def failure_stream(g: Graph, f: FailureModel, first: int):
+    """Rounds first, first+1, ... of link failures as one stream:
+    ``draw(rounds)`` gives the next (rounds, E) keep-masks. Row e of
+    ``g.edges`` survives round k with probability 1-p, iff its uniform
+    is >= p. The uniforms come from one Philox4x64 stream keyed on
+    ``child_seed(seed, "edge-failure")``. A counter step gives four
     64-bit words and a double takes one, so round k's E uniforms start
-    at counter k*c, c = ceil(E/4): the stream is advanced by first*c,
-    a (rounds, 4c) block is drawn, and its first E columns are kept.
-    Each row depends only on (seed, round, edge row), so it is
-    order-independent, bitwise reproducible, and equal whether drawn
-    alone or in a block (Salmon et al., SC 2011)."""
+    at counter k*c, c = ceil(E/4): the stream starts at first*c, and a
+    draw takes a (rounds, 4c) block and keeps its first E columns. Each
+    row depends only on (seed, round, edge row), so the masks are the
+    same bits however the rounds are split into draws; random access
+    is a fresh stream (Salmon et al., SC 2011)."""
     e = len(g.edges)
     c = -(-e // 4)
     bits = np.random.Philox(key=child_seed(f.seed, "edge-failure"))
     bits.advance(first * c)
-    return np.random.Generator(bits).random((rounds, 4 * c))[:, :e] >= f.edge_drop_prob
-
-
-def live_edges(g: Graph, f: FailureModel, round_: int) -> np.ndarray:
-    """The edge rows that survive one round (see ``keep_masks``); they
-    stay sorted and duplicate-free."""
-    return g.edges[keep_masks(g, f, round_, 1)[0]]
+    rng = np.random.Generator(bits)
+    return lambda rounds: rng.random((rounds, 4 * c))[:, :e] >= f.edge_drop_prob
 
 
 def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
-    """The graph of one round's surviving edges (see ``live_edges``)."""
-    return g if f.edge_drop_prob == 0.0 else Graph(g.m, live_edges(g, f, round_))
+    """The graph of one round's surviving edges (see ``failure_stream``);
+    they stay sorted and duplicate-free."""
+    if f.edge_drop_prob == 0.0:
+        return g
+    return Graph(g.m, g.edges[failure_stream(g, f, round_)(1)[0]])

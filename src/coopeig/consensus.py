@@ -198,10 +198,12 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
                max_rounds: int, on_block):
     """The round loop. ``weights(first, r)`` yields exactly r arrays,
     the weights of rounds first, ..., first + r - 1 (more or fewer raise
-    ValueError): symmetric doubly-stochastic (m, m) arrays that the loop
-    does not check again, a ``WeightMatrix``'s ``w`` (``check_weights``)
-    or slices of ``comm_graph.metropolis_stack`` (checked on their edge
-    rows). The loop stops when consensus_error < tol ("converged"), after
+    ValueError); the calls ask for rounds 1, 2, ... in order, each once,
+    so a provider may read them off one stream. They are symmetric
+    doubly-stochastic (m, m) arrays that the loop does not check again,
+    a ``WeightMatrix``'s ``w`` (``check_weights``) or slices of
+    ``comm_graph.metropolis_stack`` (checked on their edge rows). The
+    loop stops when consensus_error < tol ("converged"), after
     max_rounds ("max_rounds"), or when the iterate turns non-finite or
     exceeds the divergence threshold ("diverged"); the error of a
     non-finite iterate is inf.

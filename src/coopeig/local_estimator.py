@@ -164,11 +164,6 @@ def _forward_raw(weights, biases, scale, x: np.ndarray):
     return h, acts
 
 
-def mlp_forward(p: MlpParams, block: DenseSymMatrix) -> np.ndarray:
-    """Predicted eigenvalues, unscaled and sorted ascending."""
-    return estimate(MlpEstimator(p), block)
-
-
 # Divergence is reported by the finite-loss check in train_stack, so the
 # overflow on the way there is not warned about.
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")

@@ -8,8 +8,8 @@ consumer never perturbs existing streams, and draws keyed on a counter
 Link failures draw from one counter-based stream per run: a Philox4x64
 bit generator keyed on ``child_seed(seed, "edge-failure")``, whose
 round k starts at counter k*ceil(E/4) for E edges (four 64-bit words
-per counter step, one per double); ``comm_graph.keep_masks`` draws a
-block of rounds as one call and keeps the first E columns.
+per counter step, one per double). ``comm_graph.failure_stream`` builds
+it once and draws each chunk of rounds from it in one call.
 """
 
 import hashlib

@@ -231,18 +231,20 @@ def run_simulation(cfg: SimConfig) -> Trace:
 
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
     chunk = max(1, BLOCK_FLOATS // part.m**2)
+    if cfg.failure_p != 0.0:
+        draw = comm_graph.failure_stream(base, fm, 1)
 
-    # Not keep_masks + metropolis_stack at p = 0: the same bits, but
-    # sweep_solve ran slower through them in every pair measured.
+    # Not the failure stream + metropolis_stack at p = 0: the same bits,
+    # but sweep_solve ran slower through them in every pair measured.
     def failure_free(_first, r):
         live.append(np.full(r, len(base.edges)))
         return itertools.repeat(w0.w, r)
 
-    def failing(first, r):
-        # One chunk of weights is held at a time; keep_masks' rows are
-        # the same however the rounds are split.
-        for k in range(first, first + r, chunk):
-            keep = comm_graph.keep_masks(base, fm, k, min(chunk, first + r - k))
+    def failing(_first, r):
+        # run_rounds asks for rounds 1, 2, ... in order, each once, so they
+        # come from the run's one stream; one chunk of weights is held at a time.
+        for k in range(0, r, chunk):
+            keep = draw(min(chunk, r - k))
             live.append(keep.sum(axis=1))
             yield from comm_graph.metropolis_stack(part.m, base.edges, keep)
 

@@ -123,6 +123,31 @@ class TestGenMatrix:
         assert "spectrum entries must all be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("n", ["-2", "0"])
+    def test_n_below_one_is_usage_error(self, tmp_path, capsys, n):
+        code = main(["gen-matrix", "--n", n, "--spectrum", "1:2",
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("spectrum", ["1:2:3", "nosuchfile", "1:x"])
+    def test_spectrum_neither_file_nor_range_is_usage_error(self, tmp_path, capsys,
+                                                            monkeypatch, spectrum):
+        monkeypatch.chdir(tmp_path)
+        code = main(["gen-matrix", "--n", "3", "--spectrum", spectrum, "--out", "m.txt"])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: --spectrum {spectrum!r} is neither an "
+                                           "existing file nor a 'lo:hi' range\n")
+
+    def test_spectrum_file_with_non_number_names_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 abc 3\n")
+        code = main(["gen-matrix", "--n", "3", "--spectrum", str(spec),
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spectrum file {spec}: ") and "'abc'" in err
+
 
 class TestTrain:
     def test_writes_loadable_params(self, tmp_path, capsys):

@@ -11,10 +11,8 @@ from coopeig.comm_graph import (
     build_graph,
     check_edge_weights,
     check_weights,
+    failure_stream,
     is_connected,
-    keep_masks,
-    live_edges,
-    metropolis_array,
     metropolis_stack,
     metropolis_weights,
     slem,
@@ -205,7 +203,7 @@ class TestMetropolisWeights:
         # at most two live neighbours per node, so the edge-order diagonal
         # equals the pairwise row sum the dense build used
         g = build_graph(topology, m)
-        keep = keep_masks(g, FailureModel(p, seed=3), 1, 30)
+        keep = failure_stream(g, FailureModel(p, seed=3), 1)(30)
         keep[0], keep[1] = True, False
         ref = np.zeros((30, m, m))
         for w, mask in zip(ref, keep):
@@ -221,29 +219,23 @@ class TestMetropolisWeights:
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
-    def test_array_matches_weight_matrix(self):
-        g = random_connected_graph(12, 3)
-        w = metropolis_array(g.m, g.edges)
-        assert check_weights(w) is w
-        assert np.array_equal(w, metropolis_weights(g).w)
-
     @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("er:0.4", 15, 0.7),
                                                 ("complete", 6, 0.2)])
     def test_stack_slices_match_array(self, topology, m, p):
         # includes rounds that drop every edge and rounds that keep all
         g = build_graph(topology, m, seed=4)
-        keep = keep_masks(g, FailureModel(p, seed=2), 1, 25)
+        keep = failure_stream(g, FailureModel(p, seed=2), 1)(25)
         keep[3], keep[7] = False, True
         ws = metropolis_stack(m, g.edges, keep)
         assert ws.shape == (25, m, m)
         for w, mask in zip(ws, keep):
-            assert w.tobytes() == metropolis_array(m, g.edges[mask]).tobytes()
+            assert w.tobytes() == metropolis_weights(Graph(m, g.edges[mask])).w.tobytes()
 
     def test_stack_checks_the_edge_rows_it_writes(self, monkeypatch):
         seen = []
         monkeypatch.setattr("coopeig.comm_graph.check_edge_weights", lambda *a: seen.append(a))
         g = build_graph("er:0.4", 10, seed=1)
-        keep = keep_masks(g, FailureModel(0.3, seed=2), 1, 5)
+        keep = failure_stream(g, FailureModel(0.3, seed=2), 1)(5)
         ws = metropolis_stack(10, g.edges, keep)
         [(weights, inc, diag)] = seen
         r, e = np.nonzero(keep)
@@ -257,7 +249,7 @@ class TestMetropolisWeights:
     def test_stack_slices_pass_dense_check(self, topology, m, p):
         # the edge-form check stands in for check_weights on every slice
         g = build_graph(topology, m, seed=5)
-        keep = keep_masks(g, FailureModel(p, seed=6), 1, 40)
+        keep = failure_stream(g, FailureModel(p, seed=6), 1)(40)
         keep[2], keep[9] = False, True
         for w in metropolis_stack(m, g.edges, keep):
             assert check_weights(w) is w
@@ -303,7 +295,7 @@ class TestCheckWeights:
     ])
     def test_stack_rejects_one_bad_slice(self, i, l, delta, message):
         g = build_graph("ring", 5)
-        ws = metropolis_stack(5, g.edges, keep_masks(g, FailureModel(0.3, seed=1), 1, 6))
+        ws = metropolis_stack(5, g.edges, failure_stream(g, FailureModel(0.3, seed=1), 1)(6))
         ws[4, i, l] += delta
         check_weights(ws[3])
         with pytest.raises(ValueError, match=message):
@@ -411,15 +403,15 @@ class TestApplyFailures:
         ]
         assert [loop_failure_reference(g, 7, 0.4, k) for k in range(3)] == expect
         assert [apply_failures(g, fm, k).edges.tolist() for k in range(3)] == expect
-        assert [live_edges(g, fm, k).tolist() for k in range(3)] == expect
+        assert [g.edges[failure_stream(g, fm, k)(1)[0]].tolist() for k in range(3)] == expect
 
     def test_keep_masks_are_the_rounds_live_edges(self):
         g = build_graph("er:0.5", 10, seed=2)
         fm = FailureModel(0.4, seed=7)
-        keep = keep_masks(g, fm, 5, 12)
+        keep = failure_stream(g, fm, 5)(12)
         assert keep.shape == (12, len(g.edges))
         for r, mask in enumerate(keep):
-            assert g.edges[mask].tolist() == live_edges(g, fm, 5 + r).tolist()
+            assert g.edges[mask].tolist() == apply_failures(g, fm, 5 + r).edges.tolist()
 
     @pytest.mark.parametrize("topology, m", [("path", 8), ("path", 14), ("ring", 40)],
                              ids=["E7", "E13", "E40"])
@@ -427,11 +419,15 @@ class TestApplyFailures:
         # E = 7 and 13 leave 1 and 3 padding words per round; E = 40 none
         g = build_graph(topology, m)
         fm = FailureModel(0.5, seed=3)
-        keep = keep_masks(g, fm, 3, 9)
+        keep = failure_stream(g, fm, 3)(9)
         for r, mask in enumerate(keep):
             assert g.edges[mask].tolist() == loop_failure_reference(g, 3, 0.5, 3 + r)
-        single = np.concatenate([keep_masks(g, fm, k, 1) for k in range(3, 12)])
+        single = np.concatenate([failure_stream(g, fm, k)(1) for k in range(3, 12)])
         assert single.tobytes() == keep.tobytes()
+        # successive draws of one stream continue where the last stopped
+        draw = failure_stream(g, fm, 3)
+        successive = np.concatenate([draw(1), draw(4), draw(4)])
+        assert successive.tobytes() == keep.tobytes()
 
     def test_drop_rate_and_round_independence(self):
         # Each edge survives a round with probability 1 - p, independently

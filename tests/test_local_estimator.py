@@ -16,7 +16,6 @@ from coopeig.local_estimator import (
     estimate_stack,
     init_mlp,
     load_params,
-    mlp_forward,
     mlp_grad,
     mlp_loss,
     save_params,
@@ -188,7 +187,7 @@ class TestForward:
         for b in p.biases:
             b[:] = 0.0
         block = generate_spd(2, [1.0, 2.0], seed=1)
-        assert np.array_equal(mlp_forward(p, block), [0.0, 0.0])
+        assert np.array_equal(estimate(MlpEstimator(p), block), [0.0, 0.0])
 
     def test_bias_passthrough_is_sorted(self):
         p = init_mlp(2, hidden=(4,), seed=0)
@@ -197,19 +196,19 @@ class TestForward:
         p.biases[0][:] = 0.0
         p.biases[-1][:] = [3.0, -1.0]
         block = generate_spd(2, [1.0, 2.0], seed=1)
-        assert np.array_equal(mlp_forward(p, block), [-1.0, 3.0])
+        assert np.array_equal(estimate(MlpEstimator(p), block), [-1.0, 3.0])
 
     def test_output_sorted_and_length_k(self):
         p = init_mlp(3, hidden=(8,), seed=2)
         block = generate_spd(3, [0.5, 1.0, 2.0], seed=3)
-        out = mlp_forward(p, block)
+        out = estimate(MlpEstimator(p), block)
         assert out.shape == (3,)
         assert np.all(np.diff(out) >= 0)
 
     def test_dimension_mismatch_rejected(self):
         p = init_mlp(2, seed=0)
         with pytest.raises(ValueError):
-            mlp_forward(p, generate_spd(3, [1, 2, 3], seed=0))
+            estimate(MlpEstimator(p), generate_spd(3, [1, 2, 3], seed=0))
 
     @pytest.mark.parametrize("hidden", [(0,), (4, 0), (-1,)])
     def test_hidden_size_below_one_rejected(self, hidden):
@@ -355,7 +354,7 @@ class TestTrain:
         tset = synthesize_training_set(2, 1, (0.5, 2.0), seed=9)
         p0 = init_mlp(2, hidden=(16,), seed=4)
         trained, losses = train(p0, tset, TrainConfig(0.05, 3000))
-        out = mlp_forward(trained, block_of(tset, 0))
+        out = estimate(MlpEstimator(trained), block_of(tset, 0))
         assert np.max(np.abs(out - tset.targets[0])) < 1e-3
 
     def test_loss_curve_matches_reference_loop(self):
@@ -508,7 +507,9 @@ class TestEstimate:
     def test_mlp_estimator_dispatch(self):
         p = init_mlp(2, hidden=(4,), seed=0)
         block = generate_spd(2, [1.0, 2.0], seed=1)
-        assert np.array_equal(estimate(MlpEstimator(p), block), mlp_forward(p, block))
+        (w0, w1), (b0, b1), scale = p.weights, p.biases, p.input_scale
+        hand = np.sort(w1 @ np.tanh(w0 @ (block.a.ravel() * scale) + b0) + b1) / scale
+        assert np.allclose(estimate(MlpEstimator(p), block), hand, rtol=1e-12, atol=0)
 
     def test_output_sorted(self):
         block = generate_spd(4, [0.5, 1, 2, 4], seed=2)

@@ -304,6 +304,25 @@ def mixed(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def streams(monkeypatch):
+    """Each failure stream built, in order, as the list of its draws:
+    one (first round, rounds) pair per ``draw`` call."""
+    built, stream = [], comm_graph.failure_stream
+
+    def counted(g, f, first):
+        draw, draws = stream(g, f, first), []
+        built.append(draws)
+
+        def counted_draw(rounds):
+            draws.append((first + sum(r for _, r in draws), rounds))
+            return draw(rounds)
+        return counted_draw
+
+    monkeypatch.setattr(comm_graph, "failure_stream", counted)
+    return built
+
+
 class TestFailingRound:
     @pytest.mark.parametrize("over, reason", FAILING)
     def test_bit_equal_to_graph_path(self, over, reason):
@@ -323,11 +342,8 @@ class TestFailingRound:
         (dict(mode=ConsensusMode("damped", gamma=0.9), tol=1e-300, max_rounds=300),
          "max_rounds"),
     ])
-    def test_one_round_weight_blocks_bit_equal_to_graph_path(self, monkeypatch, over, reason):
-        drawn, masks = [], comm_graph.keep_masks
-        monkeypatch.setattr(comm_graph, "keep_masks",
-                            lambda g, f, first, rounds: drawn.append(rounds)
-                            or masks(g, f, first, rounds))
+    def test_one_round_weight_blocks_bit_equal_to_graph_path(self, monkeypatch, streams, over,
+                                                             reason):
         kept, run_rounds = [], consensus.run_rounds
         monkeypatch.setattr(consensus, "run_rounds",
                             lambda *args: run_rounds(*args[:-1], lambda first, est, errors:
@@ -335,6 +351,8 @@ class TestFailingRound:
                                                      or args[-1](first, est, errors)))
         cfg = small_cfg(matrix=MATRIX_129, agents=129, failure_p=0.5, **over)
         trace = run_simulation(cfg)
+        [draws] = streams  # one stream per failing run; the replay below builds more
+        drawn = [rounds for _, rounds in draws]
         errors, estimates, sent, final, ref_reason = replay_graph_path(cfg)
         assert trace.stop_reason == ref_reason == reason
         assert trace.consensus_error.tobytes() == errors.tobytes()
@@ -379,15 +397,19 @@ class TestFailingRound:
 
     @pytest.mark.parametrize("over", [dict(tol=1e-6, max_rounds=20000),
                                       dict(tol=1e-300, max_rounds=1009)])
-    def test_rounds_drawn_ahead_bounded_by_rounds_used(self, monkeypatch, over):
-        drawn, asked, masks = [], [], comm_graph.keep_masks
-        monkeypatch.setattr(comm_graph, "keep_masks",
-                            lambda g, f, first, rounds: drawn.extend(range(first, first + rounds))
-                            or asked.append(rounds) or masks(g, f, first, rounds))
+    def test_rounds_drawn_ahead_bounded_by_rounds_used(self, streams, over):
         trace = run_simulation(small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, **over))
+        [draws] = streams  # one stream per failing run
+        drawn = [k for first, rounds in draws for k in range(first, first + rounds)]
+        asked = [rounds for _, rounds in draws]
         assert drawn == list(range(1, len(drawn) + 1))
         assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
         assert max(asked) <= consensus.BLOCK_FLOATS // 40**2 == 20
+
+    def test_failure_free_run_builds_no_stream(self, streams):
+        cfg = small_cfg(matrix=MATRIX_40, agents=40, tol=1e-300, max_rounds=75)
+        assert run_simulation(cfg).rounds_used == 75
+        assert streams == []
 
     def test_trace_metrics_equal_per_round_calls(self, monkeypatch):
         # two tracked values: blocks of at most 409 rounds, so 1009 rounds
