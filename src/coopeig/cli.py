@@ -153,10 +153,8 @@ def cmd_sweep(args) -> int:
                 for t in range(args.trials)] for vi, value in enumerate(values)]
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
-    # Trials share the matrix, its blocks and often W0: solve each once.
-    with matrix_core.reuse_spectra():
-        for value, group in zip(values, configs):
-            lines.append(_sweep_row(args.param, value, [run_simulation(c) for c in group]))
+    for value, group in zip(values, configs):
+        lines.append(_sweep_row(args.param, value, [run_simulation(c) for c in group]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues
 from .seeding import child_seed, keyed_rng
 
 ER_RETRY_CAP = 1000
@@ -199,12 +198,12 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 def slem(wm: WeightMatrix) -> float:
     """Second largest eigenvalue modulus of W. The largest eigenvalue
     of a symmetric doubly-stochastic W is 1, so the SLEM is
-    max(|lambda_0|, |lambda_{m-2}|), and ``sturm_eigen`` solves for
-    just those two. Zero for a single agent; < 1 iff the
-    positive-weight graph is connected."""
+    max(|lambda_0|, |lambda_{m-2}|), read off ``eigvalsh``'s ascending
+    spectrum of the already checked W. Zero for a single agent; < 1 iff
+    the positive-weight graph is connected."""
     if wm.m == 1:
         return 0.0
-    ev = eigenvalues(DenseSymMatrix(wm.w), (0, wm.m - 2))
+    ev = np.linalg.eigvalsh(wm.w)[[0, -2]]
     return float(np.abs(ev).max())
 
 

@@ -1,11 +1,10 @@
 """Per-agent local spectral estimators: the exact oracle (block
-eigenvalues from ``matrix_core.eigenvalues``, the solve behind the truth
+eigenvalues from ``numpy.linalg.eigvalsh``, the solve behind the truth
 and the SLEM too), a variance-bounded noisy oracle, and a small
 fully-connected network trained by full-batch gradient descent on
 (block, spectrum) pairs. Agents that share a block size are estimated
-as one stack: one Sturm solve, for only the tracked indices under the
-exact oracle and for all k under the noisy one, whose noise may
-reorder them; or one forward pass of the stacked networks.
+as one stack: one ``eigvalsh`` call, which both oracles share, or one
+forward pass of the stacked networks.
 
 The network maps a flattened k x k block to k eigenvalue predictions
 (tanh hidden layers, linear output, sorted ascending). Inputs and
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, eigenvalues, spd_stack
+from .matrix_core import DenseSymMatrix, spd_stack
 from .seeding import keyed_rng
 
 
@@ -292,25 +291,22 @@ def estimate_stack(kinds, blocks: np.ndarray, agents, round_: int = 0,
     DenseSymMatrix holds them: row b is the estimate of agent
     ``agents[b]`` with ``kinds[b]`` (one kind for all) in round
     ``round_``, its smallest ``tracked`` values (default k), sorted
-    ascending. One pass serves the stack: one Sturm solve, or one
-    forward pass of the stacked networks. The exact oracle solves only
-    the tracked indices; the noisy oracle solves all k, since its noise
-    may reorder them. Each row is bit-equal to estimating its block alone
-    for the same indices."""
+    ascending. One pass serves the stack: one ``eigvalsh`` call, whose
+    values come back ascending, or one forward pass of the stacked
+    networks. ``eigvalsh`` solves each block of a stack with its own
+    LAPACK call, so each row is bit-equal to estimating its block alone."""
     nb, k, _ = blocks.shape
     j = k if tracked is None else tracked
     kind = type(kinds[0])
     if any(type(e) is not kind for e in kinds):
         raise TypeError("a stack takes one estimator kind")
-    if kind is OracleEstimator:
-        # Sturm brackets each index on its own, so rounding may swap near-equal values.
-        return np.sort(eigenvalues(blocks, tuple(range(j))), axis=1)
-    if kind is NoisyOracleEstimator:
-        values = np.sort(eigenvalues(blocks, tuple(range(k))), axis=1)
-        for b, (e, agent) in enumerate(zip(kinds, agents)):
-            if e.sigma != 0.0:
-                noise = keyed_rng(e.seed, "estimator-noise", agent, round_).normal(0.0, e.sigma, k)
-                values[b] = np.sort(values[b] + noise)
+    if kind in (OracleEstimator, NoisyOracleEstimator):
+        values = np.linalg.eigvalsh(blocks)
+        if kind is NoisyOracleEstimator:
+            for b, (e, agent) in enumerate(zip(kinds, agents)):
+                if e.sigma != 0.0:
+                    rng = keyed_rng(e.seed, "estimator-noise", agent, round_)
+                    values[b] = np.sort(values[b] + rng.normal(0.0, e.sigma, k))
         return values[:, :j]
     if kind is MlpEstimator:
         weights, biases, scale = _stack_networks([e.params for e in kinds], k * k)

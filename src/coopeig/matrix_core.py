@@ -1,16 +1,11 @@
 """Dense symmetric matrices: generation with known spectra, row
-partitioning, principal diagonal blocks, and two eigensolvers. Every
-solve of a run goes through ``eigenvalues``: ``sturm_eigen``
-(Householder tridiagonalization, then Sturm multisection) for just the
-eigenvalues asked for, written once for a (B, n, n) stack. One matrix
-is the stack of one (the truth, the SLEM); the agents' blocks of one
-size are one stack. ``jacobi_eigen``, a cyclic-Jacobi solver for the
-full spectrum, stays as the tests' reference; no run path calls it.
+partitioning, principal diagonal blocks, and a reference eigensolver.
+Every solve of a run calls ``numpy.linalg.eigvalsh`` (LAPACK) at its
+call site: the truth, the SLEM and each stack of equal-size blocks.
+``jacobi_eigen``, a cyclic-Jacobi solver for the full spectrum, stays as
+the tests' reference; no run path calls it.
 """
 
-import hashlib
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,9 +33,11 @@ class JacobiConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseSymMatrix:
-    """A dense real symmetric matrix. Refused: max|a| > MAX_NORM / n (a
-    solve squares values up to ||A||_F <= n max|a|) and an asymmetry over
-    SYMMETRY_TOL max(1, max|a|); averaging makes the rest bitwise symmetric."""
+    """A dense real symmetric matrix. Refused: max|a| > MAX_NORM / n, which
+    keeps every eigenvalue (at most n max|a| in magnitude) below
+    sqrt(max float), so the round loop's error norms can square it; and
+    an asymmetry over SYMMETRY_TOL max(1, max|a|). Averaging makes the
+    rest bitwise symmetric."""
 
     a: np.ndarray
 
@@ -92,9 +89,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray  # sturm_eigen: as asked; jacobi_eigen (reference): all, ascending
-    iterations_used: int  # full Jacobi sweeps, or multisection passes (per block of a stack)
-    residual: float  # max |off-diagonal|, or widest bracket (per block of a stack)
+    eigenvalues: np.ndarray  # all, ascending
+    iterations_used: int  # full Jacobi sweeps
+    residual: float  # max |off-diagonal|
 
 
 @lru_cache(maxsize=None)
@@ -173,175 +170,6 @@ def jacobi_eigen(A: DenseSymMatrix, tol: float = DEFAULT_TOL,
     if off <= tol:
         return SpectrumResult(np.sort(np.diag(a)), max_sweeps, off)
     raise JacobiConvergenceError(off, max_sweeps)
-
-
-SHIFTS_PER_INDEX = 100
-# From the full Gershgorin width, 101 sub-brackets per pass reach
-# 2 eps max|bound| in 8 passes (101**8 > 2**52); the rest is slack.
-MAX_PASSES = 12
-
-
-def _tridiagonalize(a: np.ndarray):
-    """The diagonals (B, n) and off-diagonals (B, n - 1) of Q^T A Q,
-    tridiagonal, for each A of the stack ``a`` (B, n, n), from n - 2
-    Householder reflections (Golub & Van Loan 8.3.1). Each reflection
-    H = I - 2 v v^T acts on the trailing block C as the rank-2 update
-    H C H = C - v w^T - w v^T, w = p - (v.p) v, p = 2 C v, which keeps C
-    exactly symmetric. A block whose column is already zero gets v = 0,
-    so H = I for it alone. Vectors are (B, r, 1) columns, so every
-    product is one BLAS dot or gemv per block, and each block's bits do
-    not depend on the others in the stack."""
-    a = np.array(a, dtype=float)
-    nb, n, _ = a.shape
-    alphas = []
-    for k in range(n - 2):
-        v = a[:, k + 1:, k, None].copy()
-        head = v[:, :1]
-        alpha = np.copysign(np.sqrt(v.mT @ v), head)
-        head += alpha
-        norm = np.sqrt(v.mT @ v)
-        if np.count_nonzero(alpha) < nb:  # some block's column is already zero
-            zero = alpha == 0.0
-            v[zero[:, 0, 0]] = 0.0
-            norm[zero] = 1.0
-        v /= norm
-        c = a[:, k + 1:, k + 1:]
-        p = 2.0 * (c @ v)
-        w = p - (v.mT @ p) * v
-        c -= v * w.mT + w * v.mT
-        alphas.append(alpha)
-    off = np.zeros((nb, n - 1))
-    if n > 2:
-        off[:, :-1] = -np.concatenate(alphas, axis=1)[:, :, 0]
-    if n > 1:
-        off[:, -1] = a[:, -1, -2]
-    return a.diagonal(axis1=1, axis2=2), off
-
-
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray,
-                  pivmin) -> np.ndarray:
-    """How many eigenvalues of the tridiagonal (d, e) lie below each
-    shift in ``x``: the negative pivots of the LDL^T factorization of
-    T - x I (Golub & Van Loan 8.4.2), for all shifts at once. For one
-    matrix d is (n,), e2 (n - 1,) and x (S,); for a stack of L they are
-    (L, n), (L, n - 1) and (L, S); ``pivmin`` broadcasts against x. A pivot
-    smaller than ``pivmin`` is set to -pivmin, as LAPACK's dstebz does,
-    so no division by zero or overflow can occur. Each row's pivots
-    overwrite its d - x."""
-    bound = np.full(x.shape, pivmin)
-    floor = -bound
-    q = np.ones(x.shape)
-    rows = d.T[..., None] - x
-    e2 = e2.T[..., None] if x.ndim > 1 else e2  # one matrix divides by scalars
-    for dx, e2_prev in zip(rows, np.concatenate((np.zeros((1,) + e2.shape[1:]), e2))):
-        q = np.subtract(dx, e2_prev / q, out=dx)
-        np.copyto(q, floor, where=np.abs(q) < bound)
-    return np.count_nonzero(rows < 0, axis=0)
-
-
-def sturm_eigen(A, indices: tuple) -> SpectrumResult:
-    """The eigenvalues at ``indices`` (0 = smallest) of a symmetric
-    matrix, in the order given: Householder tridiagonalization, then
-    multisection on Sturm counts (Golub & Van Loan 8.4-8.5). Each index
-    starts from the Gershgorin bracket; each pass splits every bracket
-    at SHIFTS_PER_INDEX shifts and keeps the piece where the count
-    first exceeds the index. It stops once every bracket is at most
-    2 eps max|bound| wide, or after MAX_PASSES passes, so it always
-    terminates. ``iterations_used`` counts passes; ``residual`` is the
-    widest final bracket, which bounds the error of the tridiagonal's
-    eigenvalues. Deterministic.
-
-    ``A`` is one DenseSymMatrix, or a (B, n, n) array of matrices as
-    DenseSymMatrix holds them (checked, exactly symmetric). A stack is
-    solved in one pass over all its blocks, and each block stops on its
-    own brackets, so it gets the bits of solving it alone as a stack of
-    one. For a stack, ``eigenvalues`` is (B, len(indices)) and
-    ``iterations_used`` and ``residual`` are per-block arrays."""
-    a = A.a[None] if isinstance(A, DenseSymMatrix) else np.asarray(A, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    nb, n, _ = a.shape
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or len(idx) == 0 or idx.min() < 0 or idx.max() >= n:
-        raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
-    d, e = _tridiagonalize(a)
-    ae = np.zeros((nb, n + 1))
-    ae[:, 1:-1] = np.abs(e)
-    radius = ae[:, :-1] + ae[:, 1:]
-    lo0, hi0 = (d - radius).min(axis=1), (d + radius).max(axis=1)
-    tol = 2.0 * np.finfo(float).eps * np.maximum(np.abs(lo0), np.abs(hi0))
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=1, initial=0.0))
-    # Brackets are rows of lo and hi, index fastest: row b * J + i.
-    nj = len(idx)
-    lo, hi = np.repeat(lo0, nj), np.repeat(hi0, nj)
-    passes = np.zeros(nb, dtype=np.int64)
-    steps = np.arange(1, SHIFTS_PER_INDEX + 1) / (SHIFTS_PER_INDEX + 1)
-    npass = 0
-    todo = np.flatnonzero(hi0 - lo0 > tol)  # blocks with a wide bracket
-    while todo.size and npass < MAX_PASSES:
-        # Narrow the brackets of ``todo`` until a block's are all narrow.
-        sel = (todo[:, None] * nj + np.arange(nj)).ravel()
-        blo, bhi, targets = lo[sel], hi[sel], np.tile(idx, len(todo))[:, None]
-        pick = todo[0] if len(todo) == 1 else todo  # one block divides by scalars
-        bd, be2, bpiv, btol = d[pick], e2[pick], pivmin[pick, None], tol[todo]
-        rows = np.arange(len(sel))
-        while True:
-            x = blo[:, None] + (bhi - blo)[:, None] * steps
-            counts = _sturm_counts(bd, be2, x.reshape(*bd.shape[:-1], -1), bpiv)
-            above = counts.reshape(x.shape) > targets
-            # Piece j lies between column j and j + 1 of [lo, shifts, hi].
-            j = np.where(above.any(axis=1), above.argmax(axis=1), SHIFTS_PER_INDEX)
-            edges = np.column_stack((blo, x, bhi))
-            blo, bhi = edges[rows, j], edges[rows, j + 1]
-            npass += 1
-            wide = (bhi - blo).reshape(len(todo), nj).max(axis=1) > btol
-            if npass == MAX_PASSES or not wide.all():
-                break
-        lo[sel], hi[sel] = blo, bhi
-        passes[todo] = npass
-        todo = todo[wide]
-    values = ((lo + hi) / 2.0).reshape(nb, nj)
-    widths = (hi - lo).reshape(nb, nj).max(axis=1)
-    if isinstance(A, DenseSymMatrix):
-        return SpectrumResult(values[0], int(passes[0]), float(widths[0]))
-    return SpectrumResult(values, passes, widths)
-
-
-# (indices, matrix or stack shape, content digest) -> the read-only
-# eigenvalues, while a reuse scope is open.
-_spectra = ContextVar("coopeig_spectra", default=None)
-
-
-@contextmanager
-def reuse_spectra():
-    """A scope in which ``eigenvalues`` solves each distinct matrix or
-    stack once. Nothing is kept after it closes, by an exception or not."""
-    token = _spectra.set({})
-    try:
-        yield
-    finally:
-        _spectra.reset(token)
-
-
-def eigenvalues(A, indices: tuple) -> np.ndarray:
-    """``sturm_eigen(A, indices).eigenvalues``, the one solve of every run
-    path, for one DenseSymMatrix or a (B, n, n) stack. Inside
-    ``reuse_spectra()`` it is stored read-only, keyed on ``indices``, the
-    shape of ``A`` and a sha256 digest of its bytes, so no copy of ``A``
-    is kept, and handed back for every equal matrix or stack asked for
-    the same indices. A solve that raises stores nothing."""
-    memo = _spectra.get()
-    if memo is None:
-        return sturm_eigen(A, indices).eigenvalues
-    a = A.a if isinstance(A, DenseSymMatrix) else A
-    key = (indices, a.shape, hashlib.sha256(a.tobytes()).digest())
-    values = memo.get(key)
-    if values is None:
-        values = sturm_eigen(A, indices).eigenvalues
-        values.setflags(write=False)
-        memo[key] = values
-    return values
 
 
 def _max_offdiag(a: np.ndarray) -> float:

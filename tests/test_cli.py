@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +13,15 @@ from coopeig import cli, matrix_core, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import init_mlp, load_params, save_params
 from coopeig.matrix_core import (
-    DenseSymMatrix,
     JacobiConvergenceError,
     generate_spd,
     jacobi_eigen,
     load_matrix,
     save_matrix,
-    sturm_eigen,
 )
 from coopeig.seeding import child_seed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_config(tmp_path, **over):
@@ -49,17 +52,16 @@ def file_config(tmp_path, **over):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The matrices and block stacks that reach sturm_eigen, the one
-    solve behind the truth, the SLEM and the block call sites, one
-    (shape, bytes) entry per real solve."""
-    calls = []
+    """The shape of each matrix or block stack that reaches
+    ``np.linalg.eigvalsh``, the one solve behind the truth, the SLEM and
+    the block call sites."""
+    calls, solve = [], np.linalg.eigvalsh
 
-    def counted(A, indices):
-        a = A.a if isinstance(A, DenseSymMatrix) else A
-        calls.append((a.shape, a.tobytes()))
-        return sturm_eigen(A, indices)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 
@@ -450,6 +452,34 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert f"bad value for {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spectrum", ["1:2:3", "abc", "1:x"])
+    def test_spectrum_string_not_a_range_is_usage_error(self, tmp_path, capsys, spectrum):
+        cfg = base_config(tmp_path, matrix={"kind": "generate", "n": 12, "spectrum": spectrum})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for 'matrix.spectrum': {spectrum!r} is not a 'lo:hi' range" in err
+        assert "Traceback" not in err
+
+    # n = 256 over 2 agents: a 256 x 256 truth and two 128 x 128 blocks,
+    # sizes at which LAPACK reduces in blocked panels
+    @pytest.mark.parametrize("estimator", [{"kind": "oracle"},
+                                           {"kind": "noisy_oracle", "sigma": 0.1}],
+                             ids=["oracle", "noisy-oracle"])
+    def test_rerun_in_a_fresh_interpreter_same_bytes(self, tmp_path, estimator):
+        cfg = base_config(tmp_path, agents=2, estimator=estimator,
+                          matrix={"kind": "generate", "n": 256, "spectrum": "0.5:5.0"})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        outputs = []
+        for side in "ab":
+            out = tmp_path / f"{side}.csv"
+            result = subprocess.run([sys.executable, "-m", "coopeig.cli", "simulate",
+                                     "--config", str(cfg), "--out", str(out)],
+                                    env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_snapshot_report_round_trip(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         snap = tmp_path / "snap.json"
@@ -550,25 +580,9 @@ class TestSweep:
         assert solves == []  # rejected before the first trial
 
 
-SWEEP = ["sweep", "--param", "p", "--values", "0,0.3", "--trials", "3", "--config"]
-
-
 class TestSweepReusesSpectra:
-    M = 4  # agents in base_config; its 12 rows give M blocks of 3 x 3, one stack
-
-    def test_each_distinct_matrix_solved_once(self, tmp_path, capsys, solves):
-        assert main(SWEEP + [str(file_config(tmp_path))]) == 0
-        # the truth, the stack of the M diagonal blocks and the ring's W0,
-        # once each (each of the 2 x 3 trials solved all of them before)
-        assert [shape for shape, _ in solves] == [(12, 12), (self.M, 3, 3), (self.M, self.M)]
-        assert len(set(solves)) == len(solves)
-
-    def test_generated_matrices_each_solved(self, tmp_path, capsys, solves):
-        # every trial seed draws a new matrix, so a new truth and block
-        # stack; the ring's W0 is shared
-        assert main(SWEEP + [str(base_config(tmp_path))]) == 0
-        assert len(solves) == 2 * 3 * (1 + 1) + 1
-        assert len(set(solves)) == len(solves)
+    """No trial of a sweep reuses what another solved: each row is
+    bit-equal to the standalone runs of its trials."""
 
     @pytest.mark.parametrize("matrix", ["file", "generate"])
     @pytest.mark.parametrize("param, values, over", [
@@ -590,34 +604,6 @@ class TestSweepReusesSpectra:
                 for trial in range(3)]
             rows.append(_sweep_row(param, value, group))
         assert out.read_text().splitlines()[1:] == rows
-
-    def test_nothing_outlives_a_command(self, tmp_path, capsys, solves):
-        cfg = file_config(tmp_path)
-        per_run = 1 + 1 + 1  # the truth, the block stack, W0
-        assert main(SWEEP + [str(cfg)]) == 0
-        assert main(SWEEP + [str(cfg)]) == 0
-        assert len(solves) == 2 * per_run
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
-        assert len(solves) == 3 * per_run
-
-    def test_nothing_outlives_a_failed_sweep(self, tmp_path, capsys, monkeypatch, solves):
-        cfg = file_config(tmp_path)
-        counted = matrix_core.sturm_eigen
-
-        def stuck(A, indices):
-            # W0; the matrix is 12x12 and its blocks a (4, 3, 3) stack
-            if isinstance(A, DenseSymMatrix) and A.n == self.M:
-                raise ValueError("solve failed")
-            return counted(A, indices)
-
-        # the truth and the block stack are solved, then the SLEM solve fails
-        monkeypatch.setattr(matrix_core, "sturm_eigen", stuck)
-        assert main(SWEEP + [str(cfg)]) == 2
-        assert "solve failed" in capsys.readouterr().err
-        assert len(solves) == 1 + 1
-        monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
-        assert len(solves) == 2 * (1 + 1) + 1
 
 
 class TestLibraryErrorExitCodes:

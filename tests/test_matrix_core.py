@@ -1,33 +1,24 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopeig import matrix_core
 from coopeig.comm_graph import build_graph, metropolis_weights
-from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
+from coopeig.local_estimator import OracleEstimator, estimate, estimate_stack
 from coopeig.matrix_core import (
     DEFAULT_TOL,
     MAX_NORM,
-    MAX_PASSES,
     DenseSymMatrix,
     JacobiConvergenceError,
     Partition,
     _round_robin,
-    _sturm_counts,
-    _tridiagonalize,
     diagonal_block,
-    eigenvalues,
     generate_spd,
     jacobi_eigen,
     load_matrix,
     partition_rows,
-    reuse_spectra,
     save_matrix,
     spd_stack,
-    sturm_eigen,
 )
 from coopeig.seeding import keyed_rng
 
@@ -79,7 +70,7 @@ class TestDenseSymMatrix:
         n = 4
         a = np.full((n, n), MAX_NORM / n)
         a[0, 1] = a[1, 0] = -MAX_NORM / n
-        values = sturm_eigen(DenseSymMatrix(a), tuple(range(n))).eigenvalues
+        values = np.linalg.eigvalsh(DenseSymMatrix(a).a)
         assert np.all(np.isfinite(values))
         a[2, 2] = np.nextafter(MAX_NORM / n, np.inf)
         with pytest.raises(ValueError, match="in magnitude"):
@@ -290,34 +281,23 @@ def ring_weights(m):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestSturmEigen:
+class TestOracleAgainstJacobi:
+    """The exact oracle's ``eigvalsh`` solve, A as one agent's whole
+    block, against the Jacobi reference."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 33, 40, 64, 128])
     def test_matches_jacobi(self, n):
         A = generate_spd(n, np.geomspace(0.1, 10.0, n), seed=n)
-        r = sturm_eigen(A, tuple(range(n)))
         reference = jacobi_eigen(A).eigenvalues
-        assert np.abs(r.eigenvalues - reference).max() <= 1e-12
-        assert r.iterations_used < MAX_PASSES
-        # the oracle's block solve, A as one agent's whole block
         assert np.abs(estimate(OracleEstimator(), A) - reference).max() <= 1e-12
 
-    # -0.0 comes out as +0.0, the midpoint of its bracket [-0.0, +0.0]
     @pytest.mark.parametrize("value", [0.0, -0.0, -3.75, 1e-300, 0.1, 2.0 / 3.0, 5.123456789e12])
     def test_one_by_one_block_is_its_entry(self, value):
         block = DenseSymMatrix([[value]])
         assert estimate(OracleEstimator(), block).tolist() == [value]
-        assert sturm_eigen(block, (0,)).iterations_used == 0
-        assert sturm_eigen(block, (0, 0)).eigenvalues.tobytes() == np.full(2, value + 0.0).tobytes()
-
-    def test_matches_eigvalsh_at_256(self):
-        A = generate_spd(256, np.linspace(0.5, 5.0, 256), seed=1)
-        idx = (0, 1, 2, 127, 254, 255)
-        r = sturm_eigen(A, idx)
-        assert np.abs(r.eigenvalues - np.linalg.eigvalsh(A.a)[list(idx)]).max() <= 1e-12
-        assert r.iterations_used < MAX_PASSES
 
     @pytest.mark.parametrize("A", [
-        DenseSymMatrix(np.diag([3.0, 1.0, 2.0, -4.0])),  # every Householder column is zero
+        DenseSymMatrix(np.diag([3.0, 1.0, 2.0, -4.0])),
         DenseSymMatrix(np.eye(5)),
         DenseSymMatrix(np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])),
         ring_weights(10),  # eigenvalues in pairs, one negative pair
@@ -328,37 +308,10 @@ class TestSturmEigen:
     ], ids=["diagonal", "identity", "repeated", "ring-10", "ring-2", "swap",
             "negative-definite", "tridiagonal"])
     def test_degenerate_inputs(self, A):
-        r = sturm_eigen(A, tuple(range(A.n)))
         reference = jacobi_eigen(A).eigenvalues
-        assert np.abs(r.eigenvalues - reference).max() <= 1e-12
-        assert r.iterations_used < MAX_PASSES
         oracle = estimate(OracleEstimator(), A)
         assert np.all(np.diff(oracle) >= 0)
         assert np.abs(oracle - reference).max() <= 1e-12
-
-    def test_identity_needs_no_pass(self):
-        r = sturm_eigen(DenseSymMatrix(np.eye(4)), (0, 3))
-        assert r.eigenvalues.tolist() == [1.0, 1.0]
-        assert r.iterations_used == 0 and r.residual == 0.0
-
-    def test_values_in_the_order_of_the_indices(self):
-        A = generate_spd(6, [1, 2, 3, 4, 5, 6], seed=0)
-        r = sturm_eigen(A, (5, 0, 0))
-        assert np.allclose(r.eigenvalues, [6.0, 1.0, 1.0], atol=1e-12)
-
-    @pytest.mark.parametrize("indices", [(), (-1,), (4,)])
-    def test_rejects_bad_indices(self, indices):
-        with pytest.raises(ValueError):
-            sturm_eigen(DenseSymMatrix(np.eye(4)), indices)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_zero_pivots_are_guarded(self, scale):
-        # path-graph adjacency, eigenvalues +-1.618 s and +-0.618 s; the
-        # shift 0 makes every other pivot exactly zero
-        d, e = np.zeros(4), np.full(3, scale)
-        pivmin = np.finfo(float).tiny * max(1.0, scale**2)
-        x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * scale
-        assert _sturm_counts(d, e * e, x, pivmin).tolist() == [0, 1, 2, 3, 4]
 
 
 def spd_blocks(k, count, seed=0):
@@ -369,187 +322,38 @@ def spd_blocks(k, count, seed=0):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSturmStack:
-    """A (B, n, n) stack is solved in one pass; each block keeps the
-    bits of solving it alone as a stack of one."""
+    """A (B, n, n) stack is solved in one pass, the exact oracle's one
+    ``eigvalsh`` call that replaced the Sturm multisection stack solve;
+    each block keeps the bits of solving it alone as a stack of one."""
 
     @staticmethod
-    def check_blocks(stack, indices):
-        r = sturm_eigen(stack, indices)
-        assert r.eigenvalues.shape == (len(stack), len(indices))
-        for b, block in enumerate(stack):
-            alone = sturm_eigen(stack[b:b + 1], indices)
-            assert r.eigenvalues[b].tobytes() == alone.eigenvalues[0].tobytes()
-            assert r.iterations_used[b] == alone.iterations_used[0] < MAX_PASSES
-            assert r.residual[b] == alone.residual[0]
-            one = sturm_eigen(DenseSymMatrix(block), indices)
-            assert one.eigenvalues.tobytes() == alone.eigenvalues[0].tobytes()
-            assert one.iterations_used == alone.iterations_used[0]
-            reference = jacobi_eigen(DenseSymMatrix(block)).eigenvalues[list(indices)]
-            assert np.abs(r.eigenvalues[b] - reference).max() <= 1e-12
-        return r
+    def check_blocks(stack):
+        agents = list(range(len(stack)))
+        n = stack.shape[1]
+        for j in {1, n}:
+            rows = estimate_stack([OracleEstimator()] * len(stack), stack, agents, tracked=j)
+            assert rows.shape == (len(stack), j)
+            for row, block in zip(rows, stack):
+                alone = estimate(OracleEstimator(), DenseSymMatrix(block))[:j]
+                assert row.tobytes() == alone.tobytes()
+                reference = jacobi_eigen(DenseSymMatrix(block)).eigenvalues[:j]
+                assert np.abs(row - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_blocks_match_jacobi_and_their_solo_bits(self, k):
-        stack = spd_blocks(k, 5, seed=k)
-        self.check_blocks(stack, tuple(range(k)))
-        self.check_blocks(stack, (0,))
+        self.check_blocks(spd_blocks(k, 5, seed=k))
 
     def test_diagonal_block_next_to_a_dense_one(self):
-        # every Householder column of the diagonal block is zero
         stack = np.stack([np.diag([3.0, 1.0, 2.0, -4.0, 0.5, 7.0]), spd_blocks(6, 1)[0],
                           np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) + np.diag(np.ones(5), 1)
                           + np.diag(np.ones(5), -1)])
-        self.check_blocks(stack, tuple(range(6)))
-        d, e = _tridiagonalize(stack)
-        assert d[0].tolist() == [3.0, 1.0, 2.0, -4.0, 0.5, 7.0]  # H = I for this block
-        assert not e[0].any()
-        assert np.isfinite(d).all() and np.isfinite(e).all()
+        self.check_blocks(stack)
 
     def test_repeated_eigenvalues(self):
         ring = metropolis_weights(build_graph("ring", 6)).w  # eigenvalues in pairs
         stack = np.stack([np.eye(6), np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]), ring,
                           generate_spd(6, [1.0, 1.0, 1.0, 2.0, 2.0, 5.0], seed=4).a])
-        self.check_blocks(stack, tuple(range(6)))
-
-    def test_narrow_block_stops_while_the_others_narrow(self):
-        # the identity needs no pass, a near-multiple of it few, and the
-        # dense blocks more; none is narrowed past its own stop
-        near = 5.0 * np.eye(4) + 1e-9 * spd_blocks(4, 1, seed=9)[0]
-        stack = np.stack([spd_blocks(4, 1)[0], np.eye(4), near, spd_blocks(4, 1, seed=5)[0]])
-        r = self.check_blocks(stack, (0, 3))
-        assert r.iterations_used[1] == 0
-        assert 0 < r.iterations_used[2] < min(r.iterations_used[0], r.iterations_used[3])
-
-    @pytest.mark.parametrize("shape", [(4, 4, 3), (4,), (0, 3, 3)])
-    def test_rejects_a_stack_that_is_not_square(self, shape):
-        with pytest.raises(ValueError):
-            sturm_eigen(np.zeros(shape), (0,))
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """The (n, indices) of every real solve behind ``eigenvalues``, for a
-    matrix or a stack of n x n blocks."""
-    calls = []
-
-    def counted(A, indices):
-        calls.append((A.n if isinstance(A, DenseSymMatrix) else A.shape[-1], indices))
-        return sturm_eigen(A, indices)
-
-    monkeypatch.setattr(matrix_core, "sturm_eigen", counted)
-    return calls
-
-
-class TestReuseSpectra:
-    def test_each_distinct_matrix_solved_once(self, solves):
-        a, b = tridiag(5, 2.0, 1.0), tridiag(5, 2.0, 0.5)
-        every = tuple(range(5))
-        with reuse_spectra():
-            first = eigenvalues(a, every)
-            assert eigenvalues(DenseSymMatrix(a.a.copy()), every) is first
-            assert np.array_equal(eigenvalues(b, every), sturm_eigen(b, every).eigenvalues)
-            eigenvalues(a, (0,))
-            eigenvalues(a, (0,))
-        assert solves == [(5, every), (5, every), (5, (0,))]
-        assert np.array_equal(first, sturm_eigen(a, every).eigenvalues)
-
-    def test_keyed_on_the_indices(self, solves):
-        # The truth of A is its smallest eigenvalue alone; the noisy
-        # oracle on A as an agent's whole block (a one-agent run) still
-        # needs all six.
-        A = generate_spd(6, np.linspace(0.5, 3.0, 6), seed=1)
-        noisy = NoisyOracleEstimator(0.5, 9)
-        standalone = estimate(noisy, A)
-        with reuse_spectra():
-            truth = eigenvalues(A, (0,))
-            scoped = estimate(noisy, A)
-            assert len(scoped) == 6 and np.array_equal(scoped, standalone)
-            assert eigenvalues(A, (0,)) is truth
-            assert len(eigenvalues(A, (0, 1))) == 2
-        assert [indices for _, indices in solves[1:]] == [(0,), tuple(range(6)), (0, 1)]
-
-    def test_handed_out_read_only(self):
-        with reuse_spectra():
-            values = eigenvalues(tridiag(4, 2.0, 1.0), (0, 1))
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-
-    def test_outside_a_scope_every_call_solves(self, solves):
-        a = tridiag(4, 2.0, 1.0)
-        first, second = eigenvalues(a, (0,)), eigenvalues(a, (0,))
-        assert len(solves) == 2 and first is not second and first.flags.writeable
-
-    def test_failed_solve_not_stored(self, monkeypatch):
-        calls = []
-
-        def fails_once(A, indices):
-            calls.append(indices)
-            if len(calls) == 1:
-                raise RuntimeError("solve failed")
-            return sturm_eigen(A, indices)
-
-        monkeypatch.setattr(matrix_core, "sturm_eigen", fails_once)
-        a = tridiag(4, 2.0, 1.0)
-        with reuse_spectra():
-            with pytest.raises(RuntimeError):
-                eigenvalues(a, (0,))
-            eigenvalues(a, (0,))
-            eigenvalues(a, (0,))
-        assert len(calls) == 2
-
-    def test_stack_solved_once(self, solves):
-        stack = spd_blocks(3, 4)
-        with reuse_spectra():
-            first = eigenvalues(stack, (0, 1))
-            assert eigenvalues(stack.copy(), (0, 1)) is first
-            assert not first.flags.writeable
-            assert np.array_equal(eigenvalues(stack[::-1], (0, 1)), first[::-1])
-            eigenvalues(stack[:3], (0, 1))  # a shorter stack is another key
-            eigenvalues(stack, (0,))
-        assert solves == [(3, (0, 1)), (3, (0, 1)), (3, (0, 1)), (3, (0,))]
-        assert np.array_equal(first, sturm_eigen(stack, (0, 1)).eigenvalues)
-
-    def test_failed_stack_solve_not_stored(self, monkeypatch):
-        calls = []
-
-        def fails_once(A, indices):
-            calls.append(indices)
-            if len(calls) == 1:
-                raise RuntimeError("solve failed")
-            return sturm_eigen(A, indices)
-
-        monkeypatch.setattr(matrix_core, "sturm_eigen", fails_once)
-        stack = spd_blocks(3, 4)
-        with reuse_spectra():
-            with pytest.raises(RuntimeError):
-                eigenvalues(stack, (0,))
-            eigenvalues(stack, (0,))
-            eigenvalues(stack, (0,))
-        assert len(calls) == 2
-
-    def test_scope_closes_on_exception(self, solves):
-        a = tridiag(4, 2.0, 1.0)
-        with pytest.raises(RuntimeError):
-            with reuse_spectra():
-                eigenvalues(a, (0,))
-                raise RuntimeError("trial failed")
-        eigenvalues(a, (0,))
-        assert len(solves) == 2
-
-    def test_memo_keeps_no_matrix_bytes(self):
-        # 20 distinct 100x100 matrices hold 1.6 MB; a digest-keyed memo
-        # holds their 20 spectra (16 kB) and little else.
-        mats = [DenseSymMatrix(np.eye(100) * (i + 1.0)) for i in range(20)]
-        with reuse_spectra():
-            tracemalloc.start()
-            try:
-                for A in mats:
-                    eigenvalues(A, tuple(range(100)))
-                held, _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert held < 20 * 100 * 100 * 8 // 8
+        self.check_blocks(stack)
 
 
 class TestSmallestEigenvalue:

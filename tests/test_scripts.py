@@ -32,11 +32,11 @@ def sha256(data):
 # shows here.
 @pytest.mark.parametrize("args, csv_digest, stdout_digest", [
     (["--n", "12", "--agents", "4"],
-     "ee155f214674f462361b2aff9b03ec6572b37d454eff01c3b2fd6f6ae2aa05e4",
-     "d0b51c32e3a73e1d7c55d70186d7b24415cb9e5052dcf8a0dca567c3aeb41e5d"),
+     "6897fdb1c8f0ddbe75139caff0baf02594710e3926dfa41ede41bab4c79cc9dc",
+     "31b989f874234795b4775a05fa5b4d68e339db3f5165d493c28f0b6baf9368dc"),
     (["--topology", "er:0.5", "--seed", "3"],
-     "2c900fd4976dddfbf4cb42b74286019f8913dfffacfe8cf0150d8d3f8d6b9406",
-     "a87dbfa8bb49575e82cb85427938743d7c86d640b0f5e650e8ef77a601250423"),
+     "1da0ce113beeb299dbfe261ab747d675beb1e2b07a337474216b7bf683609068",
+     "74871cfef104bf9a5af725b760624a6f71f4b4ef5667ae12f2abf5ff09c25675"),
 ], ids=["ring", "er"])
 def test_decay_outputs_pinned(tmp_path, args, csv_digest, stdout_digest):
     result = run_script("decay_experiment.py", *args, cwd=tmp_path)

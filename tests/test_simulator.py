@@ -23,7 +23,6 @@ from coopeig.matrix_core import (
     generate_spd,
     jacobi_eigen,
     partition_rows,
-    reuse_spectra,
     save_matrix,
 )
 from coopeig.seeding import child_seed
@@ -95,18 +94,14 @@ class TestRunSimulation:
         lam = jacobi_eigen(A).eigenvalues[0]
         assert trace.final_estimates[0, 0] == pytest.approx(lam, abs=1e-12)
 
-    def test_single_agent_noisy_run_same_under_reuse_scope(self):
-        # the agent's block is the whole matrix, which the truth solves too
-        cfg = small_cfg(agents=1, topology="complete",
-                        estimator=EstimatorConfig("noisy_oracle", sigma=0.5))
-        alone = run_simulation(cfg)
-        with reuse_spectra():
-            scoped = [run_simulation(cfg) for _ in range(2)]
-        for trace in scoped:
-            assert np.array_equal(trace.truth, alone.truth)
-            assert np.array_equal(trace.final_estimates, alone.final_estimates)
-            assert np.array_equal(trace.max_est_error, alone.max_est_error)
-            assert np.array_equal(trace.global_estimate, alone.global_estimate)
+    def test_converges_at_n_1024_over_16_agents(self):
+        # 64 x 64 blocks and a 1024 x 1024 truth, both solved by eigvalsh
+        spectrum = np.linspace(0.5, 5.0, 1024)
+        trace = run_simulation(small_cfg(
+            matrix=MatrixSpec("generate", n=1024, spectrum=tuple(spectrum)), agents=16,
+            tol=1e-8, max_rounds=2000, seed=0, tracked=2))
+        assert trace.stop_reason == "converged"
+        assert np.abs(trace.truth - spectrum[:2]).max() <= 1e-12
 
     def test_complete_graph_one_round(self):
         trace = run_simulation(small_cfg(topology="complete"))
@@ -498,11 +493,11 @@ class TestExportCsv:
     # link failures and a run whose MLP estimators train in the run:
     # any change to a CSV byte shows here
     @pytest.mark.parametrize("over, digest", [
-        ({}, "0dcde59a23d54337b26a3936b9c667d8fb837c71d8e6dff07de9edbdf853fea9"),
+        ({}, "4ba182e93b566b9c6a08ff89d4dd8437f98278c9e70a30f756994dd7ecaa2ece"),
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
-         "1ab0157e5c27418e56805fe8f982ee7168a6dc0ccfb5246d4658fdd8f50c1fb0"),
+         "29020278427037e0871037afd6b12caeb10602a7161208dc063c1eeed54ea76d"),
         ({"estimator": EstimatorConfig("mlp", learning_rate=0.01)},
-         "0b6a93b720686c52ad2706e5a846a1597c9741043c3af3ef3147a3462e617885"),
+         "4edc652a59972182f939a94785d8ddf0b69f9d40f3d61620af2530fb50a3e890"),
     ], ids=["failure-free", "link-failures", "mlp-trained-in-run"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
