@@ -33,6 +33,7 @@ from .simulator import (
     export_csv,
     fit_error_bound,
     load_config,
+    run_many,
     run_simulation,
     save_snapshot,
     summary_from_snapshot,
@@ -134,6 +135,8 @@ def _sweep_row(param: str, value: float, group) -> str:
 
 
 def cmd_sweep(args) -> int:
+    """One aggregate row per value over its trials, all run by one
+    ``run_many``, so stages no trial changes are built once per sweep."""
     base = load_config(args.config)
     values = [float(v) for v in args.values.split(",") if v]
     if not values:
@@ -149,12 +152,13 @@ def cmd_sweep(args) -> int:
                           f"not estimator: {base.estimator.kind}")
 
     # Build every trial's config first, so a bad value fails before any trial runs.
-    configs = [[_apply_sweep_value(base, args.param, value, child_seed(base.seed, "sweep", vi, t))
-                for t in range(args.trials)] for vi, value in enumerate(values)]
+    traces = run_many([_apply_sweep_value(base, args.param, value,
+                                          child_seed(base.seed, "sweep", vi, t))
+                       for vi, value in enumerate(values) for t in range(args.trials)])
     lines = ["param,value,trials,mean_rounds,min_rounds,max_rounds,"
              "mean_final_error,min_final_error,max_final_error,mean_gamma_hat"]
-    for value, group in zip(values, configs):
-        lines.append(_sweep_row(args.param, value, [run_simulation(c) for c in group]))
+    for value in values:
+        lines.append(_sweep_row(args.param, value, [next(traces) for _ in range(args.trials)]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

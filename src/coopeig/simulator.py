@@ -2,7 +2,8 @@
 partition it over agents, estimate the agents' blocks one run of equal
 block size at a time (training networks if needed), run consensus
 rounds under a link-failure model, and record per-round metrics,
-complexity counters and exportable traces.
+complexity counters and exportable traces. ``run_many`` runs configs
+in order and reuses each stage whose config fields did not change.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import yaml
 
-from . import comm_graph, consensus, local_estimator, matrix_core
+from . import comm_graph, consensus, matrix_core
 from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
 from .consensus import BLOCK_FLOATS, ConsensusMode
 from .local_estimator import (
@@ -160,23 +161,33 @@ def theoretical_bound(e0: float, rho: float, k: int) -> float:
     return rho**k * e0
 
 
-def _resolve_matrix(cfg: SimConfig) -> matrix_core.DenseSymMatrix:
-    if cfg.matrix.kind == "generate":
-        return generate_spd(cfg.matrix.n, np.array(cfg.matrix.spectrum),
-                            child_seed(cfg.seed, "matrix"))
-    return load_matrix(cfg.matrix.path)
+def _resolve_matrix(spec: MatrixSpec, seed: int) -> matrix_core.DenseSymMatrix:
+    """The matrix stage: generated from ``seed``, or read from its file."""
+    if spec.kind == "generate":
+        return generate_spd(spec.n, np.array(spec.spectrum), child_seed(seed, "matrix"))
+    return load_matrix(spec.path)
 
 
-def _anchors(cfg: SimConfig, A: matrix_core.DenseSymMatrix, part, j: int) -> np.ndarray:
-    """Every agent's first ``j`` estimates in round 0, (m, j): per run of
-    equal block size, one estimator setup and one ``estimate_stack`` call
-    on a (B, k, k) stack sliced from A. A is exactly symmetric and its
-    checks bound every block, so each slice has ``diagonal_block``'s bits."""
-    ecfg, anchors, stop = cfg.estimator, np.empty((part.m, j)), 0
+def _truth(A: matrix_core.DenseSymMatrix, j: int) -> np.ndarray:
+    """The truth stage: the ``j`` smallest eigenvalues of A, read-only."""
+    truth = np.linalg.eigvalsh(A.a)[:j]
+    truth.setflags(write=False)
+    return truth
+
+
+def _anchors(A: matrix_core.DenseSymMatrix, part, j: int, ecfg: EstimatorConfig,
+             seed: int) -> consensus.ConsensusState:
+    """The anchor stage: the round-0 state, whose read-only estimates and
+    anchors are every agent's first ``j`` estimates, (m, j). Per run of
+    equal block size, one estimator setup and one ``estimate_stack``
+    call on a (B, k, k) stack sliced from A. A is exactly symmetric and
+    its checks bound every block, so each slice has ``diagonal_block``'s
+    bits."""
+    anchors, stop = np.empty((part.m, j)), 0
     if ecfg.kind == "oracle":
         shared = OracleEstimator()
     elif ecfg.kind == "noisy_oracle":
-        shared = NoisyOracleEstimator(ecfg.sigma, child_seed(cfg.seed, "estimator-noise"))
+        shared = NoisyOracleEstimator(ecfg.sigma, child_seed(seed, "estimator-noise"))
     elif ecfg.params_path:
         shared = MlpEstimator(load_params(ecfg.params_path))
     else:
@@ -188,8 +199,8 @@ def _anchors(cfg: SimConfig, A: matrix_core.DenseSymMatrix, part, j: int) -> np.
             # One stack per run, runs in agent order: the first network to
             # diverge is the one a one-by-one loop would have met first.
             tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
-                                             child_seed(cfg.seed, "mlp-data", i)) for i in agents]
-            p0s = [init_mlp(k, ecfg.hidden, child_seed(cfg.seed, "mlp-init", i)) for i in agents]
+                                             child_seed(seed, "mlp-data", i)) for i in agents]
+            p0s = [init_mlp(k, ecfg.hidden, child_seed(seed, "mlp-init", i)) for i in agents]
             kinds = [MlpEstimator(p) for p in train_stack(p0s, tsets, tcfg)[0]]
         else:
             if isinstance(shared, MlpEstimator) and shared.params.block_dim != k:
@@ -200,29 +211,21 @@ def _anchors(cfg: SimConfig, A: matrix_core.DenseSymMatrix, part, j: int) -> np.
         rows = part.offsets[start] + np.arange(len(agents) * k).reshape(-1, k)
         anchors[start:stop] = estimate_stack(kinds, A.a[rows[:, :, None], rows[:, None, :]],
                                              agents, round_=0, tracked=j)
-    return anchors
+    return consensus.init_states(anchors)
 
 
-def run_simulation(cfg: SimConfig) -> Trace:
-    """Execute the full protocol and return its trace. Deterministic:
-    identical configs (including seed) give bit-identical traces."""
-    A = _resolve_matrix(cfg)
-    if cfg.agents > A.n:
-        raise ConfigError("more agents than matrix rows")
-    part = partition_rows(A.n, cfg.agents)
-    j = cfg.tracked
-    if j > min(part.block_sizes):
-        raise ConfigError(
-            f"cannot track {j} eigenvalues with smallest block size "
-            f"{min(part.block_sizes)}"
-        )
-    truth = np.linalg.eigvalsh(A.a)[:j]
-
-    states = consensus.init_states(_anchors(cfg, A, part, j))
-
-    base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))
+def _network(topology: str, m: int, seed: int):
+    """The network stage: the graph, its failure-free weights W0 and
+    their SLEM ρ."""
+    base = build_graph(topology, m, child_seed(seed, "graph"))
     w0 = metropolis_weights(base)
-    rho = slem(w0)
+    return base, w0, slem(w0)
+
+
+def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.ConsensusState,
+            base, w0, rho: float) -> Trace:
+    """The round-loop stage: failure stream, mixing and per-round metrics."""
+    j = cfg.tracked
     fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
     if cfg.beta == "uniform":
         gw = consensus.uniform_weights(part.m)
@@ -267,6 +270,50 @@ def run_simulation(cfg: SimConfig) -> Trace:
                  scalars_sent=2 * j * np.concatenate(live)[:rounds + 1],
                  final_estimates=states.estimates, stop_reason=stop_reason,
                  block_sizes=part.block_sizes)
+
+
+def run_many(configs):
+    """Yield each config's ``Trace`` in order, bit-equal to its run
+    alone. Of a run's five stages, four read only some config fields:
+    the matrix (``matrix``, ``seed`` if generated), the truth (the
+    matrix, ``tracked``), the anchors (the matrix, ``agents``,
+    ``tracked``, ``estimator``, ``seed`` unless the oracle or a
+    pretrained network) and the network (``topology``, ``agents``,
+    ``seed`` if ``er:``). Each reuses the previous config's result when
+    those fields are equal, so a sweep reads and solves a file matrix
+    once; nothing older is held. The round loop runs for every config."""
+    held = {}  # stage -> (the fields it read, its result)
+
+    def stage(fields, build, *args):
+        if build not in held or held[build][0] != fields:
+            held[build] = (fields, build(*args))
+        return held[build][1]
+
+    for cfg in configs:
+        est, j, seed = cfg.estimator, cfg.tracked, cfg.seed
+        matrix = (cfg.matrix, seed if cfg.matrix.kind == "generate" else None)
+        A = stage(matrix, _resolve_matrix, cfg.matrix, seed)
+        if cfg.agents > A.n:
+            raise ConfigError("more agents than matrix rows")
+        part = partition_rows(A.n, cfg.agents)
+        if j > min(part.block_sizes):
+            raise ConfigError(f"cannot track {j} eigenvalues with smallest block size "
+                              f"{min(part.block_sizes)}")
+        truth = stage((matrix, j), _truth, A, j)
+        seeded = est.kind == "noisy_oracle" or (est.kind == "mlp" and not est.params_path)
+        states = stage((matrix, cfg.agents, j, est, seed if seeded else None),
+                       _anchors, A, part, j, est, seed)
+        er = cfg.topology.startswith("er:")
+        network = stage((cfg.topology, cfg.agents, seed if er else None),
+                        _network, cfg.topology, cfg.agents, seed)
+        yield _rounds(cfg, part, truth, states, *network)
+
+
+def run_simulation(cfg: SimConfig) -> Trace:
+    """Execute the full protocol and return its trace: ``run_many`` of
+    the one config. Deterministic: identical configs (including seed)
+    give bit-identical traces."""
+    return next(run_many([cfg]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ by round (see tests/test_consensus.py for the counterexample).
 import time
 
 import numpy as np
-import pytest
 import yaml
 
 from coopeig.cli import main as cli_main

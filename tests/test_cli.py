@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -545,10 +546,25 @@ class TestSweep:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_readme_quick_start_sweep_same_bytes(self, tmp_path):
+        # The README quick start's matrix and config, swept twice
+        matrix = tmp_path / "A.txt"
+        assert main(["gen-matrix", "--n", "40", "--spectrum", "0.5:5.0", "--seed", "0",
+                     "--out", str(matrix)]) == 0
+        cfg = base_config(tmp_path, matrix={"kind": "file", "path": str(matrix)},
+                          agents=10, seed=0)
+        outs = [tmp_path / "sweep_a.csv", tmp_path / "sweep_b.csv"]
+        for out in outs:
+            assert main(["sweep", "--config", str(cfg), "--param", "p",
+                         "--values", "0,0.3,0.5", "--trials", "2", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_bad_value_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_simulation",
                             lambda cfg: runs.append(cfg) or simulator.run_simulation(cfg))
+        monkeypatch.setattr(cli, "run_many",
+                            lambda cfgs: simulator.run_many(runs.append(c) or c for c in cfgs))
         assert main(["sweep", "--config", str(base_config(tmp_path)), "--param", "p",
                      "--values", "0,1.0", "--trials", "3"]) == 2
         assert "failure probability must be in [0, 1)" in capsys.readouterr().err
@@ -581,14 +597,18 @@ class TestSweep:
 
 
 class TestSweepReusesSpectra:
-    """No trial of a sweep reuses what another solved: each row is
-    bit-equal to the standalone runs of its trials."""
+    """A sweep builds a run stage again only when a config field that
+    the stage reads differs from the previous trial's, and each row is
+    still bit-equal to the standalone runs of its trials."""
 
     @pytest.mark.parametrize("matrix", ["file", "generate"])
     @pytest.mark.parametrize("param, values, over", [
         ("p", "0,0.3", {}),
         ("sigma", "0.01,0.1", {"estimator": {"kind": "noisy_oracle"}}),
         ("gamma", "0.3,0.7", {"mode": "damped"}),
+        ("p", "0,0.3", {"topology": "er:0.6"}),
+        ("p", "0,0.3", {"estimator": {"kind": "mlp", "learning_rate": 0.01, "epochs": 5,
+                                      "samples": 4, "hidden": [8]}}),
     ])
     def test_rows_bit_equal_to_standalone_runs(self, tmp_path, matrix, param, values, over):
         make = file_config if matrix == "file" else base_config
@@ -604,6 +624,38 @@ class TestSweepReusesSpectra:
                 for trial in range(3)]
             rows.append(_sweep_row(param, value, group))
         assert out.read_text().splitlines()[1:] == rows
+
+    def test_pretrained_rows_bit_equal_to_standalone_runs(self, tmp_path):
+        # a pretrained network reads no seed, so its anchors are built once
+        params = tmp_path / "params.json"
+        save_params(init_mlp(3, hidden=(8,), seed=1), params)
+        cfg = file_config(tmp_path, failure_p=0.2,
+                          estimator={"kind": "mlp", "params_path": str(params)})
+        out = tmp_path / "agg.csv"
+        assert main(["sweep", "--config", str(cfg), "--param", "p", "--values", "0,0.3",
+                     "--trials", "3", "--out", str(out)]) == 0
+        base = simulator.load_config(cfg)
+        rows = [_sweep_row("p", value, [simulator.run_simulation(_apply_sweep_value(
+                    base, "p", value, child_seed(base.seed, "sweep", vi, trial)))
+                    for trial in range(3)]) for vi, value in enumerate((0.0, 0.3))]
+        assert out.read_text().splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("make, topology, per_sweep, per_trial", [
+        (file_config, "ring", [(12, 12), (2, 3, 3), (3, 2, 2), (5, 5)], []),
+        (file_config, "er:0.6", [(12, 12), (2, 3, 3), (3, 2, 2)], [(5, 5)]),
+        (base_config, "ring", [(5, 5)], [(12, 12), (2, 3, 3), (3, 2, 2)]),
+    ])
+    def test_stage_solved_once_unless_a_trial_changes_its_fields(
+            self, tmp_path, monkeypatch, solves, make, topology, per_sweep, per_trial):
+        # 12 rows over 5 agents: blocks 3, 3, 2, 2, 2, so two block-size runs.
+        # The trial seed changes a generated matrix and an er: graph.
+        reads, load = [], simulator.load_matrix
+        monkeypatch.setattr(simulator, "load_matrix", lambda path: reads.append(path) or load(path))
+        cfg = make(tmp_path, agents=5, topology=topology)
+        assert main(["sweep", "--config", str(cfg), "--param", "p", "--values", "0,0.3",
+                     "--trials", "3", "--out", str(tmp_path / "agg.csv")]) == 0
+        assert Counter(solves) == Counter(per_sweep + per_trial * 6)
+        assert len(reads) == (1 if make is file_config else 0)
 
 
 class TestLibraryErrorExitCodes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopeig.comm_graph import Graph, WeightMatrix, build_graph, metropolis_weights, slem
+from coopeig.comm_graph import WeightMatrix, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
     ConsensusMode,
     ConsensusState,
