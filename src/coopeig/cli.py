@@ -222,10 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, so
+# in-process drivers pay for the parser tree once.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

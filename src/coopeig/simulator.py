@@ -537,12 +537,20 @@ def config_to_dict(cfg: SimConfig) -> dict:
     }
 
 
+# PyYAML's libyaml scanner when it ships one; both loaders share the
+# safe constructor and resolver, so they build the same values.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> SimConfig:
-    with open(path) as f:
+    """The config at ``path``; an error in the file as a whole names ``path``."""
+    with open(path, "rb") as f:  # bytes: PyYAML checks the encoding itself
         try:
-            data = yaml.safe_load(f)
+            data = yaml.load(f, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a mapping")
     return config_from_dict(data)
 
 

@@ -161,6 +161,29 @@ class TestTrain:
         assert load_params(out).block_dim == 2
         assert "final_loss=" in capsys.readouterr().out
 
+    def test_train_twice_same_bytes_then_simulate_from_file(self, tmp_path, capsys):
+        # The workflow's train step: k = 4 at lr 0.01 with every other
+        # training default, trained twice, then simulated from its file
+        params = [tmp_path / "params.json", tmp_path / "params_b.json"]
+        for out in params:
+            assert main(["train", "--k", "4", "--lr", "0.01", "--out", str(out)]) == 0
+        assert params[0].read_bytes() == params[1].read_bytes()
+        matrix = tmp_path / "A_mlp.txt"
+        assert main(["gen-matrix", "--n", "40", "--spectrum", "0.5:5.0", "--seed", "0",
+                     "--out", str(matrix)]) == 0
+        cfg = tmp_path / "mlp.yaml"
+        cfg.write_text(f"matrix: {{kind: file, path: {matrix}}}\n"
+                       "agents: 10\ntopology: ring\n"
+                       f"estimator: {{kind: mlp, params_path: {params[0]}}}\n"
+                       "mode: matrix_form\ntol: 1.0e-8\nmax_rounds: 500\nseed: 0\n")
+        snap = tmp_path / "mlp_snapshot.json"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--snapshot", str(snap)]) == 0
+        simulate_out = capsys.readouterr().out
+        assert "Stop reason: converged" in simulate_out
+        assert main(["report", "--snapshot", str(snap)]) == 0
+        assert capsys.readouterr().out == simulate_out
+
     def test_zero_hidden_size_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
                      "--hidden", "0", "--out", str(tmp_path / "p.json")])
@@ -251,6 +274,14 @@ class TestSimulate:
         path.write_text("matrix: {kind: generate\n  n: [\n")
         assert main(["simulate", "--config", str(path)]) == 2
         assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# nothing\n", "- 1\n- 2\n", "4\n"],
+                             ids=["empty", "comment", "list", "scalar"])
+    def test_config_not_a_mapping_names_file(self, tmp_path, capsys, text):
+        path = tmp_path / "flat.yaml"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: config must be a mapping\n"
 
     @pytest.mark.parametrize("section", ["matrix", "estimator"])
     def test_non_mapping_section_is_usage_error(self, tmp_path, capsys, section):
@@ -701,6 +732,148 @@ class TestLibraryErrorExitCodes:
             assert main(["sweep", "--config", cfg, "--param", param, "--values", values,
                          "--trials", "2"]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    """``main`` parses with one parser per process, and no call leaves
+    state behind for the next."""
+
+    def test_main_never_rebuilds_parser(self, tmp_path, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("build_parser called after import")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        cfg = str(base_config(tmp_path))
+        snap = str(tmp_path / "snap.json")
+        assert main(["simulate", "--config", cfg, "--snapshot", snap]) == 0
+        assert main(["sweep", "--config", cfg, "--param", "p", "--values", "0,0.3"]) == 0
+        assert main(["report", "--snapshot", snap]) == 0
+
+    def test_snapshot_flag_not_carried_to_next_call(self, tmp_path, capsys):
+        cfg = str(base_config(tmp_path))
+        snap = tmp_path / "s1.json"
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a.csv"),
+                     "--snapshot", str(snap)]) == 0
+        first = capsys.readouterr().out
+        assert snap.exists()
+        snap.unlink()
+        before = set(tmp_path.iterdir())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out == first
+        assert set(tmp_path.iterdir()) - before == {tmp_path / "b.csv"}
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_usage_errors_leave_next_call_as_first_call(self, tmp_path, capsys):
+        cfg = str(base_config(tmp_path))
+        # --trials left at its default, so a default changed by a failed
+        # parse would show in the rows
+        sweep = ["sweep", "--config", cfg, "--param", "p", "--values", "0,0.3"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "coopeig.cli", *sweep],
+                               env=env, capture_output=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert main([]) == 2
+        assert main(["sweep", "--param", "q"]) == 2
+        capsys.readouterr()
+        assert main(sweep) == 0
+        assert capsys.readouterr().out.encode() == fresh.stdout
+
+
+# libyaml's scanner, when this PyYAML ships it, and the pure-Python one
+LOADERS = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="c",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                          reason="PyYAML built without libyaml")),
+    pytest.param(yaml.SafeLoader, id="python"),
+]
+
+_FLOW = {"agents": 10, "topology": "ring", "mode": "matrix_form", "tol": 1e-8,
+         "max_rounds": 500, "seed": 0}
+# Each config text as the README, the workflow, the tests and the
+# benchmark write it, with the values it must mean
+CONFIG_SHAPES = {
+    "readme-flow-mappings": (
+        "matrix: {kind: file, path: A.txt}\nagents: 10\ntopology: ring\n"
+        "estimator: {kind: oracle}\nmode: matrix_form\ntol: 1.0e-8\n"
+        "max_rounds: 500\nseed: 0\n",
+        {"matrix": {"kind": "file", "path": "A.txt"}, "estimator": {"kind": "oracle"},
+         **_FLOW}),
+    # YAML 1.1 reads 1e-8 (no dot) as a string, which the config converts
+    "bare-exponent": (
+        "matrix: {kind: file, path: A.txt}\nagents: 10\ntopology: ring\n"
+        "estimator: {kind: oracle}\nmode: matrix_form\ntol: 1e-8\n"
+        "max_rounds: 500\nseed: 0\n",
+        {"matrix": {"kind": "file", "path": "A.txt"}, "estimator": {"kind": "oracle"},
+         **_FLOW}),
+    "quoted-range-spectrum": (
+        'matrix: {kind: generate, n: 42, spectrum: "0.5:5.0"}\nagents: 10\n'
+        "topology: ring\nestimator: {kind: mlp, learning_rate: 0.01}\n"
+        "mode: matrix_form\ntol: 1.0e-8\nmax_rounds: 500\nseed: 0\n",
+        {"matrix": {"kind": "generate", "n": 42, "spectrum": "0.5:5.0"},
+         "estimator": {"kind": "mlp", "learning_rate": 0.01}, **_FLOW}),
+    "flow-list-spectrum": (
+        "matrix: {kind: generate, n: 4, spectrum: [1, 2, 3, .inf]}\nagents: 2\n"
+        "topology: ring\nestimator: {kind: noisy_oracle, sigma: 0.1}\n"
+        "mode: matrix_form\ntol: 1.0e-8\nmax_rounds: 500\nseed: 0\ntracked: 2\n",
+        {"matrix": {"kind": "generate", "n": 4, "spectrum": [1.0, 2.0, 3.0, float("inf")]},
+         "estimator": {"kind": "noisy_oracle", "sigma": 0.1}, **_FLOW, "agents": 2,
+         "tracked": 2}),
+    "nested-block-mappings": (
+        "matrix:\n  kind: generate\n  n: 4\n  spectrum:\n  - 0.5\n  - 1\n  - 2.5e+0\n"
+        "  - 4.0\nagents: 2\ntopology: er:0.5\nestimator:\n  kind: mlp\n"
+        "  hidden: [8, 4]\n  spectrum_range: [0.5, 5.0]\n  learning_rate: 1.0e-2\n"
+        "  epochs: 20\n  samples: 8\nmode: damped\ngamma: 0.5\nfailure_p: 0.25\n"
+        "beta: block_size\nparallel: false\nseed: 3\n",
+        {"matrix": {"kind": "generate", "n": 4, "spectrum": [0.5, 1.0, 2.5, 4.0]},
+         "agents": 2, "topology": "er:0.5",
+         "estimator": {"kind": "mlp", "hidden": [8, 4], "spectrum_range": [0.5, 5.0],
+                       "learning_rate": 0.01, "epochs": 20, "samples": 8},
+         "mode": "damped", "gamma": 0.5, "failure_p": 0.25, "beta": "block_size",
+         "seed": 3}),
+    "json": (
+        '{"agents": 8, "topology": "ring", "estimator": {"kind": "oracle"}, '
+        '"mode": "matrix_form", "parallel": false, "tol": 1e-08, "max_rounds": 2000, '
+        '"matrix": {"kind": "file", "path": "m.txt"}, "seed": 101}\n',
+        {"matrix": {"kind": "file", "path": "m.txt"}, "estimator": {"kind": "oracle"},
+         **_FLOW, "agents": 8, "max_rounds": 2000, "seed": 101}),
+}
+# base_config's block style: float lists, 1.0e-08
+_DUMPED = {"matrix": {"kind": "generate", "n": 12,
+                      "spectrum": [float(v) for v in np.linspace(0.5, 6.0, 12)]},
+           "estimator": {"kind": "mlp", "hidden": [8]}, **_FLOW, "agents": 4}
+CONFIG_SHAPES["safe-dump"] = (yaml.safe_dump(_DUMPED), _DUMPED)
+
+
+class TestConfigLoaders:
+    """libyaml's scanner and PyYAML's pure-Python one load every config
+    shape in use to the same ``SimConfig``."""
+
+    def test_c_loader_used_when_available(self):
+        assert simulator._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("shape", list(CONFIG_SHAPES))
+    def test_shape_loads_to_same_config(self, tmp_path, monkeypatch, loader, shape):
+        text, meaning = CONFIG_SHAPES[shape]
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        monkeypatch.setattr(simulator, "_YAML_LOADER", loader)
+        assert simulator.load_config(path) == simulator.config_from_dict(meaning)
+
+    # not UTF-8: a Latin-1 byte, which PyYAML's reader refuses
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text", [b"matrix: {kind: generate\n  n: [\n",
+                                      b"agents: 4\ntopology: caf\xe9\n"],
+                             ids=["unclosed-flow", "not-utf8"])
+    def test_malformed_yaml_names_file(self, tmp_path, capsys, monkeypatch, loader, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        monkeypatch.setattr(simulator, "_YAML_LOADER", loader)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed YAML: ")
+        assert "Traceback" not in err
 
 
 class TestUsage:
