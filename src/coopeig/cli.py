@@ -51,14 +51,11 @@ def _parse_spectrum(spec: str, n: int, seed: int):
     """Either a path to a whitespace-separated list of values, or a
     'lo:hi' range drawn uniformly with a seed-derived stream."""
     if os.path.exists(spec):
-        with open(spec) as f:
-            text = f.read()
-        try:
-            values = np.array([float(t) for t in text.split()])
-        except ValueError as exc:
-            raise ValueError(f"spectrum file {spec}: {exc}") from None
-        if values.shape != (n,):
-            raise ValueError(f"spectrum file holds {values.size} values, need {n}")
+        with matrix_core.naming(f"spectrum file {spec}"):
+            with open(spec) as f:
+                values = np.array([float(t) for t in f.read().split()])
+            if values.shape != (n,):
+                raise ValueError(f"holds {values.size} values, need {n}")
         return np.sort(values)
     try:
         return np.array(simulator._resolve_spectrum(spec, n, seed))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, spd_stack
+from .matrix_core import DenseSymMatrix, naming, spd_stack
 from .seeding import keyed_rng
 
 
@@ -345,19 +345,17 @@ def load_params(path) -> MlpParams:
     """Read ``save_params`` output. A file that is not a mapping, lacks
     a key or holds a value of the wrong type raises a ValueError naming
     the key; every ValueError names the file."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: network parameters must be a mapping")
-    values = []
-    for key, convert in _PARAM_TYPES.items():
-        if key not in data:
-            raise ValueError(f"{path}: network parameters lack key {key!r}")
-        try:
-            values.append(convert(data[key]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad value for {key!r}: {exc}") from None
-    try:
+    with naming(path):
+        with open(path) as f:
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("network parameters must be a mapping")
+        values = []
+        for key, convert in _PARAM_TYPES.items():
+            if key not in data:
+                raise ValueError(f"network parameters lack key {key!r}")
+            try:
+                values.append(convert(data[key]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
         return MlpParams(*values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -6,6 +6,7 @@ call site: the truth, the SLEM and each stack of equal-size blocks.
 the tests' reference; no run path calls it.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -233,24 +234,33 @@ def save_matrix(A: DenseSymMatrix, path) -> None:
             f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+@contextmanager
+def naming(name):
+    """Put ``name``, a file's path or a phrase that holds it, in front of
+    any ValueError the block raises, a file that does not decode or parse
+    included: every reader of a user's file names it this way."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def load_matrix(path) -> DenseSymMatrix:
     """Load the plain-text matrix format through DenseSymMatrix's checks.
     The size header must be a whole number >= 1. Every ValueError names
     the file."""
-    with open(path) as f:
-        tokens = f.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{path}: size header must be a whole number >= 1, got {tokens[0]!r}")
-    try:
+    with naming(path):
+        with open(path) as f:
+            tokens = f.read().split()
+        if not tokens:
+            raise ValueError("empty matrix file")
+        try:
+            n = int(tokens[0])
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"size header must be a whole number >= 1, got {tokens[0]!r}")
         vals = [float(t) for t in tokens[1:]]
         if len(vals) != n * n:
             raise ValueError(f"expected {n * n} values, found {len(vals)}")
         return DenseSymMatrix(np.array(vals).reshape(n, n))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

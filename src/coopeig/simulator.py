@@ -136,10 +136,11 @@ class Trace:
 
     @property
     def bound(self) -> np.ndarray:
-        """The geometric bound per round, each value the scalar power of
-        ``theoretical_bound``; a vectorised power may round differently."""
+        """The geometric consensus-error bound rho^k * e0 per round k, each
+        value a scalar power; a vectorised power may round differently."""
         e0, rho = float(self.consensus_error[0]), self.rho
-        _check_bound(e0, rho)
+        if e0 < 0 or not 0.0 <= rho <= 1.0:
+            raise ValueError("need e0 >= 0 and 0 <= rho <= 1")
         return np.array([rho**k * e0 for k in range(len(self.consensus_error))])
 
     @property
@@ -148,17 +149,6 @@ class Trace:
         flops = np.full(len(self.consensus_error), sum(k * k for k in self.block_sizes))
         flops[0] = 0
         return flops
-
-
-def _check_bound(e0: float, rho: float) -> None:
-    if e0 < 0 or not 0.0 <= rho <= 1.0:
-        raise ValueError("need e0 >= 0 and 0 <= rho <= 1")
-
-
-def theoretical_bound(e0: float, rho: float, k: int) -> float:
-    """Geometric consensus-error bound rho^k * e0."""
-    _check_bound(e0, rho)
-    return rho**k * e0
 
 
 def _resolve_matrix(spec: MatrixSpec, seed: int) -> matrix_core.DenseSymMatrix:
@@ -571,7 +561,7 @@ def save_snapshot(trace: Trace, path) -> None:
 
 
 def load_snapshot(path) -> dict:
-    with open(path) as f:
+    with matrix_core.naming(path), open(path) as f:
         return json.load(f)
 
 

@@ -14,10 +14,12 @@ from coopeig import cli, matrix_core, simulator
 from coopeig.cli import _apply_sweep_value, _sweep_row, main
 from coopeig.local_estimator import init_mlp, load_params, save_params
 from coopeig.matrix_core import (
+    DenseSymMatrix,
     JacobiConvergenceError,
     generate_spd,
     jacobi_eigen,
     load_matrix,
+    partition_rows,
     save_matrix,
 )
 from coopeig.seeding import child_seed
@@ -148,8 +150,8 @@ class TestGenMatrix:
         code = main(["gen-matrix", "--n", "3", "--spectrum", str(spec),
                      "--out", str(tmp_path / "m.txt")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: spectrum file {spec}: ") and "'abc'" in err
+        assert capsys.readouterr().err == (f"error: spectrum file {spec}: could not convert "
+                                           "string to float: 'abc'\n")
 
 
 class TestTrain:
@@ -162,8 +164,8 @@ class TestTrain:
         assert "final_loss=" in capsys.readouterr().out
 
     def test_train_twice_same_bytes_then_simulate_from_file(self, tmp_path, capsys):
-        # The workflow's train step: k = 4 at lr 0.01 with every other
-        # training default, trained twice, then simulated from its file
+        # k = 4 at lr 0.01 with every other training default, trained
+        # twice, then simulated from its file
         params = [tmp_path / "params.json", tmp_path / "params_b.json"]
         for out in params:
             assert main(["train", "--k", "4", "--lr", "0.01", "--out", str(out)]) == 0
@@ -734,6 +736,37 @@ class TestLibraryErrorExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
 
+# Each reader of a file the user names, on bytes that are not UTF-8 or
+# are no JSON at all: (file name, bytes, arguments given the file)
+UNREADABLE = {
+    "matrix-not-utf8": ("A.txt", b"2\n1 0\n0 \xff\n", lambda tmp_path, path: [
+        "simulate", "--config", str(base_config(tmp_path, agents=2, matrix={
+            "kind": "file", "path": str(path)}))]),
+    "params-not-utf8": ("params.json", b'{"layer_sizes": "\xff"}', lambda tmp_path, path: [
+        "simulate", "--config", str(base_config(tmp_path, estimator={
+            "kind": "mlp", "params_path": str(path)}))]),
+    "snapshot-not-utf8": ("snap.json", b'{"truth": \xff}',
+                          lambda tmp_path, path: ["report", "--snapshot", str(path)]),
+    "snapshot-empty": ("snap.json", b"",
+                       lambda tmp_path, path: ["report", "--snapshot", str(path)]),
+    "spectrum-not-utf8": ("spec.txt", b"1 2 \xff\n", lambda tmp_path, path: [
+        "gen-matrix", "--n", "3", "--spectrum", str(path),
+        "--out", str(tmp_path / "m.txt")]),
+}
+
+
+class TestFileReaders:
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_unreadable_file_is_named(self, tmp_path, capsys, case):
+        name, data, argv = UNREADABLE[case]
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(argv(tmp_path, path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+
 class TestParserBuiltOnce:
     """``main`` parses with one parser per process, and no call leaves
     state behind for the next."""
@@ -874,6 +907,153 @@ class TestConfigLoaders:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: malformed YAML: ")
         assert "Traceback" not in err
+
+
+def gen_matrix(n, seed):
+    """A writer of ``gen-matrix --n n --spectrum 0.5:5.0 --seed seed``."""
+    def write(path):
+        assert main(["gen-matrix", "--n", str(n), "--spectrum", "0.5:5.0",
+                     "--seed", str(seed), "--out", path]) == 0
+    return write
+
+
+def diag_blocks(path):
+    """n = 42 over 10 agents with every diagonal block already diagonal,
+    the blocks coupled by 0.25 across each block boundary."""
+    a = np.diag(np.linspace(0.5, 5.0, 42))
+    i = np.array(partition_rows(42, 10).offsets[1:-1])
+    a[i - 1, i] = a[i, i - 1] = 0.25
+    save_matrix(DenseSymMatrix(a), path)
+
+
+def negative_scale(path):
+    Path(path).write_text(json.dumps({"layer_sizes": [4, 2], "weights": [[[0.0] * 4] * 2],
+                                      "biases": [[0.0] * 2], "input_scale": -1}))
+
+
+def huge_entries(path):
+    Path(path).write_text("2\n1 1e200\n1e200 1\n")
+
+
+def train_k4(path):
+    assert main(["train", "--k", "4", "--samples", "4", "--epochs", "2", "--lr", "0.01",
+                 "--out", path]) == 0
+
+
+def run_config(**keys):
+    """Config text in the key order and flow style of the README; each
+    value is YAML source."""
+    keys = {"topology": "ring", "estimator": "{kind: oracle}", "mode": "matrix_form",
+            "tol": "1.0e-8", "max_rounds": "500", "seed": "0", **keys}
+    order = ["matrix", "agents", "topology", "estimator", "mode", "failure_p", "tol",
+             "max_rounds", "seed", "tracked"]
+    return "".join(f"{k}: {keys[k]}\n" for k in order if k in keys)
+
+
+NOISY = "{kind: noisy_oracle, sigma: 0.1}"
+GEN_42 = '{kind: generate, n: 42, spectrum: "0.5:5.0"}'
+# The end-to-end runs behind the paper's robustness and scale claims and
+# the exit-2 inputs, each as a user runs it from a directory holding its
+# files: (files to write first, config text, exit code, stop reason,
+# stderr text). Links fail on ring, path, complete and er: graphs; the
+# diverging run stops at round 486, inside the block of rounds 257-512;
+# the er:0.05 run builds one round of weights at a time (2^15 // 200^2
+# is 0) and converges at round 80, inside the block of rounds 65-128.
+END_TO_END = [
+    pytest.param([("A.txt", gen_matrix(40, 0))],
+                 run_config(matrix="{kind: file, path: A.txt}", agents=10),
+                 0, "converged", "", id="readme-quick-start"),
+    pytest.param([("A1024.txt", gen_matrix(1024, 0))],
+                 run_config(matrix="{kind: file, path: A1024.txt}", agents=16,
+                            max_rounds=2000),
+                 0, "converged", "", id="scale-n1024-16-agents"),
+    *(pytest.param([("A256b.txt", gen_matrix(256, 1))],
+                   run_config(matrix="{kind: file, path: A256b.txt}", agents=2,
+                              estimator=est),
+                   0, "converged", "", id=f"k128-blocks-{name}")
+      for name, est in [("oracle", "{kind: oracle}"), ("noisy-oracle", NOISY)]),
+    pytest.param([], run_config(matrix=GEN_42, agents=10,
+                                estimator="{kind: mlp, learning_rate: 0.01}"),
+                 0, "converged", "", id="mlp-trained-in-run-5x5-and-4x4"),
+    pytest.param([], run_config(matrix='{kind: generate, n: 40, spectrum: "0.5:5.0"}',
+                                agents=40, failure_p=0.5, tol="1.0e-10", max_rounds=20000),
+                 0, "converged", "", id="failing-ring-40"),
+    pytest.param([], run_config(matrix='{kind: generate, n: 44, spectrum: "0.5:5.0"}',
+                                agents=22, topology="path", failure_p=0.5, max_rounds=20000),
+                 0, "converged", "", id="failing-path-22"),
+    pytest.param([], run_config(matrix='{kind: generate, n: 40, spectrum: "0.5:5.0"}',
+                                agents=20, topology="complete", failure_p=0.5,
+                                tol="1.0e-10", max_rounds=20000),
+                 0, "converged", "", id="failing-complete-20"),
+    pytest.param([], run_config(matrix='{kind: generate, n: 200, spectrum: "0.5:5.0"}',
+                                agents=200, topology="er:0.05", failure_p=0.3,
+                                max_rounds=20000),
+                 0, "converged", "", id="failing-er-0.05-200"),
+    pytest.param([], run_config(matrix='{kind: generate, n: 40, spectrum: "0.5:5.0"}',
+                                agents=10, topology="er:0.5", mode="paper_literal",
+                                failure_p=0.3, max_rounds=20000, seed=1),
+                 4, "diverged", "", id="diverging-er-0.5"),
+    # one stack of two 5x5 blocks and one of eight 4x4, each one eigvalsh
+    # call; the file matrix's blocks are already diagonal
+    *(pytest.param(files, run_config(matrix=matrix, agents=10, estimator=est,
+                                     max_rounds=2000, tracked=2),
+                   0, "converged", "", id=f"stacks-{mname}-{ename}")
+      for mname, files, matrix in [
+          ("generated", [], GEN_42),
+          ("diag-blocks", [("A_diag_blocks.txt", diag_blocks)],
+           "{kind: file, path: A_diag_blocks.txt}")]
+      for ename, est in [("oracle", "{kind: oracle}"), ("noisy-oracle", NOISY)]),
+    pytest.param([("A_huge.txt", huge_entries)],
+                 run_config(matrix="{kind: file, path: A_huge.txt}", agents=2),
+                 2, None, "sqrt(max float) / n", id="entries-too-large"),
+    pytest.param([("neg_scale.json", negative_scale)],
+                 run_config(matrix='{kind: generate, n: 4, spectrum: "0.5:5.0"}', agents=2,
+                            estimator="{kind: mlp, params_path: neg_scale.json}"),
+                 2, None, "neg_scale.json: input_scale must be finite and > 0",
+                 id="negative-input-scale"),
+    # refused before the matrix build warns
+    pytest.param([], run_config(matrix="{kind: generate, n: 4, spectrum: [1, 2, 3, .inf]}",
+                                agents=2),
+                 2, None, "spectrum entries must all be finite and positive",
+                 id="infinite-spectrum"),
+    # n = 42 over 10 agents: a 4x4 network fails on the 5x5 run
+    pytest.param([("params4.json", train_k4)],
+                 run_config(matrix=GEN_42, agents=10,
+                            estimator="{kind: mlp, params_path: params4.json}"),
+                 2, None, "pretrained network expects 4x4 blocks, agent block is 5x5",
+                 id="pretrained-block-size-mismatch"),
+]
+
+
+class TestEndToEnd:
+    @pytest.mark.parametrize("files, config, code, stop, err", END_TO_END)
+    def test_run_twice_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                  files, config, code, stop, err):
+        """Each run exits with its code twice, with the same CSV bytes
+        and stdout; a run that ends saves a snapshot that ``report``
+        prints as ``simulate`` did. A refused one writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        for name, write in files:
+            write(name)
+        Path("run.yaml").write_text(config)
+        capsys.readouterr()
+        outs = []
+        for side in "ab":
+            assert main(["simulate", "--config", "run.yaml", "--out", f"{side}.csv",
+                         "--snapshot", f"{side}.json"]) == code
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        out, stderr = outs[0]
+        if code == 2:
+            assert out == "" and stderr.startswith("error: ") and err in stderr
+            assert not any(Path(f"{side}.{ext}").exists() for side in "ab"
+                           for ext in ("csv", "json"))
+            return
+        assert stderr == ""
+        assert f"Stop reason: {stop}" in out.splitlines()
+        assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
+        assert main(["report", "--snapshot", "a.json"]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestUsage:

@@ -46,21 +46,23 @@ def test_decay_outputs_pinned(tmp_path, args, csv_digest, stdout_digest):
 
 
 def test_failure_sweep_is_the_cli_sweep(tmp_path):
-    result = run_script("failure_sweep.py", "--n", "12", "--agents", "4", "--trials", "2",
-                        "--values", "0,0.3", "--seed", "5", "--out", "script.csv",
-                        cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    config = tmp_path / "sweep.yaml"
-    config.write_text(yaml.safe_dump({
-        "matrix": {"kind": "generate", "n": 12,
-                   "spectrum": np.linspace(0.5, 5.0, 12).tolist()},
-        "agents": 4, "topology": "ring", "estimator": {"kind": "oracle"},
-        "mode": "matrix_form", "tol": 1e-8, "max_rounds": 2000, "seed": 5,
-    }))
-    cli_csv = tmp_path / "cli.csv"
-    assert main(["sweep", "--config", str(config), "--param", "p", "--values", "0,0.3",
-                 "--trials", "2", "--out", str(cli_csv)]) == 0
-    assert (tmp_path / "script.csv").read_bytes() == cli_csv.read_bytes()
+    # at seed 5, and at the script's default seed 0
+    for seed_args, seed in [(["--seed", "5"], 5), ([], 0)]:
+        result = run_script("failure_sweep.py", "--n", "12", "--agents", "4", "--trials", "2",
+                            "--values", "0,0.3", *seed_args, "--out", "script.csv",
+                            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump({
+            "matrix": {"kind": "generate", "n": 12,
+                       "spectrum": np.linspace(0.5, 5.0, 12).tolist()},
+            "agents": 4, "topology": "ring", "estimator": {"kind": "oracle"},
+            "mode": "matrix_form", "tol": 1e-8, "max_rounds": 2000, "seed": seed,
+        }))
+        cli_csv = tmp_path / "cli.csv"
+        assert main(["sweep", "--config", str(config), "--param", "p", "--values", "0,0.3",
+                     "--trials", "2", "--out", str(cli_csv)]) == 0
+        assert (tmp_path / "script.csv").read_bytes() == cli_csv.read_bytes()
 
 
 @pytest.mark.parametrize("name, args, message", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from coopeig.simulator import (
     save_snapshot,
     summary_from_snapshot,
     summary_report,
-    theoretical_bound,
 )
 
 MATRIX_FORM = ConsensusMode("matrix_form")
@@ -66,20 +66,28 @@ def small_cfg(**over):
 
 
 class TestTheoreticalBound:
-    def test_hand_value(self):
-        assert theoretical_bound(1.0, 0.5, 3) == 0.125
+    """``Trace.bound``: rho^k * e0 at round k, e0 the round-0 consensus error."""
 
-    def test_k_zero(self):
-        assert theoretical_bound(0.37, 0.9, 0) == 0.37
+    @pytest.fixture(scope="class")
+    def bound(self):
+        trace = run_simulation(small_cfg())
+        return lambda e0, rho, k: replace(trace, rho=rho,
+                                          consensus_error=np.full(k + 1, e0)).bound[k]
 
-    def test_agreed_start(self):
-        assert theoretical_bound(0.0, 0.9, 10) == 0.0
+    def test_hand_value(self, bound):
+        assert bound(1.0, 0.5, 3) == 0.125
 
-    def test_rejects_bad_args(self):
+    def test_k_zero(self, bound):
+        assert bound(0.37, 0.9, 0) == 0.37
+
+    def test_agreed_start(self, bound):
+        assert bound(0.0, 0.9, 10) == 0.0
+
+    def test_rejects_bad_args(self, bound):
         with pytest.raises(ValueError):
-            theoretical_bound(-1.0, 0.5, 1)
+            bound(-1.0, 0.5, 1)
         with pytest.raises(ValueError):
-            theoretical_bound(1.0, 1.5, 1)
+            bound(1.0, 1.5, 1)
 
 
 class TestRunSimulation:
@@ -132,7 +140,7 @@ class TestRunSimulation:
         bounds = trace.bound.tolist()
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
         for k, bound in enumerate(bounds):
-            assert bound == theoretical_bound(trace.consensus_error[0], trace.rho, k)
+            assert bound == trace.rho**k * trace.consensus_error[0]
 
     def test_communication_accounting_failure_free(self):
         for topology, m in (("ring", 4), ("complete", 5), ("path", 6)):
