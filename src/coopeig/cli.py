@@ -167,7 +167,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     snap = simulator.load_snapshot(args.snapshot)
-    sys.stdout.write(summary_from_snapshot(snap))
+    with matrix_core.naming(args.snapshot):
+        summary = summary_from_snapshot(snap)
+    sys.stdout.write(summary)
     return EXIT_OK
 
 

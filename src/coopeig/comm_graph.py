@@ -154,38 +154,73 @@ def is_connected(g: Graph) -> bool:
     return bool(reached.all())
 
 
-def metropolis_stack(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Metropolis-Hastings weights on m nodes for R rounds at once: slice
-    r is built from the (E, 2) edge rows whose ``keep[r]`` entry is set,
-    with 1/(1 + max(deg_i, deg_l)) on those edges and the leftover mass
-    on the diagonal (Xiao & Boyd, Systems & Control Letters 2004). Each
-    slice is doubly stochastic, using only local degrees, and bit-equal
-    to building it alone.
+def metropolis_slots(m: int, edges: np.ndarray) -> np.ndarray:
+    """The flat (m, m) positions of ``metropolis_edges``' columns: each
+    (E, 2) edge row's (i, l), then each row's (l, i), then the
+    diagonal."""
+    i, l = edges.T
+    return np.concatenate((i * m + l, l * m + i, np.arange(m) * (m + 1)))
 
-    The degrees, edge weights and diagonal are computed and checked
-    (``check_edge_weights``) on the kept edge rows, O(E) per round; only
-    the (R, m, m) output is dense. Diagonal entry i is 1 - (a + b),
-    where a sums the weights of the kept rows (i, .) and b those of the
-    kept rows (., i), each sequentially in edge-row order. With at most
-    two live neighbours that equals 1 minus the row's pairwise sum, so
-    ring and path weights are bit-equal to a dense row-sum build; at
-    higher degree the two differ by a few ulps. Symmetry is exact,
-    since ``edges`` rows are duplicate-free with i < l and each row's
-    weight is written to (i, l) and (l, i)."""
-    r, e = np.nonzero(keep)
-    i, l = edges.take(e, axis=0).T  # take: a fraction of edges[e]'s cost
-    n = len(keep) * m
-    lo, hi = r * m + i, r * m + l
-    deg = np.bincount(np.concatenate((lo, hi)), minlength=n)
-    weights = 1.0 / (1.0 + np.maximum(deg[lo], deg[hi]))
-    inc = np.bincount(lo, weights, minlength=n) + np.bincount(hi, weights, minlength=n)
-    diag = 1.0 - inc
+
+def edge_form_floats(m: int, e: int) -> int:
+    """Floats ``metropolis_edges`` holds at once per round on m nodes
+    and e edge rows, its temporaries included: at its peak the two
+    (R, E) flat index arrays, the weights and the (R, 2E + m) output,
+    with a few (R, m) degree, sum and check arrays. A caller that builds
+    R rounds at once sizes R by it."""
+    return 5 * (e + m)
+
+
+def metropolis_edges(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Metropolis-Hastings weights on m nodes for R rounds at once, in
+    edge form: row r holds round r's (m, m) entries at the
+    ``metropolis_slots`` positions, as an (R, 2E + m) array of the (E, 2)
+    edge rows' weights, the same weights again for their (l, i) entries,
+    then the diagonal. Round r keeps the edge rows whose ``keep[r]``
+    entry is set: 1/(1 + max(deg_i, deg_l)) on those, with live degrees,
+    and the leftover mass on the diagonal (Xiao & Boyd, Systems &
+    Control Letters 2004). Every other (m, m) entry is 0, and so is a
+    dropped row's weight. Each round is doubly stochastic, using only
+    local degrees, and bit-equal to building it alone.
+
+    Everything runs densely over the (R, E) mask, O(E + m) per round
+    (see ``edge_form_floats``): the degrees are ``np.bincount``s of the
+    mask over flat (round, node) indices, so exact integer counts, the
+    weights keep / (1 + max(deg_i, deg_l)), and diagonal entry i is
+    1 - (a + b), where a sums the weights of the rows (i, .) and b those
+    of the rows (., i), each sequentially in edge-row order. A dropped
+    row adds +0.0, which moves no bit, so the sums are those of the kept
+    rows alone. With at most two live neighbours 1 - (a + b) equals 1
+    minus the row's pairwise sum, so ring and path weights are bit-equal
+    to a dense row-sum build; at higher degree the two differ by a few
+    ulps. ``check_edge_weights`` checks the (R, E) weights and the
+    (R, m) sums and diagonal. Symmetry is exact, since ``edges`` rows
+    are duplicate-free with i < l and each row's weight goes to (i, l)
+    and (l, i)."""
+    r, e = keep.shape
+    i, l = edges.T
+    n = r * m
+    lo = np.arange(0, n, m)[:, None] + i  # (r, i): flat index r m + i
+    hi = lo + (l - i)
+    deg = np.bincount(lo.ravel(), keep.ravel(), n) + np.bincount(hi.ravel(), keep.ravel(), n)
+    weights = 1.0 + np.maximum(deg[lo], deg[hi])
+    np.divide(keep, weights, out=weights)
+    inc = (np.bincount(lo.ravel(), weights.ravel(), n)
+           + np.bincount(hi.ravel(), weights.ravel(), n)).reshape(r, m)
+    out = np.empty((r, 2 * e + m))
+    out[:, :e] = weights
+    out[:, e:2 * e] = weights
+    diag = out[:, 2 * e:]
+    np.subtract(1.0, inc, out=diag)
     check_edge_weights(weights, inc, diag)
+    return out
+
+
+def metropolis_stack(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (R, m, m) weights of ``metropolis_edges``: zeros, with each
+    round's edge-form row written at its ``metropolis_slots``."""
     w = np.zeros((len(keep), m * m))
-    flat = w.ravel()
-    flat[lo * m + l] = weights  # (r, i, l): r m² + i m + l = (r m + i) m + l
-    flat[hi * m + i] = weights
-    w[:, ::m + 1] = diag.reshape(-1, m)
+    w[:, metropolis_slots(m, edges)] = metropolis_edges(m, edges, keep)
     return w.reshape(-1, m, m)
 
 

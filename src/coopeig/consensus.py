@@ -31,7 +31,8 @@ from .comm_graph import WeightMatrix
 MODES = ("matrix_form", "paper_literal", "damped")
 
 # Floats a stacked pass of the round loop may hold: a block of R rounds'
-# (m, j) estimates, or of R failing rounds' (m, m) weights.
+# (m, j) estimates, or a chunk of R failing rounds' edge-form weights
+# with their build's temporaries (comm_graph.edge_form_floats).
 BLOCK_FLOATS = 2**15
 
 
@@ -110,10 +111,12 @@ def init_states(anchors) -> ConsensusState:
 def _step(est: np.ndarray, anc: np.ndarray, w: np.ndarray, mode: ConsensusMode,
           out: np.ndarray) -> None:
     """One synchronous round with the (m, m) weight array ``w``: writes
-    the estimates that follow ``est`` into ``out``. Each mode's
-    expression runs as the same operations on the same operands, so the
-    bits are those of evaluating it into a new array."""
-    np.matmul(w, est, out=out)
+    the estimates that follow ``est`` into the C-contiguous ``out``.
+    ``np.dot`` reaches the same BLAS routine as ``np.matmul`` without
+    its gufunc overhead. Each mode's expression runs as the same
+    operations on the same operands, so the bits are those of
+    evaluating it into a new array."""
+    np.dot(w, est, out=out)
     if mode.kind == "paper_literal":  # anc + w @ est - est
         np.add(anc, out, out=out)
         out -= est
@@ -201,8 +204,11 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     ValueError); the calls ask for rounds 1, 2, ... in order, each once,
     so a provider may read them off one stream. They are symmetric
     doubly-stochastic (m, m) arrays that the loop does not check again,
-    a ``WeightMatrix``'s ``w`` (``check_weights``) or slices of
-    ``comm_graph.metropolis_stack`` (checked on their edge rows). The
+    a ``WeightMatrix``'s ``w`` (``check_weights``) or rounds of
+    ``comm_graph.metropolis_edges`` (checked on their edge rows). The
+    loop is done with each array before it asks for the next, so a
+    provider may yield the same buffer every round, refilled in
+    between; no array is read after the next one is asked for. The
     loop stops when consensus_error < tol ("converged"), after
     max_rounds ("max_rounds"), or when the iterate turns non-finite or
     exceeds the divergence threshold ("diverged"); the error of a

@@ -170,9 +170,9 @@ def _anchors(A: matrix_core.DenseSymMatrix, part, j: int, ecfg: EstimatorConfig,
     """The anchor stage: the round-0 state, whose read-only estimates and
     anchors are every agent's first ``j`` estimates, (m, j). Per run of
     equal block size, one estimator setup and one ``estimate_stack``
-    call on a (B, k, k) stack sliced from A. A is exactly symmetric and
-    its checks bound every block, so each slice has ``diagonal_block``'s
-    bits."""
+    call on a (B, k, k) stack sliced from A: slice b is agent b's
+    diagonal block. A is exactly symmetric and its checks bound every
+    block, so a slice needs no check of its own."""
     anchors, stop = np.empty((part.m, j)), 0
     if ecfg.kind == "oracle":
         shared = OracleEstimator()
@@ -223,23 +223,30 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
         gw = consensus.block_size_weights(part.block_sizes)
 
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
-    chunk = max(1, BLOCK_FLOATS // part.m**2)
     if cfg.failure_p != 0.0:
         draw = comm_graph.failure_stream(base, fm, 1)
+        slots = comm_graph.metropolis_slots(part.m, base.edges)
+        chunk = max(1, BLOCK_FLOATS // comm_graph.edge_form_floats(part.m, len(base.edges)))
+        flat = np.zeros(part.m**2)  # zero off the slots, the same for every round
+        w = flat.reshape(part.m, part.m)
 
-    # Not the failure stream + metropolis_stack at p = 0: the same bits,
-    # but sweep_solve ran slower through them in every pair measured.
+    # Not the failure stream + a per-round weight build at p = 0: the same
+    # bits, but sweep_solve ran slower through the build in every pair
+    # measured.
     def failure_free(_first, r):
         live.append(np.full(r, len(base.edges)))
         return itertools.repeat(w0.w, r)
 
     def failing(_first, r):
         # run_rounds asks for rounds 1, 2, ... in order, each once, so they
-        # come from the run's one stream; one chunk of weights is held at a time.
+        # come from the run's one stream; one chunk of edge-form weights is
+        # held at a time, and each round refills the one (m, m) buffer.
         for k in range(0, r, chunk):
             keep = draw(min(chunk, r - k))
             live.append(keep.sum(axis=1))
-            yield from comm_graph.metropolis_stack(part.m, base.edges, keep)
+            for row in comm_graph.metropolis_edges(part.m, base.edges, keep):
+                flat[slots] = row
+                yield w
 
     columns = []
 

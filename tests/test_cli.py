@@ -736,8 +736,9 @@ class TestLibraryErrorExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
 
-# Each reader of a file the user names, on bytes that are not UTF-8 or
-# are no JSON at all: (file name, bytes, arguments given the file)
+# Each reader of a file the user names, on bytes that are not UTF-8, are
+# no JSON at all or are JSON that is no snapshot: (file name, bytes,
+# arguments given the file)
 UNREADABLE = {
     "matrix-not-utf8": ("A.txt", b"2\n1 0\n0 \xff\n", lambda tmp_path, path: [
         "simulate", "--config", str(base_config(tmp_path, agents=2, matrix={
@@ -749,6 +750,12 @@ UNREADABLE = {
                           lambda tmp_path, path: ["report", "--snapshot", str(path)]),
     "snapshot-empty": ("snap.json", b"",
                        lambda tmp_path, path: ["report", "--snapshot", str(path)]),
+    "snapshot-missing-keys": ("snap.json", b'{"truth": [1]}',
+                              lambda tmp_path, path: ["report", "--snapshot", str(path)]),
+    "snapshot-malformed-value": ("snap.json", json.dumps({
+        "truth": [1], "final_estimates": [[1.0]], "stop_reason": "stalled", "rounds_used": 3,
+        "final_consensus_error": 0.0}).encode(),
+        lambda tmp_path, path: ["report", "--snapshot", str(path)]),
     "spectrum-not-utf8": ("spec.txt", b"1 2 \xff\n", lambda tmp_path, path: [
         "gen-matrix", "--n", "3", "--spectrum", str(path),
         "--out", str(tmp_path / "m.txt")]),

@@ -13,6 +13,8 @@ from coopeig.comm_graph import (
     check_weights,
     failure_stream,
     is_connected,
+    metropolis_edges,
+    metropolis_slots,
     metropolis_stack,
     metropolis_weights,
     slem,
@@ -219,16 +221,23 @@ class TestMetropolisWeights:
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
-    @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("er:0.4", 15, 0.7),
-                                                ("complete", 6, 0.2)])
+    @pytest.mark.parametrize("topology, m, p", [("ring", 40, 0.5), ("ring", 1, 0.5),
+                                                ("path", 22, 0.5), ("er:0.4", 15, 0.7),
+                                                ("er:0.05", 120, 0.3), ("complete", 6, 0.2)])
     def test_stack_slices_match_array(self, topology, m, p):
-        # includes rounds that drop every edge and rounds that keep all
+        # includes rounds that drop every edge and rounds that keep all;
+        # each edge-form row, written at its slots, is the stack's slice
         g = build_graph(topology, m, seed=4)
         keep = failure_stream(g, FailureModel(p, seed=2), 1)(25)
         keep[3], keep[7] = False, True
         ws = metropolis_stack(m, g.edges, keep)
-        assert ws.shape == (25, m, m)
-        for w, mask in zip(ws, keep):
+        rows = metropolis_edges(m, g.edges, keep)
+        assert ws.shape == (25, m, m) and rows.shape == (25, 2 * len(g.edges) + m)
+        slots = metropolis_slots(m, g.edges)
+        for w, row, mask in zip(ws, rows, keep):
+            flat = np.zeros(m * m)
+            flat[slots] = row
+            assert flat.tobytes() == w.tobytes()
             assert w.tobytes() == metropolis_weights(Graph(m, g.edges[mask])).w.tobytes()
 
     def test_stack_checks_the_edge_rows_it_writes(self, monkeypatch):
@@ -238,9 +247,11 @@ class TestMetropolisWeights:
         keep = failure_stream(g, FailureModel(0.3, seed=2), 1)(5)
         ws = metropolis_stack(10, g.edges, keep)
         [(weights, inc, diag)] = seen
+        assert weights.shape == keep.shape  # the (R, E) mask form
         r, e = np.nonzero(keep)
         i, l = g.edges[e].T
-        assert weights.tobytes() == ws[r, i, l].tobytes()
+        assert weights[keep].tobytes() == ws[r, i, l].tobytes()
+        assert not weights[~keep].any() and (~keep).any()
         assert diag.tobytes() == np.diagonal(ws, axis1=1, axis2=2).tobytes()
         assert np.array_equal(diag, 1.0 - inc)
 

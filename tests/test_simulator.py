@@ -265,17 +265,19 @@ def generated(n):
     return MatrixSpec("generate", n=n, spectrum=tuple(np.linspace(0.5, 6.0, n)))
 
 
-# With 40 agents the failing rounds' weights come in chunks of up to 20
-# rounds, and the rounds mix in blocks of up to 819 rounds over one
-# tracked value, 409 over two. From 129 agents on, every chunk of
-# weights is one round, while a block of estimates still holds up to 254.
-MATRIX_40, MATRIX_80, MATRIX_129 = generated(40), generated(80), generated(129)
+# With 40 agents on a ring the failing rounds' weights come in chunks of
+# up to 81 rounds, and the rounds mix in blocks of up to 819 rounds over
+# one tracked value, 409 over two. On a complete graph of 182 agents one
+# round's edge-form weights alone (2E + m = 33,124 floats) pass
+# BLOCK_FLOATS, so every chunk of weights is one round, while a block of
+# estimates still holds up to 180.
+MATRIX_40, MATRIX_80, MATRIX_182 = generated(40), generated(80), generated(182)
 
 # Each failing config, and the stop reason it must reach. A ring under
-# p = 0.3 does not diverge in paper_literal mode; er:0.5 does. The last
-# three span many block refills: the ring converges at round 2695, the
-# prime max_rounds ends a shortened block, and the er:0.3 run diverges
-# at round 191, inside the block of rounds 173-192.
+# p = 0.3 does not diverge in paper_literal mode; er:0.5 does. The three
+# 40-agent runs span many block refills: the ring converges at round
+# 2695, the prime max_rounds ends a shortened block, and the er:0.3 run
+# diverges at round 191, inside the block of rounds 173-192.
 FAILING = [
     (dict(agents=6, failure_p=0.5, tol=1e-8), "converged"),
     (dict(agents=8, topology="er:0.4", failure_p=0.3, tol=1e-8), "converged"),
@@ -291,9 +293,13 @@ FAILING = [
           failure_p=0.5, max_rounds=1009), "max_rounds"),
     (dict(matrix=MATRIX_40, agents=40, topology="er:0.3", mode=ConsensusMode("paper_literal"),
           failure_p=0.3, max_rounds=3000), "diverged"),
-    # 2^15 // 200^2 is 0: one round of weights is still built at a time
+    # 1,033 edge rows on 200 agents: chunks of 5 rounds
     (dict(matrix=generated(200), agents=200, topology="er:0.05", failure_p=0.3, tol=1e-8,
           max_rounds=20000), "converged"),
+    # degree up to 21 on 256 agents, chunks of 5 rounds: converges at
+    # round 80, inside the block of rounds 65-128
+    (dict(matrix=generated(256), agents=256, topology="er:0.032", failure_p=0.3, tol=1e-4,
+          max_rounds=200), "converged"),
 ]
 
 
@@ -338,11 +344,11 @@ class TestFailingRound:
         assert trace.scalars_sent.tolist() == sent.tolist()
         assert trace.final_estimates.tobytes() == final.tobytes()
 
-    # The ring converges at round 239, inside the block of rounds 129-256;
-    # the damped run's last block is cut from 254 rounds to 44.
+    # The complete graph converges at round 10, inside the block of rounds
+    # 9-16; the damped run's last block is cut from 128 rounds to 22.
     @pytest.mark.parametrize("over, reason", [
-        (dict(tol=0.06, max_rounds=20000), "converged"),
-        (dict(mode=ConsensusMode("damped", gamma=0.9), tol=1e-300, max_rounds=300),
+        (dict(tol=1e-10, max_rounds=20000), "converged"),
+        (dict(mode=ConsensusMode("damped", gamma=0.9), tol=1e-300, max_rounds=150),
          "max_rounds"),
     ])
     def test_one_round_weight_blocks_bit_equal_to_graph_path(self, monkeypatch, streams, over,
@@ -352,7 +358,8 @@ class TestFailingRound:
                             lambda *args: run_rounds(*args[:-1], lambda first, est, errors:
                                                      kept.append(len(est))
                                                      or args[-1](first, est, errors)))
-        cfg = small_cfg(matrix=MATRIX_129, agents=129, failure_p=0.5, **over)
+        cfg = small_cfg(matrix=MATRIX_182, agents=182, topology="complete", failure_p=0.5,
+                        **over)
         trace = run_simulation(cfg)
         [draws] = streams  # one stream per failing run; the replay below builds more
         drawn = [rounds for _, rounds in draws]
@@ -379,8 +386,7 @@ class TestFailingRound:
 
     def test_round_weights_bit_equal_across_blocks(self, mixed):
         # 75 rounds on 40 agents mix in blocks of 1, 1, 2, 4, 8, 16, 32
-        # and 11, whose weights come in chunks of 1, 1, 2, 4, 8, 16, 20,
-        # 12 and 11
+        # and 11, each block's weights one chunk
         cfg = small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-300,
                         max_rounds=75, seed=5, mode=ConsensusMode("damped", gamma=0.9))
         assert run_simulation(cfg).rounds_used == 75
@@ -407,7 +413,7 @@ class TestFailingRound:
         asked = [rounds for _, rounds in draws]
         assert drawn == list(range(1, len(drawn) + 1))
         assert trace.rounds_used <= len(drawn) <= min(2 * trace.rounds_used, over["max_rounds"])
-        assert max(asked) <= consensus.BLOCK_FLOATS // 40**2 == 20
+        assert max(asked) <= consensus.BLOCK_FLOATS // comm_graph.edge_form_floats(40, 40) == 81
 
     def test_failure_free_run_builds_no_stream(self, streams):
         cfg = small_cfg(matrix=MATRIX_40, agents=40, tol=1e-300, max_rounds=75)
