@@ -77,7 +77,11 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    try:
+        hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+    except ValueError:
+        raise ValueError(f"--hidden {args.hidden!r} is not comma-separated "
+                         "whole numbers") from None
     tset = synthesize_training_set(args.k, args.samples, (args.lo, args.hi),
                                    child_seed(args.seed, "mlp-data"))
     p0 = init_mlp(args.k, hidden, child_seed(args.seed, "mlp-init"))

@@ -130,37 +130,24 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-# A stack of B networks of one shape is held as per-layer arrays with a
-# leading network axis: weights (B, out, in), biases (B, out) and input
-# scales (B, 1, 1). Network b sees its own rows of the stacked inputs
-# (B, S, k*k) and targets (B, S, k).
+# A stack of B networks of one shape is held in one (B, P) array whose
+# row b is network b's parameters, layer by layer: the weights (out, in)
+# in row order, then the biases (out,). Each layer's weights (B, out, in)
+# and biases (B, out) are views into that array, and the gradient array
+# is laid out alike, so one update moves every parameter of the stack.
+# Network b sees its own rows of the stacked inputs (B, S, k*k) and
+# targets (B, S, k), scaled by its own input scale.
 
-def _stack_networks(ps, entries: int):
-    """The stacked weights, biases and input scales of networks that
-    each take flattened blocks of ``entries`` entries."""
-    for p in ps:
-        k = p.block_dim
-        if entries != k * k:
-            raise ValueError(f"block of {entries} entries does not match network input ({k}x{k})")
-    weights = [np.stack(ws) for ws in zip(*(p.weights for p in ps))]
-    biases = [np.stack(bs) for bs in zip(*(p.biases for p in ps))]
-    scale = np.array([p.input_scale for p in ps]).reshape(-1, 1, 1)
-    return weights, biases, scale
-
-
-def _forward_raw(weights, biases, scale, x: np.ndarray):
-    """Scaled-space forward pass of a stack of networks, each on its
-    own flattened blocks in ``x`` (B, S, k*k); returns raw (unsorted)
-    outputs (B, S, k) and the per-layer activations needed for
-    backprop."""
-    h = x * scale
-    acts = [h]
-    last = len(weights) - 1
-    for li, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
-        h = z if li == last else np.tanh(z)
-        acts.append(h)
-    return h, acts
+def _views(flat: np.ndarray, sizes):
+    """Per-layer weight (B, out, in) and bias (B, out) views into a
+    (B, P) parameter or gradient array of networks with ``sizes``."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[:, at:at + fan_out * fan_in].reshape(-1, fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[:, at:at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 # Divergence is reported by the finite-loss check in train_stack, so the
@@ -168,38 +155,90 @@ def _forward_raw(weights, biases, scale, x: np.ndarray):
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
 
-def _loss_and_grad(weights, biases, scale, inputs, targets, grad: bool = True):
-    """Each network's mlp_loss (B,) and, if ``grad``, the per-layer
-    mlp_grad stacks, from one batched forward pass."""
-    nnet, nsamp, _ = targets.shape
-    raw, acts = _forward_raw(weights, biases, scale, inputs)
-    out = raw / scale
-    # (network, sample, output) index of each sorted value
-    idx = (np.arange(nnet)[:, None, None], np.arange(nsamp)[None, :, None],
-           np.argsort(out, axis=2, kind="stable"))
-    resid = out[idx] - targets
-    loss = (resid ** 2).reshape(nnet, -1).sum(axis=1) / nsamp
-    if not grad:
-        return loss, None, None
-    # d loss / d raw, routed back through each sample's sort permutation
-    d = np.empty_like(raw)
-    d[idx] = 2.0 * resid / (nsamp * scale)
-    last = len(weights) - 1
-    gw, gb = [None] * len(weights), [None] * len(biases)
-    for li in range(last, -1, -1):
-        if li != last:
-            d = d * (1.0 - acts[li + 1] ** 2)  # tanh'
-        gw[li] = d.transpose(0, 2, 1) @ acts[li]
-        gb[li] = d.sum(axis=1)
-        if li > 0:
-            d = d @ weights[li]
-    return loss, gw, gb
+class _Stack:
+    """Networks ``ps`` of one shape on their stacked inputs ``x``
+    (B, S, k*k), with input scales ``scale`` (B, 1, 1): the parameters
+    ``theta`` (B, P), the gradient ``grad`` laid out alike when ``grad``
+    is set, and one buffer per layer output for the passes."""
+
+    def __init__(self, ps, x: np.ndarray, scale: np.ndarray, grad: bool = False):
+        nnet, nsamp, entries = x.shape
+        self.sizes = sizes = ps[0].layer_sizes
+        for b, p in enumerate(ps):
+            k = p.block_dim
+            if entries != k * k:
+                raise ValueError(f"block of {entries} entries does not match "
+                                 f"network input ({k}x{k})")
+            if p.layer_sizes != sizes:
+                raise ValueError(f"a stack takes one network shape: network {b} has "
+                                 f"layer sizes {p.layer_sizes}, network 0 {sizes}")
+        n_params = sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
+        self.theta = np.empty((nnet, n_params))
+        self.weights, self.biases = _views(self.theta, sizes)
+        for w, b, ws, bs in zip(self.weights, self.biases,
+                                zip(*(p.weights for p in ps)), zip(*(p.biases for p in ps))):
+            w[...], b[...] = ws, bs
+        self.scale = scale
+        # acts[0] is the scaled input, acts[l + 1] the output of layer l
+        self.acts = [x * scale] + [np.empty((nnet, nsamp, n)) for n in sizes[1:]]
+        # start of each (network, sample) output row in flat order
+        self.rows = np.arange(0, nnet * nsamp * sizes[-1], sizes[-1]).reshape(nnet, nsamp, 1)
+        if grad:
+            self.grad = np.empty_like(self.theta)
+            self.gw, self.gb = _views(self.grad, sizes)
+            # d loss / d (output of layer l), one buffer per layer
+            self.deltas = [np.empty_like(a) for a in self.acts[1:]]
+            self.scaled_count = nsamp * scale
+
+    def forward(self) -> np.ndarray:
+        """Scaled-space forward pass (tanh hidden layers, linear output),
+        each layer's output written into its buffer; returns the raw
+        (unsorted) outputs (B, S, k)."""
+        last = len(self.weights) - 1
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = self.acts[li + 1]
+            np.matmul(self.acts[li], w.transpose(0, 2, 1), out=z)
+            z += b[:, None, :]
+            if li != last:
+                np.tanh(z, out=z)
+        return self.acts[-1]
+
+    def loss(self, targets: np.ndarray, grad: bool = False) -> np.ndarray:
+        """Each network's mlp_loss (B,) from one forward pass; if
+        ``grad``, its mlp_grad is written into ``self.grad`` too."""
+        out = self.forward() / self.scale
+        nnet, nsamp, _ = out.shape
+        # flat position of each sorted value: sort order plus row start
+        order = np.argsort(out, axis=2, kind="stable")
+        order += self.rows
+        resid = out.take(order)
+        resid -= targets
+        loss = np.square(resid).reshape(nnet, -1).sum(axis=1) / nsamp
+        if not grad:
+            return loss
+        # d loss / d raw, routed back through each sample's sort order
+        resid *= 2.0
+        resid /= self.scaled_count
+        self.deltas[-1].put(order, resid)
+        last = len(self.weights) - 1
+        for li in range(last, -1, -1):
+            d = self.deltas[li]
+            if li != last:
+                a = self.acts[li + 1]  # tanh' = 1 - a^2, in a's buffer
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                d *= a
+            np.matmul(d.transpose(0, 2, 1), self.acts[li], out=self.gw[li])
+            np.add.reduce(d, axis=1, out=self.gb[li])
+            if li > 0:
+                np.matmul(d, self.weights[li], out=self.deltas[li - 1])
+        return loss
 
 
 def _one_network(p: MlpParams, tset: TrainingSet, grad: bool):
-    net = _stack_networks([p], tset.inputs.shape[1])
+    net = _Stack([p], tset.inputs[None], np.full((1, 1, 1), p.input_scale), grad)
     with np.errstate(**_QUIET_OVERFLOW):
-        return _loss_and_grad(*net, tset.inputs[None], tset.targets[None], grad)
+        return net.loss(tset.targets[None], grad), net
 
 
 def mlp_loss(p: MlpParams, tset: TrainingSet) -> float:
@@ -211,46 +250,63 @@ def mlp_grad(p: MlpParams, tset: TrainingSet):
     """Exact reverse-mode gradient of mlp_loss. The output sort is
     treated as the fixed permutation chosen by the forward pass (stable,
     ties broken by original index)."""
-    _, gw, gb = _one_network(p, tset, grad=True)
-    return [g[0] for g in gw], [g[0] for g in gb]
+    _, net = _one_network(p, tset, grad=True)
+    return [g[0] for g in net.gw], [g[0] for g in net.gb]
+
+
+def _check_stack(ps, tsets) -> None:
+    """A ValueError naming the mismatch unless there is one training set
+    per network, at least one, and all sets have one (samples, k) shape;
+    _Stack checks the networks."""
+    if len(ps) != len(tsets) or not ps:
+        raise ValueError(f"need one training set per network and at least one network, "
+                         f"got {len(ps)} network(s) and {len(tsets)} training set(s)")
+    shape = tsets[0].targets.shape
+    for b, t in enumerate(tsets):
+        if t.targets.shape != shape:
+            (s, k), (s0, k0) = t.targets.shape, shape
+            raise ValueError(f"a stack takes one training set shape: set {b} has {s} "
+                             f"samples of {k}x{k} blocks, set 0 {s0} of {k0}x{k0}")
 
 
 def train_stack(ps, tsets, cfg: TrainConfig):
     """Full-batch gradient descent of each network ``ps[b]`` (one shape
-    for all) on ``tsets[b]`` (one size for all), all at once; each ends
-    bit-equal to training it alone. Returns (final params list,
-    (B, epochs) loss curves). On a non-finite loss raises
-    TrainingDivergedError with the epoch of the lowest-index network
-    that diverges, as training them one by one would: once network i
-    diverges, only those below it train on. The pass that gives the
-    loss after one update also gives the gradient for the next, so
-    ``epochs`` updates take ``epochs + 1`` passes."""
+    for all) on ``tsets[b]`` (one block size and sample count for all),
+    all at once; each ends bit-equal to training it alone. Counts,
+    layer sizes, block sizes and sample counts that disagree raise a
+    ValueError naming them. Returns (final params list, (B, epochs) loss
+    curves).
+
+    All B networks' parameters live in one (B, P) array and their
+    gradients in a second, so an epoch's update is one subtraction. The
+    networks train independently, so none waits on another's
+    divergence: training stops early only once network 0's loss is not
+    finite. A non-finite loss raises TrainingDivergedError with the
+    first non-finite epoch of the lowest-index network that has one in
+    the loss table, the epoch training them one by one would report.
+    The pass that gives the loss after one update also gives the
+    gradient for the next, so ``epochs`` updates take ``epochs + 1``
+    passes."""
+    _check_stack(ps, tsets)
     inputs = np.stack([t.inputs for t in tsets])
     targets = np.stack([t.targets for t in tsets])
-    weights, biases, _ = _stack_networks(ps, inputs.shape[2])
     scale = np.array([1.0 / max(1.0, t.max_abs_entry()) for t in tsets]).reshape(-1, 1, 1)
+    net = _Stack(ps, inputs, scale, grad=True)
     losses = np.empty((len(ps), cfg.epochs))
-    live, diverged = len(ps), None  # networks [0, live) still train
     with np.errstate(**_QUIET_OVERFLOW):
-        _, gw, gb = _loss_and_grad(weights, biases, scale, inputs, targets)
+        net.loss(targets, grad=True)
         for epoch in range(cfg.epochs):
-            for w, b, dw, db in zip(weights, biases, gw, gb):
-                w[:live] -= cfg.learning_rate * dw[:live]
-                b[:live] -= cfg.learning_rate * db[:live]
-            loss, gw, gb = _loss_and_grad(
-                [w[:live] for w in weights], [b[:live] for b in biases], scale[:live],
-                inputs[:live], targets[:live], grad=epoch + 1 < cfg.epochs)
-            losses[:live, epoch] = loss
-            bad = np.flatnonzero(~np.isfinite(loss))
-            if bad.size:
-                live, diverged = bad[0], epoch
-                if live == 0:
-                    break
-    if diverged is not None:
-        raise TrainingDivergedError(diverged)
-    sizes = ps[0].layer_sizes
-    return [MlpParams(list(sizes), [w[b] for w in weights], [bb[b] for bb in biases],
-                      float(scale[b, 0, 0]))
+            net.grad *= cfg.learning_rate
+            net.theta -= net.grad
+            losses[:, epoch] = net.loss(targets, grad=epoch + 1 < cfg.epochs)
+            if not np.isfinite(losses[0, epoch]):
+                break
+    bad = ~np.isfinite(losses[:, :epoch + 1])
+    if bad.any():
+        first = bad.any(axis=1).argmax()  # the lowest-index network that diverged
+        raise TrainingDivergedError(int(bad[first].argmax()))
+    return [MlpParams(list(net.sizes), [w[b] for w in net.weights],
+                      [bb[b] for bb in net.biases], float(scale[b, 0, 0]))
             for b in range(len(ps))], losses
 
 
@@ -309,8 +365,9 @@ def estimate_stack(kinds, blocks: np.ndarray, agents, round_: int = 0,
                     values[b] = np.sort(values[b] + rng.normal(0.0, e.sigma, k))
         return values[:, :j]
     if kind is MlpEstimator:
-        weights, biases, scale = _stack_networks([e.params for e in kinds], k * k)
-        raw, _ = _forward_raw(weights, biases, scale, blocks.reshape(nb, 1, -1))
+        ps = [e.params for e in kinds]
+        scale = np.array([p.input_scale for p in ps]).reshape(-1, 1, 1)
+        raw = _Stack(ps, blocks.reshape(nb, 1, -1), scale).forward()
         return np.sort(raw[:, 0] / scale[:, 0], axis=1)[:, :j]
     raise TypeError(f"unknown estimator kind {kinds[0]!r}")
 

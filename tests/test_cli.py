@@ -192,6 +192,15 @@ class TestTrain:
         assert code == 2
         assert "layer sizes must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hidden", ["4,x", "4,1.5"])
+    def test_non_integer_hidden_size_names_the_flag(self, tmp_path, capsys, hidden):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--hidden", hidden, "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: --hidden {hidden!r} is not "
+                                           "comma-separated whole numbers\n")
+        assert not (tmp_path / "p.json").exists()
+
     def test_nan_learning_rate_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
                      "--lr", "nan", "--out", str(tmp_path / "p.json")])

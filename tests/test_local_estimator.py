@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -460,6 +461,59 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as info:
             train_stack(p0s, tsets, cfg)
         assert info.value.epoch == epoch
+
+    # sha256 of the trained parameters (each network's weights and biases
+    # in layer order, then its input scale, as float64 bytes) and of the
+    # (B, epochs) loss table, recorded before the stack's parameters moved
+    # into one flat array. The stack-vs-alone tests run both sides
+    # through the same pass, so only a pin catches a change both share.
+    @pytest.mark.parametrize("k, hidden, nets, params_sha, losses_sha", [
+        # the mlp_train workload's stack: 10 agents, 4x4 blocks
+        (4, (32,), 10, "d17357ce8bf9b6427ba8624611fd466e1f5a5140cd31ffca70b7ad64b8df87c9",
+         "3012e8d99e2e7705e0c46b306557b550cb67bf809c39cd2bb2a3b3c7f58b7b06"),
+        (5, (8, 8), 3, "2097653bfa03936282fe1589570ae9aac30d75c6efc4d9fee1005064919f9442",
+         "20d4b91f8055de91f98801791e3943e7af8d9b5c3d086303e9b7ce5b313f0ce1"),
+    ])
+    def test_stacked_training_bytes_pinned(self, k, hidden, nets, params_sha, losses_sha):
+        # seeds and data as simulator._anchors derives them, at seed 7
+        tsets = [synthesize_training_set(k, 32, (0.5, 5.0), child_seed(7, "mlp-data", i))
+                 for i in range(nets)]
+        p0s = [init_mlp(k, hidden, child_seed(7, "mlp-init", i)) for i in range(nets)]
+        trained, losses = train_stack(p0s, tsets, TrainConfig(0.01, 200))
+        digest = hashlib.sha256()
+        for p in trained:
+            for a in p.weights + p.biases:
+                digest.update(np.ascontiguousarray(a).tobytes())
+            digest.update(np.float64(p.input_scale).tobytes())
+        assert digest.hexdigest() == params_sha
+        assert hashlib.sha256(losses.tobytes()).hexdigest() == losses_sha
+
+    @pytest.mark.parametrize("nets, sets", [(1, 2), (2, 1), (0, 0)])
+    def test_stacked_rejects_count_mismatch(self, nets, sets):
+        tsets = [synthesize_training_set(2, 3, (0.5, 2.0), seed=s) for s in range(sets)]
+        p0s = [init_mlp(2, hidden=(4,), seed=s) for s in range(nets)]
+        with pytest.raises(ValueError, match=f"got {nets} network\\(s\\) and "
+                                             f"{sets} training set\\(s\\)"):
+            train_stack(p0s, tsets, TrainConfig(0.01, 2))
+
+    def test_stacked_rejects_mixed_hidden_sizes(self):
+        tsets = [synthesize_training_set(2, 3, (0.5, 2.0), seed=s) for s in range(2)]
+        p0s = [init_mlp(2, hidden=(4,), seed=0), init_mlp(2, hidden=(5,), seed=1)]
+        with pytest.raises(ValueError, match=r"network 1 has layer sizes \[4, 5, 2\], "
+                                             r"network 0 \[4, 4, 2\]"):
+            train_stack(p0s, tsets, TrainConfig(0.01, 2))
+
+    def test_stacked_rejects_mixed_sample_counts(self):
+        tsets = [synthesize_training_set(2, count, (0.5, 2.0), seed=0) for count in (3, 4)]
+        p0s = [init_mlp(2, hidden=(4,), seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match="set 1 has 4 samples of 2x2 blocks, set 0 3 of 2x2"):
+            train_stack(p0s, tsets, TrainConfig(0.01, 2))
+
+    def test_stacked_rejects_mixed_block_sizes(self):
+        tsets = [synthesize_training_set(k, 3, (0.5, 2.0), seed=0) for k in (2, 3)]
+        p0s = [init_mlp(2, hidden=(4,), seed=s) for s in range(2)]
+        with pytest.raises(ValueError, match="set 1 has 3 samples of 3x3 blocks, set 0 3 of 2x2"):
+            train_stack(p0s, tsets, TrainConfig(0.01, 2))
 
     def test_stacked_rejects_mismatched_network(self):
         tsets = [synthesize_training_set(2, 3, (0.5, 2.0), seed=s) for s in range(2)]
