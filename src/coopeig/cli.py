@@ -76,12 +76,18 @@ def cmd_gen_matrix(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def _comma_list(flag: str, text: str, convert, what: str) -> list:
+    """The comma-separated items of ``text``, each read by ``convert``;
+    an empty ``text`` has none. An empty or unreadable item is a
+    ValueError naming ``flag``."""
     try:
-        hidden = tuple(int(h) for h in args.hidden.split(",") if h)
+        return [convert(t) for t in text.split(",")] if text else []
     except ValueError:
-        raise ValueError(f"--hidden {args.hidden!r} is not comma-separated "
-                         "whole numbers") from None
+        raise ValueError(f"{flag} {text!r} is not comma-separated {what}") from None
+
+
+def cmd_train(args) -> int:
+    hidden = tuple(_comma_list("--hidden", args.hidden, int, "whole numbers"))
     tset = synthesize_training_set(args.k, args.samples, (args.lo, args.hi),
                                    child_seed(args.seed, "mlp-data"))
     p0 = init_mlp(args.k, hidden, child_seed(args.seed, "mlp-init"))
@@ -139,7 +145,7 @@ def cmd_sweep(args) -> int:
     """One aggregate row per value over its trials, all run by one
     ``run_many``, so stages no trial changes are built once per sweep."""
     base = load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v]
+    values = _comma_list("--values", args.values, float, "numbers")
     if not values:
         raise ValueError("no sweep values given")
     if args.trials < 1:

@@ -1,6 +1,6 @@
 """The iterative estimate-exchange protocol: synchronous rounds of
 neighbor averaging over a doubly-stochastic weight matrix, the
-consensus/estimation error metrics, and global aggregation.
+consensus/estimation error metrics.
 
 Three update dynamics are provided:
 
@@ -69,29 +69,6 @@ class ConsensusState:
     def __post_init__(self):
         self.estimates.setflags(write=False)
         self.anchors.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GlobalWeights:
-    """Convex combination weights for the global estimate."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if np.any(beta < 0) or abs(beta.sum() - 1.0) > 1e-12:
-            raise ValueError("beta must be nonnegative and sum to 1")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-
-def uniform_weights(m: int) -> GlobalWeights:
-    return GlobalWeights(np.full(m, 1.0 / m))
-
-
-def block_size_weights(block_sizes) -> GlobalWeights:
-    sizes = np.asarray(block_sizes, dtype=float)
-    return GlobalWeights(sizes / sizes.sum())
 
 
 def init_states(anchors) -> ConsensusState:
@@ -184,17 +161,10 @@ def estimation_error(states: ConsensusState, truth) -> np.ndarray:
     return estimation_errors(states.estimates[None], truth)[0]
 
 
-def global_estimates(est: np.ndarray, gw: GlobalWeights) -> np.ndarray:
-    """The (R, j) convex combinations of the agent rows of an (R, m, j)
-    estimate stack."""
-    if gw.beta.shape != (est.shape[1],):
-        raise ValueError("one beta weight per agent required")
-    return gw.beta @ est
-
-
-def aggregate_global(states: ConsensusState, gw: GlobalWeights) -> np.ndarray:
-    """Componentwise convex combination of agent estimates."""
-    return global_estimates(states.estimates[None], gw)[0]
+def aggregate_global(states: ConsensusState) -> np.ndarray:
+    """The agents' mean estimate. No run path calls it: it stays only
+    until perfbench's tracer stops spanning it."""
+    return states.estimates.mean(axis=0)
 
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,

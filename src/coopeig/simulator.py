@@ -85,7 +85,6 @@ class SimConfig:
     estimator: EstimatorConfig
     mode: ConsensusMode
     failure_p: float = 0.0
-    beta: str = "uniform"  # "uniform" | "block_size"
     tol: float = 1e-6
     max_rounds: int = 300
     seed: int = 0
@@ -104,8 +103,6 @@ class SimConfig:
             raise ConfigError("max_rounds must be >= 0")
         if self.tracked < 1:
             raise ConfigError("tracked eigenvalue count must be >= 1")
-        if self.beta not in ("uniform", "block_size"):
-            raise ConfigError(f"unknown beta choice {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,6 @@ class Trace:
     deviation_norm: np.ndarray  # mean-deviation norm; contracts by the SLEM
     max_est_error: np.ndarray
     mean_est_error: np.ndarray
-    global_estimate: np.ndarray  # rounds x tracked
     scalars_sent: np.ndarray  # 2 x tracked per live edge; none in round 0
     final_estimates: np.ndarray  # agents x tracked
     stop_reason: str  # "converged" | "max_rounds" | "diverged"
@@ -217,10 +213,6 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
     """The round-loop stage: failure stream, mixing and per-round metrics."""
     j = cfg.tracked
     fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
-    if cfg.beta == "uniform":
-        gw = consensus.uniform_weights(part.m)
-    else:
-        gw = consensus.block_size_weights(part.block_sizes)
 
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
     if cfg.failure_p != 0.0:
@@ -253,16 +245,15 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
     def on_block(_first, est, errors):
         eps = consensus.estimation_errors(est, truth)
         columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
-                        eps.mean(axis=(1, 2)), consensus.global_estimates(est, gw)))
+                        eps.mean(axis=(1, 2))))
 
     states, rounds, stop_reason = consensus.run_rounds(
         states, failure_free if cfg.failure_p == 0.0 else failing, cfg.mode, cfg.tol,
         cfg.max_rounds, on_block)
-    errors, deviations, max_errors, mean_errors, estimates = map(np.concatenate, zip(*columns))
+    errors, deviations, max_errors, mean_errors = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
                  consensus_error=errors, deviation_norm=deviations,
                  max_est_error=max_errors, mean_est_error=mean_errors,
-                 global_estimate=estimates,
                  # live also counts the rounds mixed past the stop
                  scalars_sent=2 * j * np.concatenate(live)[:rounds + 1],
                  final_estimates=states.estimates, stop_reason=stop_reason,
@@ -424,7 +415,7 @@ def _spectrum_range(v) -> tuple:
 
 # Optional keys and their converters, in snapshot order; an absent key
 # takes the dataclass default.
-_SIM_TYPES = {"failure_p": float, "beta": str, "tol": float, "max_rounds": _whole_number,
+_SIM_TYPES = {"failure_p": float, "tol": float, "max_rounds": _whole_number,
               "seed": _whole_number, "tracked": _whole_number}
 _EST_TYPES = {
     "kind": str, "sigma": float, "params_path": str, "hidden": _hidden_sizes,

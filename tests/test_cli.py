@@ -186,13 +186,19 @@ class TestTrain:
         assert main(["report", "--snapshot", str(snap)]) == 0
         assert capsys.readouterr().out == simulate_out
 
+    def test_empty_hidden_trains_no_hidden_layer(self, tmp_path, capsys):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--hidden", "", "--out", str(tmp_path / "p.json")])
+        assert code == 0
+        assert "hidden=()" in capsys.readouterr().out
+
     def test_zero_hidden_size_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
                      "--hidden", "0", "--out", str(tmp_path / "p.json")])
         assert code == 2
         assert "layer sizes must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hidden", ["4,x", "4,1.5"])
+    @pytest.mark.parametrize("hidden", ["4,x", "4,1.5", ",", "4,,5", "4,"])
     def test_non_integer_hidden_size_names_the_flag(self, tmp_path, capsys, hidden):
         code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
                      "--hidden", hidden, "--out", str(tmp_path / "p.json")])
@@ -607,9 +613,16 @@ class TestSweep:
                             lambda cfg: runs.append(cfg) or simulator.run_simulation(cfg))
         monkeypatch.setattr(cli, "run_many",
                             lambda cfgs: simulator.run_many(runs.append(c) or c for c in cfgs))
-        assert main(["sweep", "--config", str(base_config(tmp_path)), "--param", "p",
-                     "--values", "0,1.0", "--trials", "3"]) == 2
-        assert "failure probability must be in [0, 1)" in capsys.readouterr().err
+        cfg = str(base_config(tmp_path))
+        for values, message in [
+            ("0,1.0", "failure probability must be in [0, 1)"),
+            ("", "no sweep values given"),
+            *((v, f"--values {v!r} is not comma-separated numbers")
+              for v in ["x", "0,,0.3", "0,0.3,", ","]),
+        ]:
+            assert main(["sweep", "--config", cfg, "--param", "p",
+                         "--values", values, "--trials", "3"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert runs == []
 
     def test_unknown_param_rejected(self, tmp_path, capsys):
@@ -873,13 +886,12 @@ CONFIG_SHAPES = {
         "  - 4.0\nagents: 2\ntopology: er:0.5\nestimator:\n  kind: mlp\n"
         "  hidden: [8, 4]\n  spectrum_range: [0.5, 5.0]\n  learning_rate: 1.0e-2\n"
         "  epochs: 20\n  samples: 8\nmode: damped\ngamma: 0.5\nfailure_p: 0.25\n"
-        "beta: block_size\nparallel: false\nseed: 3\n",
+        "parallel: false\nseed: 3\n",
         {"matrix": {"kind": "generate", "n": 4, "spectrum": [0.5, 1.0, 2.5, 4.0]},
          "agents": 2, "topology": "er:0.5",
          "estimator": {"kind": "mlp", "hidden": [8, 4], "spectrum_range": [0.5, 5.0],
                        "learning_rate": 0.01, "epochs": 20, "samples": 8},
-         "mode": "damped", "gamma": 0.5, "failure_p": 0.25, "beta": "block_size",
-         "seed": 3}),
+         "mode": "damped", "gamma": 0.5, "failure_p": 0.25, "seed": 3}),
     "json": (
         '{"agents": 8, "topology": "ring", "estimator": {"kind": "oracle"}, '
         '"mode": "matrix_form", "parallel": false, "tol": 1e-08, "max_rounds": 2000, '

@@ -10,20 +10,16 @@ from coopeig.consensus import (
     ConsensusMode,
     ConsensusState,
     DivergenceError,
-    GlobalWeights,
     aggregate_global,
-    block_size_weights,
     consensus_error,
     consensus_round,
     deviation_norm,
     deviation_norms,
     estimation_error,
     estimation_errors,
-    global_estimates,
     init_states,
     run_rounds,
     run_to_convergence,
-    uniform_weights,
 )
 
 MATRIX_FORM = ConsensusMode("matrix_form")
@@ -140,41 +136,23 @@ class TestStackedMetrics:
     def test_slices_equal_per_round_calls(self, rounds, m, j):
         est = np.random.default_rng(rounds).normal(size=(rounds, m, j)) * 10.0 ** -np.arange(j)
         truth = np.linspace(-1.0, 1.0, j)
-        gw = block_size_weights(np.arange(1, m + 1))
-        norms, eps, glob = deviation_norms(est), estimation_errors(est, truth), global_estimates(est, gw)
-        assert norms.shape == (rounds,) and eps.shape == est.shape and glob.shape == (rounds, j)
+        norms, eps = deviation_norms(est), estimation_errors(est, truth)
+        assert norms.shape == (rounds,) and eps.shape == est.shape
         for r in range(rounds):
             states = ConsensusState(est[r].copy(), est[r].copy())
             assert norms[r] == deviation_norm(states)
             assert eps[r].tobytes() == estimation_error(states, truth).tobytes()
-            assert glob[r].tobytes() == aggregate_global(states, gw).tobytes()
 
     def test_shape_mismatches_rejected(self):
         est = np.zeros((4, 3, 2))
         with pytest.raises(ValueError, match="truth has length 1"):
             estimation_errors(est, [1.0])
-        with pytest.raises(ValueError, match="one beta weight per agent"):
-            global_estimates(est, uniform_weights(2))
 
 
 class TestAggregateGlobal:
     def test_uniform_mean(self):
-        states = init_states([[0.0], [3.0], [6.0]])
-        assert aggregate_global(states, uniform_weights(3))[0] == pytest.approx(3.0)
-
-    def test_degenerate_weights_pick_one_agent(self):
-        states = init_states([[0.0], [3.0], [6.0]])
-        gw = GlobalWeights(np.array([1.0, 0.0, 0.0]))
-        assert aggregate_global(states, gw)[0] == 0.0
-
-    def test_agreement_invariant_under_beta(self):
-        states = init_states([[4.2], [4.2], [4.2]])
-        for gw in (uniform_weights(3), block_size_weights([5, 3, 2])):
-            assert aggregate_global(states, gw)[0] == pytest.approx(4.2)
-
-    def test_invalid_beta_rejected(self):
-        with pytest.raises(ValueError):
-            GlobalWeights(np.array([0.5, 0.6]))
+        states = init_states([[0.0, 1.0], [3.0, 1.0], [6.0, 4.0]])
+        assert aggregate_global(states).tolist() == pytest.approx([3.0, 2.0])
 
 
 class TestRunToConvergence:
@@ -452,7 +430,7 @@ class TestDynamicsProperties:
         target = anchors.mean()
         for v in states.estimates[:, 0]:
             assert v == pytest.approx(target, abs=1e-10)
-        agg = aggregate_global(states, uniform_weights(6))
+        agg = aggregate_global(states)
         assert agg[0] == pytest.approx(target, abs=1e-10)
 
     def test_damped_fixed_point_matches_linear_solve(self):

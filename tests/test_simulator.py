@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,11 @@ from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metrop
 from coopeig.consensus import (
     ConsensusMode,
     DivergenceError,
-    aggregate_global,
     consensus_error,
     consensus_round,
+    deviation_norm,
     init_states,
     run_to_convergence,
-    uniform_weights,
 )
 from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
 from coopeig.matrix_core import (
@@ -131,7 +131,7 @@ class TestRunSimulation:
         ks = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
         assert ks == list(range(trace.rounds_used + 1))
         for column in (trace.consensus_error, trace.deviation_norm, trace.max_est_error,
-                       trace.mean_est_error, trace.global_estimate, trace.bound,
+                       trace.mean_est_error, trace.bound,
                        trace.scalars_sent, trace.flops_local):
             assert len(column) == trace.rounds_used + 1
 
@@ -243,8 +243,7 @@ def replay_graph_path(cfg):
                           [:cfg.tracked] for i in range(part.m)])
     base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))
     fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
-    gw = uniform_weights(part.m)
-    errors, estimates, sent = [consensus_error(states)], [aggregate_global(states, gw)], [0]
+    errors, deviations, sent = [consensus_error(states)], [deviation_norm(states)], [0]
     threshold = 1e9 * max(1.0, errors[0])
     reason = None
     while reason is None and errors[-1] >= cfg.tol and len(errors) <= cfg.max_rounds:
@@ -253,12 +252,12 @@ def replay_graph_path(cfg):
         states = consensus_round(states, metropolis_weights(g_k), cfg.mode)
         finite = np.all(np.isfinite(states.estimates))
         errors.append(consensus_error(states) if finite else math.inf)
-        estimates.append(aggregate_global(states, gw))
+        deviations.append(deviation_norm(states))
         if math.isinf(errors[-1]) or errors[-1] > threshold:
             reason = "diverged"
     if reason is None:
         reason = "converged" if errors[-1] < cfg.tol else "max_rounds"
-    return np.array(errors), np.array(estimates), np.array(sent), states.estimates, reason
+    return np.array(errors), np.array(deviations), np.array(sent), states.estimates, reason
 
 
 def generated(n):
@@ -337,10 +336,10 @@ class TestFailingRound:
     def test_bit_equal_to_graph_path(self, over, reason):
         cfg = small_cfg(**over)
         trace = run_simulation(cfg)
-        errors, estimates, sent, final, ref_reason = replay_graph_path(cfg)
+        errors, deviations, sent, final, ref_reason = replay_graph_path(cfg)
         assert trace.stop_reason == ref_reason == reason
         assert trace.consensus_error.tobytes() == errors.tobytes()
-        assert trace.global_estimate.tobytes() == estimates.tobytes()
+        assert trace.deviation_norm.tobytes() == deviations.tobytes()
         assert trace.scalars_sent.tolist() == sent.tolist()
         assert trace.final_estimates.tobytes() == final.tobytes()
 
@@ -363,10 +362,10 @@ class TestFailingRound:
         trace = run_simulation(cfg)
         [draws] = streams  # one stream per failing run; the replay below builds more
         drawn = [rounds for _, rounds in draws]
-        errors, estimates, sent, final, ref_reason = replay_graph_path(cfg)
+        errors, deviations, sent, final, ref_reason = replay_graph_path(cfg)
         assert trace.stop_reason == ref_reason == reason
         assert trace.consensus_error.tobytes() == errors.tobytes()
-        assert trace.global_estimate.tobytes() == estimates.tobytes()
+        assert trace.deviation_norm.tobytes() == deviations.tobytes()
         assert trace.scalars_sent.tolist() == sent.tolist()
         assert trace.final_estimates.tobytes() == final.tobytes()
         assert set(drawn) == {1} and max(kept) > 1 and sum(kept) == trace.rounds_used + 1
@@ -433,13 +432,11 @@ class TestFailingRound:
         trace = run_simulation(cfg)
         states = inputs + [consensus.ConsensusState(trace.final_estimates, inputs[0].anchors)]
         assert len(states) == len(trace.consensus_error) == 1010
-        gw = uniform_weights(40)
         for k, s in enumerate(states):
             eps = consensus.estimation_error(s, trace.truth)
             assert trace.deviation_norm[k] == consensus.deviation_norm(s)
             assert trace.max_est_error[k] == eps.max()
             assert trace.mean_est_error[k] == eps.mean()
-            assert trace.global_estimate[k].tobytes() == aggregate_global(s, gw).tobytes()
 
     def test_failure_free_rounds_mix_w0(self, mixed):
         trace = run_simulation(small_cfg(max_rounds=20, tol=1e-300))
@@ -453,7 +450,7 @@ def constant_trace(value, rounds=20):
     zeros, values = np.zeros(rounds), np.full(rounds, value)
     return Trace(cfg, np.array([1.0]), 0.5, consensus_error=zeros, deviation_norm=zeros,
                  max_est_error=values, mean_est_error=values,
-                 global_estimate=np.ones((rounds, 1)), scalars_sent=np.zeros(rounds, int),
+                 scalars_sent=np.zeros(rounds, int),
                  final_estimates=np.ones((4, 1)), stop_reason="max_rounds",
                  block_sizes=(3, 3, 3, 3))
 
@@ -600,10 +597,11 @@ class TestConfigFile:
         assert load_config(path) == cfg
 
     def test_unknown_top_key_rejected(self):
-        d = self.yaml_dict()
-        d["typo_key"] = 1
-        with pytest.raises(ConfigError):
-            config_from_dict(d)
+        for key in ["typo_key", "beta"]:
+            d = self.yaml_dict()
+            d[key] = 1
+            with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: ['{key}']")):
+                config_from_dict(d)
 
     def test_unknown_nested_key_rejected(self):
         d = self.yaml_dict()
