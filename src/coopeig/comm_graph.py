@@ -124,7 +124,11 @@ def build_graph(topology: str, m: int, seed: int = 0) -> Graph:
     if topology == "complete":
         return Graph(m, np.column_stack(np.triu_indices(m, 1)))
     if topology.startswith("er:"):
-        p_edge = float(topology[3:])
+        try:
+            p_edge = float(topology[3:])
+        except ValueError:
+            raise ValueError(f"bad topology {topology!r}: need er:<p_edge>, "
+                             "p_edge a number") from None
         if not 0.0 < p_edge <= 1.0:
             raise ValueError("er edge probability must be in (0, 1]")
         # One draw per pair in row-major (i, l) order: the same stream as

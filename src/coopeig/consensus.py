@@ -13,11 +13,12 @@ Three update dynamics are provided:
 * ``damped(gamma)``: lambda^(k+1) = (1-gamma) anchor + gamma W lambda^(k),
   a contraction that keeps the anchor as a persistent drive term.
 
-One round loop, ``run_rounds``, drives every run. It mixes rounds in
-blocks: one ``weights(first, R)`` call hands over the block's R weight
-arrays, each round writes into a preallocated (R, m, j) stack, one
-stacked pass takes the block's consensus errors, and the block is cut
-at its first stopping round before anyone sees it.
+One round loop, ``run_rounds``, drives every run. It takes the run's
+weights as one iterator over rounds 1, 2, ... and mixes rounds in
+blocks: each round takes the next weight array and writes into a
+preallocated (R, m, j) stack, one stacked pass takes the block's
+consensus errors, and the block is cut at its first stopping round
+before anyone sees it.
 """
 
 import itertools
@@ -169,33 +170,31 @@ def aggregate_global(states: ConsensusState) -> np.ndarray:
 
 def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
                max_rounds: int, on_block):
-    """The round loop. ``weights(first, r)`` yields exactly r arrays,
-    the weights of rounds first, ..., first + r - 1 (more or fewer raise
-    ValueError); the calls ask for rounds 1, 2, ... in order, each once,
-    so a provider may read them off one stream. They are symmetric
-    doubly-stochastic (m, m) arrays that the loop does not check again,
-    a ``WeightMatrix``'s ``w`` (``check_weights``) or rounds of
+    """The round loop. ``weights`` is an iterator over rounds 1, 2, ...;
+    the loop takes one array per round with ``next``, in order and once
+    each, so an iterator may read them off one stream, and one that runs
+    out raises at ``next``. The arrays are symmetric doubly-stochastic
+    (m, m) weights that the loop does not check again, a
+    ``WeightMatrix``'s ``w`` (``check_weights``) or rounds of
     ``comm_graph.metropolis_edges`` (checked on their edge rows). The
-    loop is done with each array before it asks for the next, so a
-    provider may yield the same buffer every round, refilled in
-    between; no array is read after the next one is asked for. The
-    loop stops when consensus_error < tol ("converged"), after
+    loop is done with each array before it takes the next, so an
+    iterator may yield the same buffer every round, refilled in between.
+    The loop stops when consensus_error < tol ("converged"), after
     max_rounds ("max_rounds"), or when the iterate turns non-finite or
     exceeds the divergence threshold ("diverged"); the error of a
     non-finite iterate is inf.
 
     Rounds run in blocks of R = min(BLOCK_FLOATS // (m j), rounds run so
-    far but at least 1, rounds left), one ``weights`` call each. The R
-    rounds mix into one (R, m, j) stack, one stacked pass takes their
-    errors, and the block is cut after its first round that stops the
-    loop.
-    ``on_block(first, estimates, errors)`` then receives the n kept
-    rounds first, ..., first + n - 1 as an (n, m, j) stack and their n
-    errors; round 0 comes first, alone. Rounds mixed past a stop never
-    outnumber the rounds used and never reach ``on_block``. They may
-    overflow, so a block mixes, its weights drawn and built included,
-    with overflow and invalid-value warnings off. Returns (final states,
-    rounds used, stop reason)."""
+    far but at least 1, rounds left). The R rounds mix into one
+    (R, m, j) stack, one stacked pass takes their errors, and the block
+    is cut after its first round that stops the loop.
+    ``on_block(estimates, errors)`` then receives the n kept rounds as
+    an (n, m, j) stack and their n errors, in round order; round 0
+    comes first, alone. Rounds mixed past a stop never outnumber the
+    rounds used and never reach ``on_block``. They may overflow, so a
+    block mixes, its weights drawn and built included, with overflow and
+    invalid-value warnings off. Returns (final states, rounds used, stop
+    reason)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     est, anc = states.estimates, states.anchors
@@ -204,21 +203,21 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     # Far enough above any converging trajectory to be unambiguous,
     # small enough to trip long before float overflow.
     threshold = 1e9 * max(1.0, e)
-    on_block(0, est[None], errors)
+    on_block(est[None], errors)
     k, size = 0, max(1, BLOCK_FLOATS // est.size)
     while e >= tol and k < max_rounds:
         block = np.empty((min(size, max(1, k), max_rounds - k), *est.shape))
         # Rounds past a divergence may overflow; they are dropped unseen.
         with np.errstate(over="ignore", invalid="ignore"):
-            for w, out in zip(weights(k + 1, len(block)), block, strict=True):
-                _step(est, anc, w, mode, out)
+            for out in block:
+                _step(est, anc, next(weights), mode, out)
                 est = out
             errors = consensus_errors(block)
         errors[~np.isfinite(errors)] = math.inf  # max and min propagate NaN; inf gives inf or NaN
         diverged = np.isinf(errors) | (errors > threshold)
         stops = np.flatnonzero(diverged | (errors < tol))
         n = int(stops[0]) + 1 if len(stops) else len(block)
-        on_block(k + 1, block[:n], errors[:n])
+        on_block(block[:n], errors[:n])
         k, est, e = k + n, block[n - 1], float(errors[n - 1])
         if diverged[n - 1]:
             return ConsensusState(est.copy(), anc), k, "diverged"
@@ -234,9 +233,8 @@ def run_to_convergence(states: ConsensusState, wm: WeightMatrix, mode: Consensus
     if wm.m != len(states.estimates):
         raise ValueError(f"weight matrix is {wm.m}x{wm.m} for {len(states.estimates)} agents")
     history = []
-    states, k, reason = run_rounds(states, lambda _first, r: itertools.repeat(wm.w, r),
-                                   mode, tol, max_rounds,
-                                   lambda _first, _est, errors: history.extend(errors.tolist()))
+    states, k, reason = run_rounds(states, itertools.repeat(wm.w), mode, tol, max_rounds,
+                                   lambda _est, errors: history.extend(errors.tolist()))
     if reason == "diverged":
         raise DivergenceError(k, history[-1])
     return states, k, history, reason

@@ -43,6 +43,8 @@ class MlpParams:
         sizes = [int(s) for s in self.layer_sizes]
         if len(sizes) < 2:
             raise ValueError("need at least input and output layers")
+        if sizes[0] != sizes[-1] ** 2:
+            raise ValueError("input layer is not a flattened square block")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("weights/biases do not match layer sizes")
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -56,10 +58,7 @@ class MlpParams:
 
     @property
     def block_dim(self) -> int:
-        k = self.layer_sizes[-1]
-        if k * k != self.layer_sizes[0]:
-            raise ValueError("input layer is not a flattened square block")
-        return k
+        return self.layer_sizes[-1]
 
 
 def init_mlp(k: int, hidden=(32,), seed: int = 0) -> MlpParams:

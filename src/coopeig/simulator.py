@@ -211,50 +211,46 @@ def _network(topology: str, m: int, seed: int):
 def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.ConsensusState,
             base, w0, rho: float) -> Trace:
     """The round-loop stage: failure stream, mixing and per-round metrics."""
-    j = cfg.tracked
-    fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
-
+    j, m = cfg.tracked, part.m
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
-    if cfg.failure_p != 0.0:
-        draw = comm_graph.failure_stream(base, fm, 1)
-        slots = comm_graph.metropolis_slots(part.m, base.edges)
-        chunk = max(1, BLOCK_FLOATS // comm_graph.edge_form_floats(part.m, len(base.edges)))
-        flat = np.zeros(part.m**2)  # zero off the slots, the same for every round
-        w = flat.reshape(part.m, part.m)
 
-    # Not the failure stream + a per-round weight build at p = 0: the same
-    # bits, but sweep_solve ran slower through the build in every pair
-    # measured.
-    def failure_free(_first, r):
-        live.append(np.full(r, len(base.edges)))
-        return itertools.repeat(w0.w, r)
-
-    def failing(_first, r):
-        # run_rounds asks for rounds 1, 2, ... in order, each once, so they
-        # come from the run's one stream; one chunk of edge-form weights is
-        # held at a time, and each round refills the one (m, m) buffer.
-        for k in range(0, r, chunk):
-            keep = draw(min(chunk, r - k))
+    def failing():
+        # Rounds 1, ..., max_rounds from the run's one stream, one chunk of
+        # edge-form weights held at a time; each round refills the one
+        # (m, m) buffer.
+        draw = comm_graph.failure_stream(
+            base, FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures")), 1)
+        slots = comm_graph.metropolis_slots(m, base.edges)
+        chunk = max(1, BLOCK_FLOATS // comm_graph.edge_form_floats(m, len(base.edges)))
+        flat = np.zeros(m**2)  # zero off the slots, the same for every round
+        w = flat.reshape(m, m)
+        for k in range(0, cfg.max_rounds, chunk):
+            keep = draw(min(chunk, cfg.max_rounds - k))
             live.append(keep.sum(axis=1))
-            for row in comm_graph.metropolis_edges(part.m, base.edges, keep):
+            for row in comm_graph.metropolis_edges(m, base.edges, keep):
                 flat[slots] = row
                 yield w
 
     columns = []
 
-    def on_block(_first, est, errors):
+    def on_block(est, errors):
         eps = consensus.estimation_errors(est, truth)
         columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
                         eps.mean(axis=(1, 2))))
 
-    states, rounds, stop_reason = consensus.run_rounds(
-        states, failure_free if cfg.failure_p == 0.0 else failing, cfg.mode, cfg.tol,
-        cfg.max_rounds, on_block)
+    # Not the failure stream + a per-round weight build at p = 0: the same
+    # bits, but sweep_solve ran slower through the build in every pair
+    # measured.
+    weights = itertools.repeat(w0.w) if cfg.failure_p == 0.0 else failing()
+    states, rounds, stop_reason = consensus.run_rounds(states, weights, cfg.mode, cfg.tol,
+                                                       cfg.max_rounds, on_block)
+    if cfg.failure_p == 0.0:
+        live.append(np.full(rounds, len(base.edges)))
     errors, deviations, max_errors, mean_errors = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
                  consensus_error=errors, deviation_norm=deviations,
                  max_est_error=max_errors, mean_est_error=mean_errors,
-                 # live also counts the rounds mixed past the stop
+                 # live also counts the rounds drawn past the last one mixed
                  scalars_sent=2 * j * np.concatenate(live)[:rounds + 1],
                  final_estimates=states.estimates, stop_reason=stop_reason,
                  block_sizes=part.block_sizes)
@@ -425,7 +421,8 @@ _EST_TYPES = {
 # "parallel" is accepted and ignored: estimator training is serial.
 _TOP_KEYS = {"matrix", "agents", "topology", "estimator", "mode", "gamma", "parallel",
              *_SIM_TYPES}
-_MATRIX_KEYS = {"kind", "n", "spectrum", "path"}
+# The keys each matrix kind reads.
+_MATRIX_KEYS = {"generate": {"kind", "n", "spectrum"}, "file": {"kind", "path"}}
 
 
 def _check_keys(d, allowed, where):
@@ -476,8 +473,12 @@ def config_from_dict(d: dict) -> SimConfig:
     seed = sim.get("seed", SimConfig.seed)
 
     md = d["matrix"]
-    _check_keys(md, _MATRIX_KEYS, "matrix")
+    if not isinstance(md, dict):
+        raise ConfigError("matrix must be a mapping")
     kind = str(md.get("kind", "generate"))
+    if kind not in _MATRIX_KEYS:
+        raise ConfigError(f"unknown matrix kind {kind!r}")
+    _check_keys(md, _MATRIX_KEYS[kind], f"{kind} matrix")
     if kind == "generate":
         _require(md, ("n", "spectrum"), "matrix")
         n = _typed(_whole_number, md["n"], "matrix.n")
@@ -485,9 +486,8 @@ def config_from_dict(d: dict) -> SimConfig:
                           "matrix.spectrum")
         matrix = MatrixSpec("generate", n=n, spectrum=spectrum)
     else:
-        if kind == "file":
-            _require(md, ("path",), "matrix")
-        matrix = MatrixSpec(kind, path=str(md.get("path", "")))
+        _require(md, ("path",), "matrix")
+        matrix = MatrixSpec("file", path=str(md["path"]))
 
     ed = d["estimator"]
     _check_keys(ed, set(_EST_TYPES), "estimator")

@@ -361,6 +361,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "unknown topology 'torus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topology", ["er:abc", "er:"])
+    def test_er_without_number_is_usage_error(self, tmp_path, capsys, topology):
+        cfg = base_config(tmp_path, topology=topology)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert (f"bad topology {topology!r}: need er:<p_edge>, p_edge a number"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("params, message", [
         ({"layer_sizes": [9, 4, 3]}, "lack key 'weights'"),
         ([1, 2], "must be a mapping"),
@@ -399,6 +406,15 @@ class TestSimulate:
         cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_params_file_not_square_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"layer_sizes": [5, 2], "weights": [[[0.0] * 5] * 2],
+                                    "biases": [[0.0] * 2], "input_scale": 1.0}))
+        cfg = base_config(tmp_path, estimator={"kind": "mlp", "params_path": str(path)})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: input layer is not a flattened "
+                                           "square block\n")
 
     # Finite entries whose squares overflow a solve: at 1e200 the truth
     # came out NaN with exit 0; 1.5e308 overflowed the symmetrizing average.

@@ -354,9 +354,9 @@ class TestFailingRound:
                                                              reason):
         kept, run_rounds = [], consensus.run_rounds
         monkeypatch.setattr(consensus, "run_rounds",
-                            lambda *args: run_rounds(*args[:-1], lambda first, est, errors:
+                            lambda *args: run_rounds(*args[:-1], lambda est, errors:
                                                      kept.append(len(est))
-                                                     or args[-1](first, est, errors)))
+                                                     or args[-1](est, errors)))
         cfg = small_cfg(matrix=MATRIX_182, agents=182, topology="complete", failure_p=0.5,
                         **over)
         trace = run_simulation(cfg)
@@ -608,6 +608,17 @@ class TestConfigFile:
         d["estimator"]["sigmaa"] = 0.1
         with pytest.raises(ConfigError):
             config_from_dict(d)
+        # a matrix takes only the keys its kind reads
+        for matrix, message in [
+            ({"kind": "file", "path": "A.txt", "n": 3, "spectrum": [1, 2, 3]},
+             "unknown file matrix keys: ['n', 'spectrum']"),
+            ({"kind": "generate", "n": 8, "spectrum": "0.5:4.0", "path": "A.txt"},
+             "unknown generate matrix keys: ['path']"),
+        ]:
+            d = self.yaml_dict()
+            d["matrix"] = matrix
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                config_from_dict(d)
 
     def test_missing_required_key_rejected(self):
         d = self.yaml_dict()
