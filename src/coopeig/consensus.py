@@ -15,14 +15,18 @@ Three update dynamics are provided:
 
 One round loop, ``run_rounds``, drives every run. It takes the run's
 weights as one iterator over rounds 1, 2, ... and mixes rounds in
-blocks: each round takes the next weight array and writes into a
-preallocated (R, m, j) stack, one stacked pass takes the block's
-consensus errors, and the block is cut at its first stopping round
-before anyone sees it.
+blocks: each round takes the next weight array and writes into the
+next row of one preallocated (S, m, j) buffer, one stacked pass takes
+the block's consensus errors, and the block is cut at its first
+stopping round before anyone sees it. Blocks double, and once the
+error falls, each is cut near the stop its predecessor's contraction
+predicts. The caller gets the kept rounds once per full buffer and
+once at the end.
 """
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +35,11 @@ from .comm_graph import WeightMatrix
 
 MODES = ("matrix_form", "paper_literal", "damped")
 
-# Floats a stacked pass of the round loop may hold: a block of R rounds'
-# (m, j) estimates, or a chunk of R failing rounds' edge-form weights
-# with their build's temporaries (comm_graph.edge_form_floats).
+# Floats a stacked pass of the round loop may hold: its buffer of
+# S = BLOCK_FLOATS // (m j) rounds' (m, j) estimates, which holds every
+# block and is what the caller is handed, or a chunk of R failing
+# rounds' edge-form weights with their build's temporaries
+# (comm_graph.edge_form_floats).
 BLOCK_FLOATS = 2**15
 
 
@@ -90,15 +96,17 @@ def _step(est: np.ndarray, anc: np.ndarray, w: np.ndarray, mode: ConsensusMode,
           out: np.ndarray) -> None:
     """One synchronous round with the (m, m) weight array ``w``: writes
     the estimates that follow ``est`` into the C-contiguous ``out``.
-    ``np.dot`` reaches the same BLAS routine as ``np.matmul`` without
-    its gufunc overhead. Each mode's expression runs as the same
+    ``w.dot`` is the BLAS call of ``np.dot``, and of ``np.matmul``,
+    without their dispatch. Each mode's expression runs as the same
     operations on the same operands, so the bits are those of
     evaluating it into a new array."""
-    np.dot(w, est, out=out)
+    w.dot(est, out)
+    if mode.kind == "matrix_form":
+        return
     if mode.kind == "paper_literal":  # anc + w @ est - est
         np.add(anc, out, out=out)
         out -= est
-    elif mode.kind == "damped":  # (1 - gamma) anc + gamma (w @ est)
+    else:  # damped: (1 - gamma) anc + gamma (w @ est)
         out *= mode.gamma
         out += (1.0 - mode.gamma) * anc
 
@@ -129,7 +137,9 @@ def consensus_error(states: ConsensusState) -> float:
 def deviation_norms(est: np.ndarray) -> np.ndarray:
     """``deviation_norm`` of each (m, j) slice of an (R, m, j) estimate
     stack, in one pass."""
-    dev = (est - est.mean(axis=1, keepdims=True)).reshape(len(est), -1)
+    # add.reduce over the count: the two operations of est.mean(axis=1)
+    mean = np.add.reduce(est, axis=1, keepdims=True) / est.shape[1]
+    dev = (est - mean).reshape(len(est), -1)
     return np.sqrt(np.einsum("rk,rk->r", dev, dev))
 
 
@@ -184,43 +194,63 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     exceeds the divergence threshold ("diverged"); the error of a
     non-finite iterate is inf.
 
-    Rounds run in blocks of R = min(BLOCK_FLOATS // (m j), rounds run so
-    far but at least 1, rounds left). The R rounds mix into one
-    (R, m, j) stack, one stacked pass takes their errors, and the block
-    is cut after its first round that stops the loop.
-    ``on_block(estimates, errors)`` then receives the n kept rounds as
-    an (n, m, j) stack and their n errors, in round order; round 0
-    comes first, alone. Rounds mixed past a stop never outnumber the
-    rounds used and never reach ``on_block``. They may overflow, so a
-    block mixes, its weights drawn and built included, with overflow and
+    Rounds run in blocks of R = min(S, rounds run so far but at least 1,
+    rounds left), S = max(1, BLOCK_FLOATS // (m j)). After a block of at
+    least 4 rounds whose error fell, the next block is also at most 1.2
+    times the rounds that block's rate of decay needs to reach tol, plus
+    2. Blocks mix into consecutive rows of one (S, m, j) buffer, round 0
+    in row 0, and one stacked pass takes each block's errors into an
+    S-vector beside it. A block is cut after its first round that stops
+    the loop: a stop is known only once a block is scanned. When the
+    next block would not fit in the buffer, and once at the end,
+    ``on_block(estimates, errors)`` receives the n rounds the buffer
+    kept as an (n, m, j) stack and their n errors, in round order, and
+    the loop goes on in fresh arrays, so the caller may keep what it
+    was handed. Rounds mixed past a stop never outnumber the rounds used
+    and never reach ``on_block``. They may overflow, so a block mixes,
+    its weights drawn and built included, with overflow and
     invalid-value warnings off. Returns (final states, rounds used, stop
     reason)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     est, anc = states.estimates, states.anchors
-    errors = consensus_errors(est[None])
+    size = max(1, BLOCK_FLOATS // est.size)
+    buf, errors = np.empty((size, *est.shape)), np.empty(size)
+    buf[0], errors[0] = est, consensus_errors(est[None])[0]
     e = float(errors[0])
     # Far enough above any converging trajectory to be unambiguous,
-    # small enough to trip long before float overflow.
-    threshold = 1e9 * max(1.0, e)
-    on_block(est[None], errors)
-    k, size = 0, max(1, BLOCK_FLOATS // est.size)
+    # small enough to trip long before float overflow; finite, so an
+    # infinite error is over it.
+    threshold = min(1e9 * max(1.0, e), sys.float_info.max)
+    k, kept, cap = 0, 1, max_rounds
     while e >= tol and k < max_rounds:
-        block = np.empty((min(size, max(1, k), max_rounds - k), *est.shape))
+        r = min(size, max(1, k), max_rounds - k, cap)
+        if kept + r > size:
+            on_block(buf[:kept], errors[:kept])
+            buf, errors, kept = np.empty_like(buf), np.empty_like(errors), 0
+        block, errs = buf[kept:kept + r], errors[kept:kept + r]
         # Rounds past a divergence may overflow; they are dropped unseen.
         with np.errstate(over="ignore", invalid="ignore"):
             for out in block:
                 _step(est, anc, next(weights), mode, out)
                 est = out
-            errors = consensus_errors(block)
-        errors[~np.isfinite(errors)] = math.inf  # max and min propagate NaN; inf gives inf or NaN
-        diverged = np.isinf(errors) | (errors > threshold)
-        stops = np.flatnonzero(diverged | (errors < tol))
-        n = int(stops[0]) + 1 if len(stops) else len(block)
-        on_block(block[:n], errors[:n])
-        k, est, e = k + n, block[n - 1], float(errors[n - 1])
-        if diverged[n - 1]:
+            errs[:] = consensus_errors(block)
+        # max and min propagate NaN, which fails every comparison
+        stops = (~(errs <= threshold) | (errs < tol)).nonzero()[0]
+        n = int(stops[0]) + 1 if len(stops) else r
+        prev, k, kept, est, e = e, k + n, kept + n, block[n - 1], float(errs[n - 1])
+        if not e <= threshold:
+            if not math.isfinite(e):
+                errs[n - 1] = e = math.inf
+            on_block(buf[:kept], errors[:kept])
             return ConsensusState(est.copy(), anc), k, "diverged"
+        # Geometric decay at this block's rate from e reaches tol after
+        # log(e / tol) / rate rounds; the margin keeps most stops inside
+        # the next block.
+        rate = math.log(prev / e) / n if n >= 4 and tol <= e < prev else 0.0
+        needed = 1.2 * math.log(e / tol) / rate if rate > 0 else math.inf
+        cap = math.ceil(needed) + 2 if needed < max_rounds else max_rounds
+    on_block(buf[:kept], errors[:kept])
     return ConsensusState(est.copy(), anc), k, "converged" if e < tol else "max_rounds"
 
 

@@ -260,7 +260,7 @@ def load_matrix(path) -> DenseSymMatrix:
             n = 0
         if n < 1:
             raise ValueError(f"size header must be a whole number >= 1, got {tokens[0]!r}")
-        vals = [float(t) for t in tokens[1:]]
+        vals = np.fromiter(map(float, tokens[1:]), float, len(tokens) - 1)
         if len(vals) != n * n:
             raise ValueError(f"expected {n * n} values, found {len(vals)}")
-        return DenseSymMatrix(np.array(vals).reshape(n, n))
+        return DenseSymMatrix(vals.reshape(n, n))

@@ -235,8 +235,9 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
 
     def on_block(est, errors):
         eps = consensus.estimation_errors(est, truth)
+        # add.reduce over the count: the two operations of eps.mean(axis=(1, 2))
         columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
-                        eps.mean(axis=(1, 2))))
+                        np.add.reduce(eps, axis=(1, 2)) / (m * j)))
 
     # Not the failure stream + a per-round weight build at p = 0: the same
     # bits, but sweep_solve ran slower through the build in every pair
@@ -318,20 +319,17 @@ def fit_error_bound(trace: Trace) -> FitResult:
     tail = eps[-max(1, math.ceil(0.1 * len(eps))):]
     gamma_hat = float(np.mean(tail))
     rho = trace.rho
-    beta_hat = 0.0
-    for k, e in enumerate(eps):
-        decay = rho**k
-        if decay > 0.0:
-            beta_hat = max(beta_hat, (e - gamma_hat) / decay)
-    beta_hat = max(beta_hat, 0.0)
-    holds = all(
-        e <= (beta_hat * rho**k + 1.05 * gamma_hat) * (1 + 1e-9)
-        for k, e in enumerate(eps)
-    )
+    decays = [rho**k for k in range(len(eps))]
+    # 0.0 first: beta is never negative, and no NaN quotient replaces the running max
+    beta_hat = max([0.0, *((e - gamma_hat) / d for e, d in zip(eps, decays) if d > 0.0)])
+    floor = 1.05 * gamma_hat
+    holds = all(e <= (beta_hat * d + floor) * (1 + 1e-9) for e, d in zip(eps, decays))
     return FitResult(beta_hat, gamma_hat, rho, holds)
 
 
 CSV_HEADER = "round,consensus_error,max_est_error,mean_est_error,bound,scalars_sent,flops_local"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+_CSV_BATCH = 1024  # rows per format call and write
 
 
 def export_csv(trace: Trace, destination) -> None:
@@ -348,11 +346,15 @@ def export_csv(trace: Trace, destination) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(CSV_HEADER + "\n")
-            rows = zip(trace.consensus_error.tolist(), trace.max_est_error.tolist(),
-                       trace.mean_est_error.tolist(), trace.bound.tolist(),
-                       trace.scalars_sent.tolist(), trace.flops_local.tolist())
-            for k, (e, mx, mn, bound, sent, flops) in enumerate(rows):
-                f.write(f"{k},{e:.17g},{mx:.17g},{mn:.17g},{bound:.17g},{sent},{flops}\n")
+            columns = (trace.consensus_error, trace.max_est_error, trace.mean_est_error,
+                       trace.bound, trace.scalars_sent, trace.flops_local)
+            # One % call and write per batch: a batch bounds the Python
+            # values and the string held at once.
+            for start in range(0, len(trace.consensus_error), _CSV_BATCH):
+                stop = start + _CSV_BATCH
+                batch = tuple(itertools.chain.from_iterable(zip(
+                    range(start, stop), *(c[start:stop].tolist() for c in columns))))
+                f.write(_CSV_ROW * (len(batch) // 7) % batch)
         os.replace(tmp, destination)
     except BaseException:
         if os.path.exists(tmp):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coopeig.comm_graph import WeightMatrix, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
+    BLOCK_FLOATS,
     ConsensusMode,
     ConsensusState,
     DivergenceError,
@@ -230,8 +231,38 @@ class TestRunRounds:
         with pytest.raises(StopIteration):
             run_rounds(init_states([[1.0], [2.0], [3.0], [4.0]]), weights, MATRIX_FORM, 1e-9,
                        100, lambda est, _e: seen.append(len(est)))
-        # rounds 0-3 only: the unfilled block never reaches on_block
-        assert seen == [1, 1, 1, 2]
+        # every block so far sits in the one unfinished buffer, which
+        # never reaches on_block
+        assert seen == []
+
+    def test_run_within_one_buffer_hands_over_once(self):
+        # 8 agents x 2 values: the buffer holds 2,048 rounds
+        handed = []
+        _, used, reason = run_rounds(ring_states(), itertools.repeat(RING_W), MATRIX_FORM,
+                                     1e-6, 1000, lambda est, e: handed.append((est, e)))
+        assert reason == "converged" and used < BLOCK_FLOATS // 16
+        [(est, errors)] = handed
+        assert len(est) == len(errors) == used + 1
+
+    # 5,000 rounds need at least three buffers of 2,048 rounds on 8 x 2
+    # values and seven of 819 on 40 x 1
+    @pytest.mark.parametrize("m, j", [(8, 2), (40, 1)])
+    def test_hand_overs_bounded_and_never_rewritten(self, m, j):
+        states = ring_states(m, j)
+        w = metropolis_weights(build_graph("ring", m)).w
+        handed = []
+        _, used, reason = run_rounds(states, itertools.repeat(w), damped(0.9), 1e-300, 5000,
+                                     lambda est, e: handed.append((est, e)))
+        assert (used, reason) == (5000, "max_rounds")
+        assert len(handed) >= math.ceil(5001 / (BLOCK_FLOATS // (m * j)))
+        assert all(est.size <= BLOCK_FLOATS for est, _ in handed)
+        # the caller keeps the arrays it was handed, uncopied
+        ref_ests, ref_errors, _, _ = reference_rounds(states, fixed(w), damped(0.9), 1e-300,
+                                                      5000)
+        assert np.concatenate([e for _, e in handed]).tobytes() == \
+            np.array(ref_errors).tobytes()
+        assert np.concatenate([est for est, _ in handed]).tobytes() == \
+            np.stack(ref_ests).tobytes()
 
 
 def reference_rounds(states, weights, mode, tol, max_rounds):

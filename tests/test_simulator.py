@@ -395,6 +395,16 @@ class TestFailingRound:
         for k, w in enumerate(mixed, start=1):
             assert w.tobytes() == metropolis_weights(apply_failures(base, fm, k)).w.tobytes()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_capped_near_the_stop(self, mixed, seed):
+        # Each block after the first few is cut near the stop its
+        # contraction predicts; uncapped doubling blocks mixed 1.09-1.15
+        # times the rounds used on these runs.
+        trace = run_simulation(small_cfg(matrix=MATRIX_40, agents=40, failure_p=0.5, tol=1e-10,
+                                         max_rounds=20000, seed=seed))
+        assert trace.stop_reason == "converged"
+        assert trace.rounds_used < len(mixed) <= 1.05 * trace.rounds_used
+
     def test_dense_check_runs_once_for_w0(self, monkeypatch):
         # failing rounds are checked on their edge rows, never as (m, m)
         checked, check = [], comm_graph.check_weights
