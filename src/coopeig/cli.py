@@ -36,8 +36,8 @@ from .simulator import (
     run_many,
     run_simulation,
     save_snapshot,
+    snapshot,
     summary_from_snapshot,
-    summary_report,
 )
 
 EXIT_OK = 0
@@ -108,9 +108,10 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(cfg)
     out = args.out or _default_csv_path(args.config)
     export_csv(trace, out)
+    snap = snapshot(trace)  # one record: written, then printed as report prints it
     if args.snapshot:
-        save_snapshot(trace, args.snapshot)
-    sys.stdout.write(summary_report(trace))
+        save_snapshot(snap, args.snapshot)
+    sys.stdout.write(summary_from_snapshot(snap))
     if trace.stop_reason == "max_rounds":
         return EXIT_MAX_ROUNDS
     if trace.stop_reason == "diverged":

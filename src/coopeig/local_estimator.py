@@ -123,8 +123,8 @@ class TrainConfig:
     epochs: int
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -331,8 +331,8 @@ class NoisyOracleEstimator:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Dense symmetric matrices: generation with known spectra, row
-partitioning, principal diagonal blocks, and a reference eigensolver.
+partitioning, and a reference eigensolver.
 Every solve of a run calls ``numpy.linalg.eigvalsh`` (LAPACK) at its
 call site: the truth, the SLEM and each stack of equal-size blocks.
 ``jacobi_eigen``, a cyclic-Jacobi solver for the full spectrum, stays as
@@ -82,10 +82,6 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.block_sizes)
-
-    @property
-    def n(self) -> int:
-        return self.offsets[-1]
 
 
 @dataclass(frozen=True)
@@ -214,16 +210,6 @@ def partition_rows(n: int, m: int) -> Partition:
     base, extra = divmod(n, m)
     return Partition(tuple(base + 1 for _ in range(extra))
                      + tuple(base for _ in range(m - extra)))
-
-
-def diagonal_block(A: DenseSymMatrix, p: Partition, i: int) -> DenseSymMatrix:
-    """The k_i x k_i principal submatrix on agent i's own index range."""
-    if p.n != A.n:
-        raise ValueError(f"partition covers {p.n} rows, matrix has {A.n}")
-    if not 0 <= i < p.m:
-        raise ValueError(f"block index {i} out of range for {p.m} blocks")
-    lo, hi = p.offsets[i], p.offsets[i + 1]
-    return DenseSymMatrix(A.a[lo:hi, lo:hi])
 
 
 def save_matrix(A: DenseSymMatrix, path) -> None:

@@ -73,8 +73,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ("oracle", "noisy_oracle", "mlp"):
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        if not self.sigma >= 0:
-            raise ConfigError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigError("sigma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class SimConfig:
             raise ConfigError("more agents than matrix rows")
         if not 0.0 <= self.failure_p < 1.0:
             raise ConfigError("failure probability must be in [0, 1)")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
         if self.max_rounds < 0:
             raise ConfigError("max_rounds must be >= 0")
         if self.tracked < 1:
@@ -380,16 +380,6 @@ def format_summary(truth_smallest: float, agent_values, stop_reason: str,
     return "\n".join(lines) + "\n"
 
 
-def summary_report(trace: Trace) -> str:
-    return format_summary(
-        float(trace.truth[0]),
-        trace.final_estimates[:, 0],
-        trace.stop_reason,
-        trace.rounds_used,
-        trace.final_consensus_error,
-    )
-
-
 # --- config file handling -------------------------------------------------
 
 def _whole_number(v):
@@ -397,6 +387,13 @@ def _whole_number(v):
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"need a whole number, got {v!r}")
     return int(v)
+
+
+def _text(v) -> str:
+    # str() would read 5 as the path "5" and [ring] as the topology "['ring']"
+    if not isinstance(v, str):
+        raise ValueError(f"need a string, got {v!r}")
+    return v
 
 
 def _hidden_sizes(v) -> tuple:
@@ -416,7 +413,7 @@ def _spectrum_range(v) -> tuple:
 _SIM_TYPES = {"failure_p": float, "tol": float, "max_rounds": _whole_number,
               "seed": _whole_number, "tracked": _whole_number}
 _EST_TYPES = {
-    "kind": str, "sigma": float, "params_path": str, "hidden": _hidden_sizes,
+    "kind": _text, "sigma": float, "params_path": _text, "hidden": _hidden_sizes,
     "learning_rate": float, "epochs": _whole_number, "samples": _whole_number,
     "spectrum_range": _spectrum_range,
 }
@@ -477,7 +474,7 @@ def config_from_dict(d: dict) -> SimConfig:
     md = d["matrix"]
     if not isinstance(md, dict):
         raise ConfigError("matrix must be a mapping")
-    kind = str(md.get("kind", "generate"))
+    kind = _typed(_text, md.get("kind", "generate"), "matrix.kind")
     if kind not in _MATRIX_KEYS:
         raise ConfigError(f"unknown matrix kind {kind!r}")
     _check_keys(md, _MATRIX_KEYS[kind], f"{kind} matrix")
@@ -489,19 +486,19 @@ def config_from_dict(d: dict) -> SimConfig:
         matrix = MatrixSpec("generate", n=n, spectrum=spectrum)
     else:
         _require(md, ("path",), "matrix")
-        matrix = MatrixSpec("file", path=str(md["path"]))
+        matrix = MatrixSpec("file", path=_typed(_text, md["path"], "matrix.path"))
 
     ed = d["estimator"]
     _check_keys(ed, set(_EST_TYPES), "estimator")
     _require(ed, ("kind",), "estimator")
     est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator."))
 
-    mode = ConsensusMode(str(d["mode"]),
+    mode = ConsensusMode(_typed(_text, d["mode"], "mode"),
                          gamma=_typed(float, d.get("gamma", ConsensusMode.gamma), "gamma"))
     return SimConfig(
         matrix=matrix,
         agents=_typed(_whole_number, d["agents"], "agents"),
-        topology=str(d["topology"]),
+        topology=_typed(_text, d["topology"], "topology"),
         estimator=est,
         mode=mode,
         **sim,
@@ -544,9 +541,10 @@ def load_config(path) -> SimConfig:
     return config_from_dict(data)
 
 
-def save_snapshot(trace: Trace, path) -> None:
-    """Config + seed + outcome, sufficient to re-run and verify."""
-    data = {
+def snapshot(trace: Trace) -> dict:
+    """The run's record: config + seed + outcome, sufficient to re-run
+    and verify. ``summary_from_snapshot`` prints its summary."""
+    return {
         "config": config_to_dict(trace.config),
         "truth": trace.truth.tolist(),
         "rho": trace.rho,
@@ -556,8 +554,11 @@ def save_snapshot(trace: Trace, path) -> None:
         "final_consensus_error": trace.final_consensus_error,
         "block_sizes": list(trace.block_sizes),
     }
+
+
+def save_snapshot(snap: dict, path) -> None:
     with open(path, "w") as f:
-        json.dump(data, f, indent=1)
+        json.dump(snap, f, indent=1)
 
 
 def load_snapshot(path) -> dict:

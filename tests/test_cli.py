@@ -213,6 +213,13 @@ class TestTrain:
         assert code == 2
         assert "learning_rate must be positive" in capsys.readouterr().err
 
+    def test_infinite_learning_rate_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--k", "2", "--samples", "4", "--epochs", "2",
+                     "--lr", "inf", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_zero_block_size_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--k", "0", "--samples", "4", "--epochs", "2",
                      "--out", str(tmp_path / "p.json")])
@@ -331,6 +338,12 @@ class TestSimulate:
         *(({"matrix": {"kind": "generate", "n": 4, "spectrum": [1.0, 2.0, 3.0, v]},
             "agents": 2}, "spectrum entries must all be finite and positive")
           for v in (float("inf"), float("nan"))),
+        # inf passes a "> 0" check too
+        ({"tol": float("inf")}, "tol must be positive and finite"),
+        ({"estimator": {"kind": "mlp", "learning_rate": float("inf"), "epochs": 2,
+                        "samples": 4}}, "learning_rate must be positive and finite"),
+        ({"estimator": {"kind": "noisy_oracle", "sigma": float("inf")}},
+         "sigma must be >= 0 and finite"),
     ])
     def test_nan_is_usage_error(self, tmp_path, capsys, over, message):
         cfg = base_config(tmp_path, **over)
@@ -511,6 +524,13 @@ class TestSimulate:
         ({"estimator": {"kind": "mlp", "samples": False}}, "estimator.samples"),
         ({"estimator": {"kind": "mlp", "hidden": [8, 4.5]}}, "estimator.hidden"),
         ({"estimator": {"kind": "mlp", "hidden": [True]}}, "estimator.hidden"),
+        # text keys refuse a number or a list rather than read its str()
+        ({"matrix": {"kind": 5, "n": 12, "spectrum": "0.5:6.0"}}, "matrix.kind"),
+        ({"matrix": {"kind": "file", "path": 5}}, "matrix.path"),
+        ({"topology": ["ring"]}, "topology"),
+        ({"mode": ["matrix_form"]}, "mode"),
+        ({"estimator": {"kind": ["oracle"]}}, "estimator.kind"),
+        ({"estimator": {"kind": "mlp", "params_path": 7}}, "estimator.params_path"),
     ])
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, over, key):
         cfg = base_config(tmp_path, **over)

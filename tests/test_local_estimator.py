@@ -26,7 +26,6 @@ from coopeig.local_estimator import (
 )
 from coopeig.matrix_core import (
     DenseSymMatrix,
-    diagonal_block,
     generate_spd,
     jacobi_eigen,
     partition_rows,
@@ -524,13 +523,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(0.1, 0)
 
-    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_non_positive_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             TrainConfig(lr, 10)
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_noisy_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            NoisyOracleEstimator(sigma)
+
     def test_oracle_on_diagonal(self):
         out = estimate(OracleEstimator(), DenseSymMatrix(np.diag([5.0, 7.0])))
         assert np.array_equal(out, [5.0, 7.0])
@@ -652,7 +656,8 @@ class TestEstimateStack:
             assert [i for _, _, agents, _ in calls for i in agents] == list(range(10))
             for kinds, blocks, agents, anchors in calls:
                 for kind, block, i, anchor in zip(kinds, blocks, agents, anchors):
-                    own = diagonal_block(A, part, i)
+                    lo, hi = part.offsets[i], part.offsets[i + 1]
+                    own = DenseSymMatrix(A.a[lo:hi, lo:hi])
                     assert block.tobytes() == own.a.tobytes()
                     alone = estimate(kind, own, agent=i, round_=0)[:2]
                     assert anchor.tobytes() == alone.tobytes()

@@ -12,7 +12,6 @@ from coopeig.matrix_core import (
     JacobiConvergenceError,
     Partition,
     _round_robin,
-    diagonal_block,
     generate_spd,
     jacobi_eigen,
     load_matrix,
@@ -150,24 +149,6 @@ class TestPartition:
         assert p.offsets == (0, 2, 5, 6)
 
 
-class TestDiagonalBlock:
-    def test_diagonal_case(self):
-        a = DenseSymMatrix(np.diag([1.0, 2.0, 3.0]))
-        p = Partition((2, 1))
-        assert np.array_equal(diagonal_block(a, p, 0).a, np.diag([1.0, 2.0]))
-        assert np.array_equal(diagonal_block(a, p, 1).a, [[3.0]])
-
-    def test_single_block_is_identity_op(self):
-        a = generate_spd(5, [1, 2, 3, 4, 5], seed=3)
-        p = Partition((5,))
-        assert np.array_equal(diagonal_block(a, p, 0).a, a.a)
-
-    def test_rejects_out_of_range(self):
-        a = DenseSymMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            diagonal_block(a, Partition((2, 1)), 2)
-
-
 class TestJacobi:
     def test_identity(self):
         r = jacobi_eigen(DenseSymMatrix(np.eye(3)), tol=1e-12)
@@ -217,8 +198,9 @@ class TestJacobi:
         a = generate_spd(12, np.arange(1.0, 13.0), seed=8)
         p = partition_rows(12, 4)
         lo = jacobi_eigen(a).eigenvalues[0]
-        for i in range(4):
-            assert jacobi_eigen(diagonal_block(a, p, i)).eigenvalues[0] >= lo - 1e-9
+        for i, j in zip(p.offsets, p.offsets[1:]):
+            block = DenseSymMatrix(a.a[i:j, i:j])
+            assert jacobi_eigen(block).eigenvalues[0] >= lo - 1e-9
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from coopeig.consensus import (
 )
 from coopeig.local_estimator import NoisyOracleEstimator, OracleEstimator, estimate
 from coopeig.matrix_core import (
-    diagonal_block,
+    DenseSymMatrix,
     generate_spd,
     jacobi_eigen,
     partition_rows,
@@ -42,8 +42,8 @@ from coopeig.simulator import (
     load_snapshot,
     run_simulation,
     save_snapshot,
+    snapshot,
     summary_from_snapshot,
-    summary_report,
 )
 
 MATRIX_FORM = ConsensusMode("matrix_form")
@@ -199,9 +199,9 @@ class TestRunSimulation:
         cfg = small_cfg(agents=10, mode=ConsensusMode(mode), max_rounds=500)
         trace = run_simulation(cfg)
         A = generate_spd(12, np.array(cfg.matrix.spectrum), child_seed(7, "matrix"))
-        part = partition_rows(12, 10)
-        states = init_states([estimate(OracleEstimator(), diagonal_block(A, part, i))[:1]
-                              for i in range(10)])
+        offs = partition_rows(12, 10).offsets
+        states = init_states([estimate(OracleEstimator(), DenseSymMatrix(A.a[lo:hi, lo:hi]))[:1]
+                              for lo, hi in zip(offs, offs[1:])])
         w = metropolis_weights(build_graph("ring", 10, child_seed(7, "graph")))
         if mode == "paper_literal":
             assert trace.stop_reason == "diverged"
@@ -218,7 +218,7 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             run_simulation(small_cfg(tracked=5))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(ConfigError, match="tol must be positive"):
             small_cfg(tol=tol)
@@ -239,8 +239,10 @@ def replay_graph_path(cfg):
         est = OracleEstimator()
     else:
         est = NoisyOracleEstimator(cfg.estimator.sigma, child_seed(cfg.seed, "estimator-noise"))
-    states = init_states([estimate(est, diagonal_block(A, part, i), agent=i, round_=0)
-                          [:cfg.tracked] for i in range(part.m)])
+    offs = part.offsets
+    blocks = [DenseSymMatrix(A.a[lo:hi, lo:hi]) for lo, hi in zip(offs, offs[1:])]
+    states = init_states([estimate(est, block, agent=i, round_=0)[:cfg.tracked]
+                          for i, block in enumerate(blocks)])
     base = build_graph(cfg.topology, cfg.agents, child_seed(cfg.seed, "graph"))
     fm = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
     errors, deviations, sent = [consensus_error(states)], [deviation_norm(states)], [0]
@@ -562,7 +564,7 @@ class TestSummary:
 
     def test_single_agent_lists_one_value(self):
         trace = run_simulation(small_cfg(agents=1, topology="complete"))
-        out = summary_report(trace)
+        out = summary_from_snapshot(snapshot(trace))
         lines = out.splitlines()
         assert lines[1] == "Estimated Smallest Eigenvalues by Agents:"
         assert lines[2].startswith("[") and lines[2].endswith("]")
@@ -661,9 +663,10 @@ class TestSnapshot:
     def test_round_trip_and_report(self, tmp_path):
         trace = run_simulation(small_cfg(tol=1e-8))
         path = tmp_path / "snap.json"
-        save_snapshot(trace, path)
+        save_snapshot(snapshot(trace), path)
         snap = load_snapshot(path)
-        assert summary_from_snapshot(snap) == summary_report(trace)
+        assert snap == snapshot(trace)
+        assert summary_from_snapshot(snap) == summary_from_snapshot(snapshot(trace))
         # the snapshot config re-runs to the same outcome
         rerun = run_simulation(config_from_dict(snap["config"]))
         assert np.array_equal(rerun.final_estimates,
