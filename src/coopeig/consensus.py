@@ -56,12 +56,12 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class ConsensusMode:
     kind: str
-    gamma: float = 0.5  # only used by "damped"
+    gamma: float = 0.5  # only used by "damped", checked in every mode
 
     def __post_init__(self):
         if self.kind not in MODES:
             raise ValueError(f"unknown mode {self.kind!r}")
-        if self.kind == "damped" and not 0.0 < self.gamma < 1.0:
+        if not 0.0 < self.gamma < 1.0:
             raise ValueError("damping factor must lie strictly in (0, 1)")
 
 

@@ -99,20 +99,17 @@ class TrainingSet:
 
 def synthesize_training_set(k: int, count: int, spectrum_range, seed: int) -> TrainingSet:
     """SPD blocks with spectra drawn uniformly from [lo, hi]; each
-    block's target is the sorted spectrum it was built from.
-    Deterministic per seed."""
+    block's target is the sorted spectrum it was built from. One
+    generator, ``keyed_rng(seed, "training-set")``, draws the (count, k)
+    spectra, then the (count, k, k) Gaussians for ``spd_stack``."""
     lo, hi = spectrum_range
     if k < 1 or count < 1:
         raise ValueError(f"need k >= 1 and count >= 1, got k={k}, count={count}")
     if not 0 < lo < hi < np.inf:
         raise ValueError("need 0 < lo < hi < inf")
-    rng = keyed_rng(seed, "training-spectra")
-    spectra, seeds = np.empty((count, k)), []
-    for idx in range(count):
-        spectra[idx] = np.sort(rng.uniform(lo, hi, k))
-        # not int(): child_seed hashes the np.int64's repr (NumPy >= 2)
-        seeds.append(rng.integers(2**63))
-    blocks = spd_stack(spectra, seeds)
+    rng = keyed_rng(seed, "training-set")
+    spectra = np.sort(rng.uniform(lo, hi, (count, k)), axis=1)
+    blocks = spd_stack(spectra, rng.standard_normal((count, k, k)))
     blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0  # DenseSymMatrix's average
     return TrainingSet(blocks.reshape(count, -1), spectra)
 

@@ -176,8 +176,8 @@ def _max_offdiag(a: np.ndarray) -> float:
 
 
 def generate_spd(n: int, spectrum, seed: int) -> DenseSymMatrix:
-    """A symmetric positive-definite matrix with the prescribed spectrum,
-    via Q diag(spectrum) Q^T for a seeded random orthogonal Q."""
+    """A symmetric positive-definite matrix with the prescribed spectrum:
+    ``spd_stack`` of one Gaussian from ``keyed_rng(seed, "spd-orthogonal")``."""
     spectrum = np.asarray(spectrum, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -185,19 +185,18 @@ def generate_spd(n: int, spectrum, seed: int) -> DenseSymMatrix:
         raise ValueError(f"spectrum must have length {n}")
     if not np.all(np.isfinite(spectrum) & (spectrum > 0)):
         raise ValueError(f"spectrum entries must all be finite and positive, got {spectrum}")
-    return DenseSymMatrix(spd_stack(spectrum[None], [seed])[0])
+    g = keyed_rng(seed, "spd-orthogonal").standard_normal((1, n, n))
+    return DenseSymMatrix(spd_stack(spectrum[None], g)[0])
 
 
-def spd_stack(spectra: np.ndarray, seeds) -> np.ndarray:
+def spd_stack(spectra: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Q diag(s) Q^T for each row s of ``spectra`` (B, n), with Q the
-    orthogonal factor of a Gaussian keyed on the matching seed. One
-    stacked QR and one stacked product serve the whole stack, and each
-    matrix is bit-equal to building it alone. Callers check and
-    symmetrize."""
+    orthogonal factor of the matching Gaussian ``g[b]`` (B, n, n), its
+    sign fixed by R's diagonal. One stacked QR and one stacked product
+    serve the whole stack, and each matrix is bit-equal to building it
+    alone. Callers check and symmetrize."""
     n = spectra.shape[1]
-    g = np.stack([keyed_rng(seed, "spd-orthogonal").standard_normal((n, n)) for seed in seeds])
     q, r = np.linalg.qr(g)
-    # fix the sign convention so Q is seed-deterministic
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return q @ (spectra[:, :, None] * np.eye(n)) @ q.transpose(0, 2, 1)
 

@@ -61,6 +61,9 @@ class MatrixSpec:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """The estimator section. Every value is checked, whichever ``kind``
+    reads it."""
+
     kind: str  # "oracle" | "noisy_oracle" | "mlp"
     sigma: float = 0.0
     params_path: str = ""
@@ -75,6 +78,18 @@ class EstimatorConfig:
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
         if not 0 <= self.sigma < math.inf:
             raise ConfigError("sigma must be >= 0 and finite")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if min(self.hidden, default=1) < 1:
+            raise ConfigError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
+        lo, hi = self.spectrum_range
+        if not 0 < lo < hi < math.inf:
+            raise ConfigError(f"spectrum_range: need 0 < lo < hi < inf, "
+                              f"got {list(self.spectrum_range)}")
 
 
 @dataclass(frozen=True)

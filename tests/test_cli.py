@@ -315,15 +315,18 @@ class TestSimulate:
         assert main(["sweep", "--config", str(cfg), "--param", "p",
                      "--values", "0"]) == 2
 
+    # checked whichever kind reads the sizes: the oracle never does
     @pytest.mark.parametrize("hidden, message", [
         ([0], "layer sizes must be >= 1"),
         ("32", "hidden must be a list"),  # not read as (3, 2)
+        ([8, -1], "layer sizes must be >= 1"),
     ])
     def test_bad_hidden_is_usage_error(self, tmp_path, capsys, hidden, message):
-        cfg = base_config(tmp_path, estimator={"kind": "mlp", "hidden": hidden,
-                                               "epochs": 2, "samples": 4})
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert message in capsys.readouterr().err
+        for kind in ("mlp", "oracle"):
+            cfg = base_config(tmp_path, estimator={"kind": kind, "hidden": hidden,
+                                                   "epochs": 2, "samples": 4})
+            assert main(["simulate", "--config", str(cfg)]) == 2
+            assert message in capsys.readouterr().err
 
     # NaN fails every comparison, so a "<= 0" check would let it through
     @pytest.mark.parametrize("over, message", [
@@ -344,6 +347,16 @@ class TestSimulate:
                         "samples": 4}}, "learning_rate must be positive and finite"),
         ({"estimator": {"kind": "noisy_oracle", "sigma": float("inf")}},
          "sigma must be >= 0 and finite"),
+        # values no part of the run reads are checked too
+        ({"gamma": float("nan")}, "damping factor must lie strictly in (0, 1)"),
+        ({"estimator": {"kind": "oracle", "learning_rate": float("nan")}},
+         "learning_rate must be positive and finite"),
+        ({"estimator": {"kind": "oracle", "epochs": 0}}, "epochs must be >= 1"),
+        ({"estimator": {"kind": "oracle", "samples": -3}}, "samples must be >= 1"),
+        ({"estimator": {"kind": "oracle", "spectrum_range": [5.0, 1.0]}},
+         "need 0 < lo < hi < inf"),
+        ({"estimator": {"kind": "noisy_oracle", "sigma": 0.1,
+                        "spectrum_range": [float("nan"), 5.0]}}, "need 0 < lo < hi < inf"),
     ])
     def test_nan_is_usage_error(self, tmp_path, capsys, over, message):
         cfg = base_config(tmp_path, **over)

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from coopeig import matrix_core, simulator
+from coopeig import local_estimator, matrix_core, simulator
 from coopeig.local_estimator import (
     MlpEstimator,
     MlpParams,
@@ -158,15 +158,32 @@ class TestTrainingSet:
 
     @pytest.mark.parametrize("k, count", [(1, 3), (4, 32), (5, 7)])
     def test_stacked_blocks_match_per_sample_loop(self, k, count):
-        rng = keyed_rng(11, "training-spectra")
+        # one stream: the (count, k) spectra, then the (count, k, k) Gaussians
+        rng = keyed_rng(11, "training-set")
+        spectra = rng.uniform(0.5, 5.0, (count, k))
+        gaussians = rng.standard_normal((count, k, k))
         ref_inputs, ref_targets = [], []
-        for _ in range(count):
-            spectrum = np.sort(rng.uniform(0.5, 5.0, k))
-            ref_inputs.append(generate_spd(k, spectrum, rng.integers(2**63)).a.reshape(-1))
+        for draw, g in zip(spectra, gaussians):
+            spectrum = np.sort(draw)
+            q, r = np.linalg.qr(g)
+            q = q * np.sign(np.diag(r))
+            ref_inputs.append(DenseSymMatrix(q @ np.diag(spectrum) @ q.T).a.reshape(-1))
             ref_targets.append(spectrum)
         tset = synthesize_training_set(k, count, (0.5, 5.0), seed=11)
         assert np.array_equal(tset.inputs, np.stack(ref_inputs))
         assert np.array_equal(tset.targets, np.stack(ref_targets))
+
+    def test_one_generator_per_set(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return keyed_rng(*args)
+
+        monkeypatch.setattr(local_estimator, "keyed_rng", counting)
+        monkeypatch.setattr(matrix_core, "keyed_rng", counting)
+        synthesize_training_set(4, 32, (0.5, 5.0), seed=3)
+        assert made == [(3, "training-set")]
 
     def test_rejects_mixed_block_sizes_and_unsorted_targets(self):
         a = np.diag([1.0, 2.0]).reshape(1, -1)
@@ -379,9 +396,9 @@ class TestTrain:
             assert rel_err(a, b) <= 1e-12
 
     # The default MLP config (lr 0.05) diverges on n=40, m=10; so do
-    # the next two rates down. Epochs recorded from the per-sample
-    # implementation, before training was batched.
-    @pytest.mark.parametrize("lr, epoch", [(0.05, 89), (0.03, 102), (0.02, 120)])
+    # the next two rates down. Epochs recorded when each training set
+    # came to be drawn from one stream.
+    @pytest.mark.parametrize("lr, epoch", [(0.05, 82), (0.03, 94), (0.02, 105)])
     def test_divergence_epoch_pinned(self, lr, epoch):
         cfg = config_from_dict({
             "matrix": {"kind": "generate", "n": 40, "spectrum": "0.5:5.0"},
@@ -392,6 +409,18 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as info:
             run_simulation(cfg)
         assert info.value.epoch == epoch
+
+    # The mlp_train benchmark's shape: lr 0.01 with the default epochs,
+    # samples and hidden sizes trains every agent and converges.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benchmark_shaped_run_trains(self, seed):
+        cfg = config_from_dict({
+            "matrix": {"kind": "generate", "n": 40, "spectrum": "0.5:5.0"},
+            "agents": 10, "topology": "ring",
+            "estimator": {"kind": "mlp", "learning_rate": 0.01},
+            "mode": "matrix_form", "tol": 1e-8, "max_rounds": 2000, "seed": seed,
+        })
+        assert run_simulation(cfg).stop_reason == "converged"
 
     def test_stacked_agents_match_training_one_at_a_time(self, monkeypatch):
         # 42 rows over 10 agents: two 5x5 blocks, then eight 4x4 blocks
@@ -436,14 +465,14 @@ class TestTrain:
                 assert np.array_equal(a, b)
 
     # The training ranges' upper ends set when each network diverges on
-    # its own at lr 0.05: 5 never (in 500 epochs), 10 at epoch 123, 20 at
-    # 82, 100 at 46. The stack must report the epoch of the first agent
+    # its own at lr 0.05: 4 never (in 500 epochs), 10 at epoch 110, 20 at
+    # 76, 100 at 44. The stack must report the epoch of the first agent
     # in order that diverges, even when a later one diverges sooner.
     @pytest.mark.parametrize("his, epoch", [
-        ((10, 100), 123),
-        ((5, 20, 100), 82),
-        ((5, 100, 20), 46),
-        ((5, 5, 100), 46),
+        ((10, 100), 110),
+        ((4, 20, 100), 76),
+        ((4, 100, 20), 44),
+        ((4, 4, 100), 44),
     ])
     def test_stacked_divergence_reports_first_agent_in_order(self, his, epoch):
         tsets = [synthesize_training_set(2, 4, (0.5, hi), seed=1) for hi in his]
@@ -463,15 +492,15 @@ class TestTrain:
 
     # sha256 of the trained parameters (each network's weights and biases
     # in layer order, then its input scale, as float64 bytes) and of the
-    # (B, epochs) loss table, recorded before the stack's parameters moved
-    # into one flat array. The stack-vs-alone tests run both sides
+    # (B, epochs) loss table, recorded when each training set came to be
+    # drawn from one stream. The stack-vs-alone tests run both sides
     # through the same pass, so only a pin catches a change both share.
     @pytest.mark.parametrize("k, hidden, nets, params_sha, losses_sha", [
         # the mlp_train workload's stack: 10 agents, 4x4 blocks
-        (4, (32,), 10, "d17357ce8bf9b6427ba8624611fd466e1f5a5140cd31ffca70b7ad64b8df87c9",
-         "3012e8d99e2e7705e0c46b306557b550cb67bf809c39cd2bb2a3b3c7f58b7b06"),
-        (5, (8, 8), 3, "2097653bfa03936282fe1589570ae9aac30d75c6efc4d9fee1005064919f9442",
-         "20d4b91f8055de91f98801791e3943e7af8d9b5c3d086303e9b7ce5b313f0ce1"),
+        (4, (32,), 10, "0351a9fbb9ff38688a932af42eb4a171a12ca3ab9def1a6c51dcaedc3e732cf3",
+         "3f5ef2462f32694ffcb7cf8ecd084ad57bfac035e61b3d8b24e7e0b66cac29a6"),
+        (5, (8, 8), 3, "710395a17f0c4f4e0707e2cbe50292c06a5fdc5136b307e55e1bb458d173dd45",
+         "da9707fb499ec48370f3703bc0acc6422380e48a4f8e86c81554e3ce84e5d0de"),
     ])
     def test_stacked_training_bytes_pinned(self, k, hidden, nets, params_sha, losses_sha):
         # seeds and data as simulator._anchors derives them, at seed 7

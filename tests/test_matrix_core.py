@@ -105,7 +105,9 @@ class TestGenerateSpd:
         q = q * np.sign(np.diag(r))
         ref = DenseSymMatrix(q @ np.diag(spectrum) @ q.T)
         assert np.array_equal(generate_spd(n, spectrum, seed=n).a, ref.a)
-        stacked = spd_stack(np.stack([spectrum, spectrum[::-1]]), [n, n + 1])
+        stacked = spd_stack(np.stack([spectrum, spectrum[::-1]]),
+                            np.stack([keyed_rng(s, "spd-orthogonal").standard_normal((n, n))
+                                      for s in (n, n + 1)]))
         assert np.array_equal(DenseSymMatrix(stacked[0]).a, ref.a)
         assert np.array_equal(DenseSymMatrix(stacked[1]).a,
                               generate_spd(n, spectrum[::-1], seed=n + 1).a)

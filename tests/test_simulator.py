@@ -520,7 +520,7 @@ class TestExportCsv:
         ({"agents": 6, "topology": "ring", "failure_p": 0.4, "seed": 11},
          "29020278427037e0871037afd6b12caeb10602a7161208dc063c1eeed54ea76d"),
         ({"estimator": EstimatorConfig("mlp", learning_rate=0.01)},
-         "4edc652a59972182f939a94785d8ddf0b69f9d40f3d61620af2530fb50a3e890"),
+         "afc5d83650d2706bd991990d68c0718acd3847b2e6cda758319cdd60b66809dc"),
     ], ids=["failure-free", "link-failures", "mlp-trained-in-run"])
     def test_bytes_pinned(self, tmp_path, over, digest):
         path = tmp_path / "trace.csv"
