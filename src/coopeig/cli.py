@@ -4,8 +4,8 @@ Subcommands: gen-matrix, train, simulate, sweep, report.
 Exit codes are a stable contract: 0 success/converged, 2 usage error
 (including a graph that cannot be built), 3 max-rounds reached,
 4 divergence (consensus or estimator training; every eigenvalue solve
-terminates), 5 I/O failure. Config files may set ``parallel``; it is
-accepted and ignored.
+terminates), 5 I/O failure. Config files may set ``parallel`` to true or false;
+any other value exits 2, and either is ignored.
 """
 
 import argparse

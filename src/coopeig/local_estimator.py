@@ -127,23 +127,32 @@ class TrainConfig:
 
 
 # A stack of B networks of one shape is held in one (B, P) array whose
-# row b is network b's parameters, layer by layer: the weights (out, in)
-# in row order, then the biases (out,). Each layer's weights (B, out, in)
-# and biases (B, out) are views into that array, and the gradient array
-# is laid out alike, so one update moves every parameter of the stack.
-# Network b sees its own rows of the stacked inputs (B, S, k*k) and
-# targets (B, S, k), scaled by its own input scale.
+# row b is network b's parameters, layer by layer: an (in + 1, out)
+# block in row order, the weights transposed to (in, out), then the
+# biases as one last row. Each layer (B, in + 1, out) is a view into
+# that array, and the gradient array is laid out alike, so one update
+# moves every parameter of the stack. Each layer's input (B, S, in + 1)
+# carries a last column of ones, so one matmul adds the bias row in the
+# forward pass and sums the bias gradient over samples in the backward
+# pass. Network b sees its own rows of the stacked inputs (B, S, k*k)
+# and targets (B, S, k), scaled by its own input scale.
 
-def _views(flat: np.ndarray, sizes):
-    """Per-layer weight (B, out, in) and bias (B, out) views into a
-    (B, P) parameter or gradient array of networks with ``sizes``."""
-    weights, biases, at = [], [], 0
+def _layers(flat: np.ndarray, sizes):
+    """Per-layer (B, in + 1, out) views into a (B, P) parameter or
+    gradient array of networks with ``sizes``: rows 0..in-1 the
+    transposed weights, the last row the biases."""
+    layers, at = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[:, at:at + fan_out * fan_in].reshape(-1, fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(flat[:, at:at + fan_out])
-        at += fan_out
-    return weights, biases
+        n = (fan_in + 1) * fan_out
+        layers.append(flat[:, at:at + n].reshape(-1, fan_in + 1, fan_out))
+        at += n
+    return layers
+
+
+def _unfold(layers, b: int):
+    """Network b's weights (out, in) and biases (out,), as MlpParams
+    holds them, copied out of ``_layers`` views."""
+    return [l[b, :-1].T.copy() for l in layers], [l[b, -1].copy() for l in layers]
 
 
 # Divergence is reported by the finite-loss check in train_stack, so the
@@ -154,8 +163,10 @@ _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 class _Stack:
     """Networks ``ps`` of one shape on their stacked inputs ``x``
     (B, S, k*k), with input scales ``scale`` (B, 1, 1): the parameters
-    ``theta`` (B, P), the gradient ``grad`` laid out alike when ``grad``
-    is set, and one buffer per layer output for the passes."""
+    ``theta`` (B, P) with ``layers`` its ``_layers`` views, the gradient
+    ``grad`` laid out alike when ``grad`` is set, each layer's input
+    (B, S, in + 1) with its column of ones and each layer's output
+    (B, S, out), one buffer each for the passes."""
 
     def __init__(self, ps, x: np.ndarray, scale: np.ndarray, grad: bool = False):
         nnet, nsamp, entries = x.shape
@@ -170,34 +181,38 @@ class _Stack:
                                  f"layer sizes {p.layer_sizes}, network 0 {sizes}")
         n_params = sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
         self.theta = np.empty((nnet, n_params))
-        self.weights, self.biases = _views(self.theta, sizes)
-        for w, b, ws, bs in zip(self.weights, self.biases,
-                                zip(*(p.weights for p in ps)), zip(*(p.biases for p in ps))):
-            w[...], b[...] = ws, bs
+        self.layers = _layers(self.theta, sizes)
+        for layer, ws, bs in zip(self.layers, zip(*(p.weights for p in ps)),
+                                 zip(*(p.biases for p in ps))):
+            layer[:, :-1] = np.transpose(ws, (0, 2, 1))
+            layer[:, -1] = bs
         self.scale = scale
-        # acts[0] is the scaled input, acts[l + 1] the output of layer l
-        self.acts = [x * scale] + [np.empty((nnet, nsamp, n)) for n in sizes[1:]]
+        # ins[l] is layer l's input, ins[0] the scaled blocks; the ones
+        # column is set here and never written again
+        self.ins = [np.ones((nnet, nsamp, n + 1)) for n in sizes[:-1]]
+        np.multiply(x, scale, out=self.ins[0][..., :-1])
+        self.outs = [np.empty((nnet, nsamp, n)) for n in sizes[1:]]
         # start of each (network, sample) output row in flat order
         self.rows = np.arange(0, nnet * nsamp * sizes[-1], sizes[-1]).reshape(nnet, nsamp, 1)
         if grad:
             self.grad = np.empty_like(self.theta)
-            self.gw, self.gb = _views(self.grad, sizes)
+            self.glayers = _layers(self.grad, sizes)
             # d loss / d (output of layer l), one buffer per layer
-            self.deltas = [np.empty_like(a) for a in self.acts[1:]]
-            self.scaled_count = nsamp * scale
+            self.deltas = [np.empty_like(z) for z in self.outs]
+            self.half_scaled_count = nsamp * scale / 2.0
 
     def forward(self) -> np.ndarray:
         """Scaled-space forward pass (tanh hidden layers, linear output),
-        each layer's output written into its buffer; returns the raw
-        (unsorted) outputs (B, S, k)."""
-        last = len(self.weights) - 1
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = self.acts[li + 1]
-            np.matmul(self.acts[li], w.transpose(0, 2, 1), out=z)
-            z += b[:, None, :]
+        each layer's output written into its buffer and copied into the
+        next layer's input; returns the raw (unsorted) outputs (B, S, k)."""
+        last = len(self.layers) - 1
+        for li, layer in enumerate(self.layers):
+            z = self.outs[li]
+            np.matmul(self.ins[li], layer, out=z)
             if li != last:
                 np.tanh(z, out=z)
-        return self.acts[-1]
+                self.ins[li + 1][..., :-1] = z
+        return self.outs[-1]
 
     def loss(self, targets: np.ndarray, grad: bool = False) -> np.ndarray:
         """Each network's mlp_loss (B,) from one forward pass; if
@@ -212,22 +227,23 @@ class _Stack:
         loss = np.square(resid).reshape(nnet, -1).sum(axis=1) / nsamp
         if not grad:
             return loss
-        # d loss / d raw, routed back through each sample's sort order
-        resid *= 2.0
-        resid /= self.scaled_count
-        self.deltas[-1].put(order, resid)
-        last = len(self.weights) - 1
+        # d loss / d raw = 2 resid / (nsamp * scale), routed back through
+        # each sample's sort order
+        resid /= self.half_scaled_count
+        self.deltas[-1].reshape(-1)[order] = resid
+        last = len(self.layers) - 1
         for li in range(last, -1, -1):
             d = self.deltas[li]
             if li != last:
-                a = self.acts[li + 1]  # tanh' = 1 - a^2, in a's buffer
+                a = self.outs[li]  # tanh' = 1 - a^2, in a's buffer
                 np.square(a, out=a)
                 np.subtract(1.0, a, out=a)
                 d *= a
-            np.matmul(d.transpose(0, 2, 1), self.acts[li], out=self.gw[li])
-            np.add.reduce(d, axis=1, out=self.gb[li])
+            # weight rows and bias row at once: the ones column sums d
+            np.matmul(self.ins[li].transpose(0, 2, 1), d, out=self.glayers[li])
             if li > 0:
-                np.matmul(d, self.weights[li], out=self.deltas[li - 1])
+                np.matmul(d, self.layers[li][:, :-1].transpose(0, 2, 1),
+                          out=self.deltas[li - 1])
         return loss
 
 
@@ -247,7 +263,7 @@ def mlp_grad(p: MlpParams, tset: TrainingSet):
     treated as the fixed permutation chosen by the forward pass (stable,
     ties broken by original index)."""
     _, net = _one_network(p, tset, grad=True)
-    return [g[0] for g in net.gw], [g[0] for g in net.gb]
+    return _unfold(net.glayers, 0)
 
 
 def _check_stack(ps, tsets) -> None:
@@ -301,8 +317,7 @@ def train_stack(ps, tsets, cfg: TrainConfig):
     if bad.any():
         first = bad.any(axis=1).argmax()  # the lowest-index network that diverged
         raise TrainingDivergedError(int(bad[first].argmax()))
-    return [MlpParams(list(net.sizes), [w[b] for w in net.weights],
-                      [bb[b] for bb in net.biases], float(scale[b, 0, 0]))
+    return [MlpParams(list(net.sizes), *_unfold(net.layers, b), float(scale[b, 0, 0]))
             for b in range(len(ps))], losses
 
 

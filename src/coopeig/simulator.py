@@ -411,6 +411,13 @@ def _text(v) -> str:
     return v
 
 
+def _flag(v) -> bool:
+    # bool() would read .nan, 2 and "yes" as true
+    if not isinstance(v, bool):
+        raise ValueError(f"need true or false, got {v!r}")
+    return v
+
+
 def _hidden_sizes(v) -> tuple:
     # a bare string is iterable too: "32" would read as (3, 2)
     if not isinstance(v, (list, tuple)):
@@ -432,7 +439,8 @@ _EST_TYPES = {
     "learning_rate": float, "epochs": _whole_number, "samples": _whole_number,
     "spectrum_range": _spectrum_range,
 }
-# "parallel" is accepted and ignored: estimator training is serial.
+# "parallel" must be true or false and is then ignored: estimator
+# training is serial.
 _TOP_KEYS = {"matrix", "agents", "topology", "estimator", "mode", "gamma", "parallel",
              *_SIM_TYPES}
 # The keys each matrix kind reads.
@@ -483,6 +491,8 @@ def _require(d, keys, where):
 def config_from_dict(d: dict) -> SimConfig:
     _check_keys(d, _TOP_KEYS, "config")
     _require(d, ("matrix", "agents", "topology", "estimator", "mode"), "config")
+    if "parallel" in d:
+        _typed(_flag, d["parallel"], "parallel")
     sim = _convert(d, _SIM_TYPES)
     seed = sim.get("seed", SimConfig.seed)
 

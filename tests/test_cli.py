@@ -357,6 +357,8 @@ class TestSimulate:
          "need 0 < lo < hi < inf"),
         ({"estimator": {"kind": "noisy_oracle", "sigma": 0.1,
                         "spectrum_range": [float("nan"), 5.0]}}, "need 0 < lo < hi < inf"),
+        *(({"parallel": v}, f"bad value for 'parallel': need true or false, got {v!r}")
+          for v in (float("nan"), 2, "yes")),
     ])
     def test_nan_is_usage_error(self, tmp_path, capsys, over, message):
         cfg = base_config(tmp_path, **over)
