@@ -30,8 +30,8 @@ from .simulator import (
     ConfigError,
     EstimatorConfig,
     SimConfig,
+    error_floor,
     export_csv,
-    fit_error_bound,
     load_config,
     run_many,
     run_simulation,
@@ -134,7 +134,7 @@ def _sweep_row(param: str, value: float, group) -> str:
     """One aggregate CSV row over the traces of one value's trials."""
     rounds = np.array([t.rounds_used for t in group])
     errors = np.array([t.final_consensus_error for t in group])
-    gammas = [fit_error_bound(t).gamma_hat for t in group if len(t.max_est_error) >= 10]
+    gammas = [error_floor(t) for t in group if len(t.max_est_error) >= 10]
     mean_gamma = float(np.mean(gammas)) if gammas else float("nan")
     return (f"{param},{value:.17g},{len(group)},"
             f"{rounds.mean():.17g},{rounds.min()},{rounds.max()},"

@@ -43,7 +43,7 @@ class DenseSymMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
+        arr = np.asarray(self.a, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -233,7 +233,13 @@ def naming(name):
 def load_matrix(path) -> DenseSymMatrix:
     """Load the plain-text matrix format through DenseSymMatrix's checks.
     The size header must be a whole number >= 1. Every ValueError names
-    the file."""
+    the file. A row whose first i tokens repeat column i's text above
+    the diagonal converts only its tokens from the diagonal on and
+    copies the rest from the column: equal text converts to equal bits,
+    so the array, NaN included, is the one a full parse gives, and the
+    first token that fails to convert is the same too (a skipped bad
+    token repeats one already converted). A file with the wrong count
+    of values still converts every token before saying so."""
     with naming(path):
         with open(path) as f:
             tokens = f.read().split()
@@ -245,7 +251,15 @@ def load_matrix(path) -> DenseSymMatrix:
             n = 0
         if n < 1:
             raise ValueError(f"size header must be a whole number >= 1, got {tokens[0]!r}")
-        vals = np.fromiter(map(float, tokens[1:]), float, len(tokens) - 1)
-        if len(vals) != n * n:
-            raise ValueError(f"expected {n * n} values, found {len(vals)}")
-        return DenseSymMatrix(vals.reshape(n, n))
+        if len(tokens) - 1 != n * n:
+            np.fromiter(map(float, tokens[1:]), np.float64, len(tokens) - 1)
+            raise ValueError(f"expected {n * n} values, found {len(tokens) - 1}")
+        a = np.empty((n, n))
+        for i in range(n):
+            row = 1 + i * n
+            if tokens[row:row + i] == tokens[1 + i:row:n]:
+                a[i, i:] = np.fromiter(map(float, tokens[row + i:row + n]), np.float64, n - i)
+                a[i, :i] = a[:i, i]
+            else:
+                a[i] = np.fromiter(map(float, tokens[row:row + n]), np.float64, n)
+        return DenseSymMatrix(a)

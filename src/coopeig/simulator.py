@@ -148,7 +148,9 @@ class Trace:
     @property
     def bound(self) -> np.ndarray:
         """The geometric consensus-error bound rho^k * e0 per round k, each
-        value a scalar power; a vectorised power may round differently."""
+        value a scalar power; a vectorised power may round differently.
+        rho is the failure-free SLEM, so under failure_p > 0 this is the
+        failure-free prediction, not a bound: links lost slow the decay."""
         e0, rho = float(self.consensus_error[0]), self.rho
         if e0 < 0 or not 0.0 <= rho <= 1.0:
             raise ValueError("need e0 >= 0 and 0 <= rho <= 1")
@@ -324,15 +326,21 @@ class FitResult:
     holds: bool  # max-estimation-error <= beta rho^k + 1.05 gamma at every round
 
 
-def fit_error_bound(trace: Trace) -> FitResult:
-    """Fit the geometric-plus-floor error bound to a trace. The floor
-    gamma is the mean max-error over the final 10% of rounds; beta is
-    the smallest coefficient for which the bound covers every round."""
-    eps = trace.max_est_error.tolist()
+def error_floor(trace: Trace) -> float:
+    """The floor gamma of the error bound: the mean max-error over the
+    final 10% of rounds. Needs at least 10 recorded rounds."""
+    eps = trace.max_est_error
     if len(eps) < 10:
         raise ValueError(f"need at least 10 recorded rounds, have {len(eps)}")
-    tail = eps[-max(1, math.ceil(0.1 * len(eps))):]
-    gamma_hat = float(np.mean(tail))
+    return float(np.mean(eps[-max(1, math.ceil(0.1 * len(eps))):]))
+
+
+def fit_error_bound(trace: Trace) -> FitResult:
+    """Fit the geometric-plus-floor error bound to a trace. The floor
+    gamma is ``error_floor``; beta is the smallest coefficient for which
+    the bound covers every round."""
+    gamma_hat = error_floor(trace)
+    eps = trace.max_est_error.tolist()
     rho = trace.rho
     decays = [rho**k for k in range(len(eps))]
     # 0.0 first: beta is never negative, and no NaN quotient replaces the running max

@@ -507,10 +507,14 @@ class TestTrain:
     # both share.
     @pytest.mark.parametrize("k, hidden, nets, params_sha, losses_sha", [
         # the mlp_train workload's stack: 10 agents, 4x4 blocks
-        (4, (32,), 10, "04f0a87fcb2489b7bf11c9964420c4493d1be336c7fbc6672d96712c9b6af236",
-         "a4be61140ed4137b39ae8ce16479d3a16cda6adba1416e48faf8a72dd0ed8672"),
-        (5, (8, 8), 3, "710395a17f0c4f4e0707e2cbe50292c06a5fdc5136b307e55e1bb458d173dd45",
-         "da9707fb499ec48370f3703bc0acc6422380e48a4f8e86c81554e3ce84e5d0de"),
+        pytest.param(4, (32,), 10,
+                     "04f0a87fcb2489b7bf11c9964420c4493d1be336c7fbc6672d96712c9b6af236",
+                     "a4be61140ed4137b39ae8ce16479d3a16cda6adba1416e48faf8a72dd0ed8672",
+                     id="mlp_train-stack"),
+        pytest.param(5, (8, 8), 3,
+                     "710395a17f0c4f4e0707e2cbe50292c06a5fdc5136b307e55e1bb458d173dd45",
+                     "da9707fb499ec48370f3703bc0acc6422380e48a4f8e86c81554e3ce84e5d0de",
+                     id="k5-hidden8x8"),
     ])
     def test_stacked_training_bytes_pinned(self, k, hidden, nets, params_sha, losses_sha):
         # seeds and data as simulator._anchors derives them, at seed 7

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from coopeig import matrix_core
 from coopeig.comm_graph import build_graph, metropolis_weights
 from coopeig.local_estimator import OracleEstimator, estimate, estimate_stack
 from coopeig.matrix_core import (
@@ -15,6 +18,7 @@ from coopeig.matrix_core import (
     generate_spd,
     jacobi_eigen,
     load_matrix,
+    naming,
     partition_rows,
     save_matrix,
     spd_stack,
@@ -398,3 +402,125 @@ class TestMatrixFile:
         with pytest.raises(ValueError) as exc:
             load_matrix(path)
         assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def full_parse(path):
+    """The reader before mirrored rows were copied: every token converted.
+    The header is taken as given; the grids below always have a valid one."""
+    with naming(path):
+        with open(path) as f:
+            tokens = f.read().split()
+        n = int(tokens[0])
+        vals = np.fromiter(map(float, tokens[1:]), float, len(tokens) - 1)
+        if len(vals) != n * n:
+            raise ValueError(f"expected {n * n} values, found {len(vals)}")
+        return matrix_core.DenseSymMatrix(vals.reshape(n, n))
+
+
+# Each group spells one value several ways.
+SPELLINGS = [["0.5", "5e-1", ".5"], ["1", "1.0", "1e0"], ["-0", "-0.0"], ["0", "0.0"],
+             ["-2.25", "-225e-2"]]
+# "x" is a token float() refuses.
+SPECIAL = ["nan", "NaN", "inf", "-inf", "x"]
+
+
+@st.composite
+def token_files(draw):
+    """A size header and an n x n token grid, n 1 to 4. Each entry below
+    the diagonal is its mirror's text, the same value spelled another
+    way, or an asymmetry within or beyond SYMMETRY_TOL. Half the grids
+    put a non-finite or bad token above, below or on the diagonal,
+    sometimes in both mirror places; a sixth have one value too few or
+    too many."""
+    n = draw(st.integers(1, 4))
+    grid = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            group = draw(st.sampled_from(SPELLINGS))
+            grid[i][j] = grid[j][i] = draw(st.sampled_from(group))
+            how = draw(st.sampled_from(["same", "same", "same", "respell", "near", "far"]))
+            if j > i and how == "respell":
+                grid[j][i] = draw(st.sampled_from(group))
+            elif j > i and how != "same":
+                grid[j][i] = repr(float(grid[i][j]) + (1e-13 if how == "near" else 1e-3))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        grid[i][j] = draw(st.sampled_from(SPECIAL))
+        if draw(st.booleans()):
+            grid[j][i] = grid[i][j]
+    tokens = [t for row in grid for t in row]
+    off = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    tokens = tokens[:-1] if off < 0 else tokens + ["1"] * off
+    lines = [" ".join(tokens[r:r + n]) for r in range(0, len(tokens), n)]
+    return f"{n}\n" + "\n".join(lines) + "\n"
+
+
+def outcome(load, path):
+    """The raw array handed to DenseSymMatrix, and the loaded matrix's
+    bytes or the error's text."""
+    raw = []
+
+    def recording(a):
+        raw.append(np.array(a).tobytes())
+        return DenseSymMatrix(a)
+
+    with mock.patch.object(matrix_core, "DenseSymMatrix", recording):
+        try:
+            result = load(path).a.tobytes()
+        except ValueError as exc:
+            result = str(exc)
+    return raw, result
+
+
+class TestMirroredRows:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=token_files())
+    @example(text="1\n2.5\n")  # n = 1
+    @example(text="1\nx\n")
+    @example(text="2\n1 0.5\n5e-1 nan\n")  # equal values, different text
+    @example(text="2\n1 -0\n-0 1\n")
+    @example(text="2\n1 0\n-0 1\n")
+    @example(text="3\n1 x 0\n0 1 0\n0 0 1\n")  # bad token above the diagonal
+    @example(text="3\n1 0 0\n0 1 0\nx 0 1\n")  # below it
+    @example(text="3\n1 0 0\n0 x 0\n0 0 1\n")  # on it
+    @example(text="3\n1 0 0\n0 1 0\n0 0 1 x\n")  # one value too many, one bad
+    @example(text="2\n1 0.5\n0.5000000000001 1\n")  # within SYMMETRY_TOL
+    @example(text="2\n1 0.5\n0.501 1\n")  # beyond it
+    def test_same_bits_or_error_as_full_parse(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert outcome(load_matrix, path) == outcome(full_parse, path)
+
+    @staticmethod
+    def conversions(monkeypatch, path):
+        count = []
+
+        def counting(text):
+            count.append(text)
+            return float(text)
+
+        monkeypatch.setattr(matrix_core, "float", counting, raising=False)
+        a = load_matrix(path)
+        monkeypatch.delattr(matrix_core, "float")
+        return a, len(count)
+
+    def test_mirrored_file_converts_upper_triangle_once(self, tmp_path, monkeypatch):
+        n = 64
+        A = generate_spd(n, np.linspace(0.5, 6.0, n), seed=3)
+        path = tmp_path / "m.txt"
+        save_matrix(A, path)
+        a, count = self.conversions(monkeypatch, path)
+        assert count == n * (n + 1) // 2 == 2080
+        assert a.a.tobytes() == A.a.tobytes()
+        # respell entry (1, 0): its row no longer mirrors column 1, so
+        # row 1 converts its one token below the diagonal as well
+        lines = path.read_text().split("\n")
+        row = lines[2].split()
+        sign = "-" if row[0].startswith("-") else ""
+        row[0] = sign + "0" + row[0].lstrip("-")
+        lines[2] = " ".join(row)
+        path.write_text("\n".join(lines))
+        a, count = self.conversions(monkeypatch, path)
+        assert count == 2081
+        assert a.a.tobytes() == A.a.tobytes()

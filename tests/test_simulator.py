@@ -35,6 +35,7 @@ from coopeig.simulator import (
     Trace,
     config_from_dict,
     config_to_dict,
+    error_floor,
     export_csv,
     fit_error_bound,
     format_summary,
@@ -491,6 +492,22 @@ class TestFitErrorBound:
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
             fit_error_bound(constant_trace(0.01, rounds=5))
+        with pytest.raises(ValueError):
+            error_floor(constant_trace(0.01, rounds=5))
+
+    # sweep rows print error_floor; their pinned bytes were recorded when
+    # they read fit_error_bound's gamma_hat, the mean of the tail as a list
+    @pytest.mark.parametrize("over", [
+        dict(),
+        dict(failure_p=0.3),
+        dict(estimator=EstimatorConfig("noisy_oracle", sigma=0.05), max_rounds=200),
+    ], ids=["oracle", "oracle-p0.3", "noisy-oracle"])
+    def test_error_floor_is_the_fits_gamma(self, over):
+        trace = run_simulation(small_cfg(**over))
+        eps = trace.max_est_error.tolist()
+        listed = float(np.mean(eps[-math.ceil(0.1 * len(eps)):]))
+        floor = error_floor(trace)
+        assert floor.hex() == fit_error_bound(trace).gamma_hat.hex() == listed.hex()
 
 
 class TestExportCsv:

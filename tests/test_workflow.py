@@ -21,3 +21,9 @@ def test_workflow_runs_only_install_tier1_and_smoke_check():
     runs = [step["run"].strip() for job in jobs.values() for step in job["steps"]
             if "run" in step]
     assert runs == RUN_STEPS
+
+
+def test_tier1_job_has_a_time_limit():
+    # a hung test fails the job instead of holding a runner for hours
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
+    assert 0 < job["timeout-minutes"] <= 30
