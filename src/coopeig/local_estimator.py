@@ -347,18 +347,14 @@ class NoisyOracleEstimator:
             raise ValueError("sigma must be >= 0 and finite")
 
 
-@dataclass(frozen=True)
-class MlpEstimator:
-    params: MlpParams
-
-
 def estimate_stack(kinds, blocks: np.ndarray, agents, round_: int = 0,
                    tracked=None) -> np.ndarray:
     """Local eigenvalue estimates for a (B, k, k) stack of blocks as
     DenseSymMatrix holds them: row b is the estimate of agent
-    ``agents[b]`` with ``kinds[b]`` (one kind for all) in round
-    ``round_``, its smallest ``tracked`` values (default k), sorted
-    ascending. One pass serves the stack: one ``eigvalsh`` call, whose
+    ``agents[b]`` with ``kinds[b]`` (one kind for all: an
+    ``OracleEstimator``, a ``NoisyOracleEstimator`` or a network's
+    ``MlpParams``) in round ``round_``, its smallest ``tracked`` values
+    (default k), sorted ascending. One pass serves the stack: one ``eigvalsh`` call, whose
     values come back ascending, or one forward pass of the stacked
     networks. ``eigvalsh`` solves each block of a stack with its own
     LAPACK call, so each row is bit-equal to estimating its block alone."""
@@ -375,10 +371,9 @@ def estimate_stack(kinds, blocks: np.ndarray, agents, round_: int = 0,
                     rng = keyed_rng(e.seed, "estimator-noise", agent, round_)
                     values[b] = np.sort(values[b] + rng.normal(0.0, e.sigma, k))
         return values[:, :j]
-    if kind is MlpEstimator:
-        ps = [e.params for e in kinds]
-        scale = np.array([p.input_scale for p in ps]).reshape(-1, 1, 1)
-        raw = _Stack(ps, blocks.reshape(nb, 1, -1), scale).forward()
+    if kind is MlpParams:
+        scale = np.array([p.input_scale for p in kinds]).reshape(-1, 1, 1)
+        raw = _Stack(kinds, blocks.reshape(nb, 1, -1), scale).forward()
         return np.sort(raw[:, 0] / scale[:, 0], axis=1)[:, :j]
     raise TypeError(f"unknown estimator kind {kinds[0]!r}")
 

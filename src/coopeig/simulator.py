@@ -20,7 +20,7 @@ from . import comm_graph, consensus, matrix_core
 from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
 from .consensus import BLOCK_FLOATS, ConsensusMode
 from .local_estimator import (
-    MlpEstimator,
+    MlpParams,
     NoisyOracleEstimator,
     OracleEstimator,
     TrainConfig,
@@ -192,7 +192,7 @@ def _anchors(A: matrix_core.DenseSymMatrix, part, j: int, ecfg: EstimatorConfig,
     elif ecfg.kind == "noisy_oracle":
         shared = NoisyOracleEstimator(ecfg.sigma, child_seed(seed, "estimator-noise"))
     elif ecfg.params_path:
-        shared = MlpEstimator(load_params(ecfg.params_path))
+        shared = load_params(ecfg.params_path)
     else:
         shared, tcfg = None, TrainConfig(ecfg.learning_rate, ecfg.epochs)
     for k, run in itertools.groupby(part.block_sizes):
@@ -204,10 +204,10 @@ def _anchors(A: matrix_core.DenseSymMatrix, part, j: int, ecfg: EstimatorConfig,
             tsets = [synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
                                              child_seed(seed, "mlp-data", i)) for i in agents]
             p0s = [init_mlp(k, ecfg.hidden, child_seed(seed, "mlp-init", i)) for i in agents]
-            kinds = [MlpEstimator(p) for p in train_stack(p0s, tsets, tcfg)[0]]
+            kinds = train_stack(p0s, tsets, tcfg)[0]
         else:
-            if isinstance(shared, MlpEstimator) and shared.params.block_dim != k:
-                dim = shared.params.block_dim
+            if isinstance(shared, MlpParams) and shared.block_dim != k:
+                dim = shared.block_dim
                 raise ConfigError(f"pretrained network expects {dim}x{dim} blocks, "
                                   f"agent block is {k}x{k}")
             kinds = [shared] * len(agents)

@@ -6,7 +6,6 @@ import pytest
 
 from coopeig import local_estimator, matrix_core, simulator
 from coopeig.local_estimator import (
-    MlpEstimator,
     MlpParams,
     NoisyOracleEstimator,
     OracleEstimator,
@@ -205,7 +204,7 @@ class TestForward:
         for b in p.biases:
             b[:] = 0.0
         block = generate_spd(2, [1.0, 2.0], seed=1)
-        assert np.array_equal(estimate(MlpEstimator(p), block), [0.0, 0.0])
+        assert np.array_equal(estimate(p, block), [0.0, 0.0])
 
     def test_bias_passthrough_is_sorted(self):
         p = init_mlp(2, hidden=(4,), seed=0)
@@ -214,19 +213,19 @@ class TestForward:
         p.biases[0][:] = 0.0
         p.biases[-1][:] = [3.0, -1.0]
         block = generate_spd(2, [1.0, 2.0], seed=1)
-        assert np.array_equal(estimate(MlpEstimator(p), block), [-1.0, 3.0])
+        assert np.array_equal(estimate(p, block), [-1.0, 3.0])
 
     def test_output_sorted_and_length_k(self):
         p = init_mlp(3, hidden=(8,), seed=2)
         block = generate_spd(3, [0.5, 1.0, 2.0], seed=3)
-        out = estimate(MlpEstimator(p), block)
+        out = estimate(p, block)
         assert out.shape == (3,)
         assert np.all(np.diff(out) >= 0)
 
     def test_dimension_mismatch_rejected(self):
         p = init_mlp(2, seed=0)
         with pytest.raises(ValueError):
-            estimate(MlpEstimator(p), generate_spd(3, [1, 2, 3], seed=0))
+            estimate(p, generate_spd(3, [1, 2, 3], seed=0))
 
     @pytest.mark.parametrize("hidden", [(0,), (4, 0), (-1,)])
     def test_hidden_size_below_one_rejected(self, hidden):
@@ -378,7 +377,7 @@ class TestTrain:
         tset = synthesize_training_set(2, 1, (0.5, 2.0), seed=9)
         p0 = init_mlp(2, hidden=(16,), seed=4)
         trained, losses = train(p0, tset, TrainConfig(0.05, 3000))
-        out = estimate(MlpEstimator(trained), block_of(tset, 0))
+        out = estimate(trained, block_of(tset, 0))
         assert np.max(np.abs(out - tset.targets[0])) < 1e-3
 
     def test_loss_curve_matches_reference_loop(self):
@@ -444,17 +443,17 @@ class TestTrain:
 
         monkeypatch.setattr(simulator, "estimate_stack", kept)
         run_simulation(cfg)
-        assert [e.params.block_dim for e in estimators] == [5, 5] + [4] * 8
+        assert [e.block_dim for e in estimators] == [5, 5] + [4] * 8
         ecfg = cfg.estimator
         for i, est in enumerate(estimators):
-            k = est.params.block_dim
+            k = est.block_dim
             tset = synthesize_training_set(k, ecfg.samples, ecfg.spectrum_range,
                                            child_seed(7, "mlp-data", i))
             p0 = init_mlp(k, ecfg.hidden, child_seed(7, "mlp-init", i))
             alone, _ = train(p0, tset, TrainConfig(ecfg.learning_rate, ecfg.epochs))
-            assert est.params.layer_sizes == alone.layer_sizes == [k * k, 8, 8, k]
-            assert est.params.input_scale == alone.input_scale
-            for a, b in zip(est.params.weights + est.params.biases,
+            assert est.layer_sizes == alone.layer_sizes == [k * k, 8, 8, k]
+            assert est.input_scale == alone.input_scale
+            for a, b in zip(est.weights + est.biases,
                             alone.weights + alone.biases):
                 assert np.array_equal(a, b)
 
@@ -611,7 +610,7 @@ class TestEstimate:
         block = generate_spd(2, [1.0, 2.0], seed=1)
         (w0, w1), (b0, b1), scale = p.weights, p.biases, p.input_scale
         hand = np.sort(w1 @ np.tanh(w0 @ (block.a.ravel() * scale) + b0) + b1) / scale
-        assert np.allclose(estimate(MlpEstimator(p), block), hand, rtol=1e-12, atol=0)
+        assert np.allclose(estimate(p, block), hand, rtol=1e-12, atol=0)
 
     def test_output_sorted(self):
         block = generate_spd(4, [0.5, 1, 2, 4], seed=2)
@@ -645,7 +644,7 @@ class TestEstimateStack:
     @pytest.mark.parametrize("k, hidden", [(1, (4,)), (3, (8,)), (4, (32, 16))])
     def test_mlp_rows_bit_equal_to_estimate(self, k, hidden):
         stack = block_stack(k, 5, seed=k)
-        kinds = [MlpEstimator(init_mlp(k, hidden, seed=i)) for i in range(5)]
+        kinds = [init_mlp(k, hidden, seed=i) for i in range(5)]
         for j in {1, k}:
             rows = estimate_stack(kinds, stack, self.AGENTS, tracked=j)
             for row, kind, block in zip(rows, kinds, stack):

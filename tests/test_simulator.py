@@ -229,6 +229,30 @@ class TestRunSimulation:
             SimConfig(matrix=MatrixSpec("generate", n=3, spectrum=(1.0, 2.0, 3.0)),
                       agents=4, topology="ring", estimator=ORACLE, mode=MATRIX_FORM)
 
+    @pytest.mark.parametrize("topology, p, mode, seed", [
+        ("ring", 0.0, "matrix_form", 0),
+        ("ring", 0.3, "damped", 1),
+        ("er:0.3", 0.2, "matrix_form", 2),
+        ("path", 0.0, "damped", 3),
+        ("complete", 0.5, "matrix_form", 4),
+    ])
+    def test_scaling_the_matrix_by_4_scales_the_run(self, tmp_path, topology, p, mode, seed):
+        # x 4 is exact in binary, so every solve, mix and stop test scales
+        # exactly: the same rounds and stop, the estimates and truth x 4
+        A = generate_spd(48, np.linspace(0.5, 5.0, 48), child_seed(seed, "matrix"))
+        traces = []
+        for scale in (1.0, 4.0):
+            path = tmp_path / f"A{scale:g}.txt"
+            save_matrix(DenseSymMatrix(scale * A.a), path)
+            traces.append(run_simulation(small_cfg(
+                matrix=MatrixSpec("file", path=str(path)), agents=8, topology=topology,
+                mode=ConsensusMode(mode), failure_p=p, tol=1e-9 * scale,
+                max_rounds=2000, seed=seed)))
+        plain, scaled = traces
+        assert (scaled.rounds_used, scaled.stop_reason) == (plain.rounds_used, plain.stop_reason)
+        assert scaled.final_estimates.tobytes() == (4.0 * plain.final_estimates).tobytes()
+        assert scaled.truth.tobytes() == (4.0 * plain.truth).tobytes()
+
 
 def replay_graph_path(cfg):
     """The failing round built from objects: each round's Graph from
