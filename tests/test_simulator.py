@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopeig import comm_graph, consensus
+from coopeig import cli, comm_graph, consensus
 from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
     ConsensusMode,
@@ -28,6 +28,7 @@ from coopeig.matrix_core import (
 )
 from coopeig.seeding import child_seed
 from coopeig.simulator import (
+    CSV_HEADER,
     ConfigError,
     EstimatorConfig,
     MatrixSpec,
@@ -49,6 +50,19 @@ from coopeig.simulator import (
 
 MATRIX_FORM = ConsensusMode("matrix_form")
 ORACLE = EstimatorConfig("oracle")
+
+
+# File-matrix runs for the end-to-end relations: n = 48, 8 agents, tol 1e-9
+INVARIANCE_RUNS = [
+    ("ring", 0.0, "matrix_form", 0),
+    ("ring", 0.3, "damped", 1),
+    ("er:0.3", 0.2, "matrix_form", 2),
+    ("path", 0.0, "damped", 3),
+    ("complete", 0.5, "matrix_form", 4),
+]
+# Relative error of a run of A + 2I against A's run + 2: at most 2.0e-14
+# over 100 such runs, 5.0e-15 over INVARIANCE_RUNS
+SHIFT_RTOL = 1e-13
 
 
 def small_cfg(**over):
@@ -229,29 +243,39 @@ class TestRunSimulation:
             SimConfig(matrix=MatrixSpec("generate", n=3, spectrum=(1.0, 2.0, 3.0)),
                       agents=4, topology="ring", estimator=ORACLE, mode=MATRIX_FORM)
 
-    @pytest.mark.parametrize("topology, p, mode, seed", [
-        ("ring", 0.0, "matrix_form", 0),
-        ("ring", 0.3, "damped", 1),
-        ("er:0.3", 0.2, "matrix_form", 2),
-        ("path", 0.0, "damped", 3),
-        ("complete", 0.5, "matrix_form", 4),
-    ])
+    @pytest.mark.parametrize("topology, p, mode, seed", INVARIANCE_RUNS)
     def test_scaling_the_matrix_by_4_scales_the_run(self, tmp_path, topology, p, mode, seed):
         # x 4 is exact in binary, so every solve, mix and stop test scales
         # exactly: the same rounds and stop, the estimates and truth x 4
         A = generate_spd(48, np.linspace(0.5, 5.0, 48), child_seed(seed, "matrix"))
-        traces = []
-        for scale in (1.0, 4.0):
-            path = tmp_path / f"A{scale:g}.txt"
-            save_matrix(DenseSymMatrix(scale * A.a), path)
-            traces.append(run_simulation(small_cfg(
-                matrix=MatrixSpec("file", path=str(path)), agents=8, topology=topology,
-                mode=ConsensusMode(mode), failure_p=p, tol=1e-9 * scale,
-                max_rounds=2000, seed=seed)))
-        plain, scaled = traces
+        plain, scaled = (file_matrix_run(tmp_path / f"A{scale:g}.txt", scale * A.a, topology,
+                                         p, mode, seed, tol=1e-9 * scale)
+                         for scale in (1.0, 4.0))
         assert (scaled.rounds_used, scaled.stop_reason) == (plain.rounds_used, plain.stop_reason)
         assert scaled.final_estimates.tobytes() == (4.0 * plain.final_estimates).tobytes()
         assert scaled.truth.tobytes() == (4.0 * plain.truth).tobytes()
+
+    @pytest.mark.parametrize("topology, p, mode, seed", INVARIANCE_RUNS)
+    def test_shifting_the_matrix_by_2_shifts_the_run(self, tmp_path, topology, p, mode, seed):
+        # A + 2I has A's eigenvalues + 2, but its diagonal entries round, so
+        # the estimates and truth shift by 2 only to within SHIFT_RTOL;
+        # the rounds and stop stay equal
+        A = generate_spd(48, np.linspace(0.5, 5.0, 48), child_seed(seed, "matrix"))
+        plain, shifted = (file_matrix_run(tmp_path / f"A{shift:g}.txt", A.a + shift * np.eye(48),
+                                          topology, p, mode, seed, tol=1e-9)
+                          for shift in (0.0, 2.0))
+        assert (shifted.rounds_used, shifted.stop_reason) == (plain.rounds_used, plain.stop_reason)
+        np.testing.assert_allclose(shifted.final_estimates, plain.final_estimates + 2.0,
+                                   rtol=SHIFT_RTOL, atol=0)
+        np.testing.assert_allclose(shifted.truth, plain.truth + 2.0, rtol=SHIFT_RTOL, atol=0)
+
+
+def file_matrix_run(path, a, topology, p, mode, seed, tol):
+    """Run an INVARIANCE_RUNS case on ``a``, written to ``path`` by save_matrix."""
+    save_matrix(DenseSymMatrix(a), path)
+    return run_simulation(small_cfg(
+        matrix=MatrixSpec("file", path=str(path)), agents=8, topology=topology,
+        mode=ConsensusMode(mode), failure_p=p, tol=tol, max_rounds=2000, seed=seed))
 
 
 def replay_graph_path(cfg):
@@ -583,6 +607,53 @@ class TestExportCsv:
         with pytest.raises(OSError):
             export_csv(trace, target)
         assert not target.exists()
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        # the rename fails, so the error names --out, not the temporary file
+        config = tmp_path / "c.yaml"
+        config.write_text(yaml.safe_dump(TestConfigFile().yaml_dict()))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert str(out) in err and ".csv.tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "outdir"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("columns", [
+        # a run across the row-1,024 batch boundary, and one that starts a batch
+        {"consensus_error": [0.5] * 1000 + [0.25] * 48 + [0.125] * 8 + [0.1 * 3] * 1000,
+         "max_est_error": [1 / 3] * 1020 + [2 / 3] * 10 + [0.0] * 1026,
+         "mean_est_error": [0.75] * 1024 + [0.5] * 1032},
+        # 0.0 beside -0.0 in each error column
+        {"consensus_error": [1.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+         "max_est_error": [-0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+         "mean_est_error": [0.0, -0.0, 0.0, 0.0, -0.0, -0.0]},
+        # a diverged run: inf and nan rows, with their sign
+        {"consensus_error": [2.0, 1e300, math.inf, math.inf, math.nan, math.nan, math.nan],
+         "max_est_error": [1.5, math.inf, -math.inf, -math.inf, math.nan, -math.nan, math.inf],
+         "mean_est_error": [0.5, math.nan, math.nan, math.inf, math.inf, -math.inf, 0.5]},
+        # each error column one run, past two batch boundaries
+        {"consensus_error": [0.1] * 2100, "max_est_error": [math.pi] * 2100,
+         "mean_est_error": [-1e-300] * 2100},
+        {"consensus_error": [0.1], "max_est_error": [0.2], "mean_est_error": [0.3]},
+    ], ids=["batch-boundary", "signed-zeros", "diverged", "one-run", "one-row"])
+    def test_runs_give_per_value_text(self, tmp_path, columns):
+        cols = {name: np.array(v) for name, v in columns.items()}
+        rounds = len(cols["consensus_error"])
+        trace = Trace(small_cfg(), truth=np.array([0.5]), rho=0.75,
+                      deviation_norm=np.zeros(rounds), scalars_sent=np.arange(rounds) * 8,
+                      final_estimates=np.ones((4, 1)), stop_reason="max_rounds",
+                      block_sizes=(3, 3, 3, 3), **cols)
+        path = tmp_path / "t.csv"
+        export_csv(trace, path)
+        # the reference: each value formatted on its own
+        rows = [CSV_HEADER]
+        for k, *reals, sent, flops in zip(range(rounds), trace.consensus_error,
+                                          trace.max_est_error, trace.mean_est_error,
+                                          trace.bound, trace.scalars_sent, trace.flops_local):
+            rows.append(",".join([str(k), *("%.17g" % v for v in reals), str(sent), str(flops)]))
+        assert path.read_text() == "\n".join(rows) + "\n"
 
 
 class TestSummary:
