@@ -2,10 +2,11 @@
 
 Subcommands: gen-matrix, train, simulate, sweep, report.
 Exit codes are a stable contract: 0 success/converged, 2 usage error
-(including a graph that cannot be built), 3 max-rounds reached,
-4 divergence (consensus or estimator training; every eigenvalue solve
-terminates), 5 I/O failure. Config files may set ``parallel`` to true or false;
-any other value exits 2, and either is ignored.
+(including a graph that cannot be built and a size too large to
+allocate), 3 max-rounds reached, 4 divergence (consensus or estimator
+training; every eigenvalue solve terminates), 5 I/O failure. Config
+files may set ``parallel`` to true or false; any other value exits 2,
+and either is ignored.
 """
 
 import argparse
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, GraphConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the bytes it asked for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)

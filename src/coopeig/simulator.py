@@ -6,12 +6,13 @@ complexity counters and exportable traces. ``run_many`` runs configs
 in order and reuses each stage whose config fields did not change.
 """
 
+import dataclasses
 import itertools
 import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -76,12 +77,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ("oracle", "noisy_oracle", "mlp"):
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        if not 0 <= self.sigma < math.inf:
-            raise ConfigError("sigma must be >= 0 and finite")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        # the checks, and messages, of the objects a run builds from them
+        NoisyOracleEstimator(self.sigma)
+        TrainConfig(self.learning_rate, self.epochs)
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if min(self.hidden, default=1) < 1:
@@ -464,42 +462,42 @@ def _spectrum_range(v) -> tuple:
     return float(lo), float(hi)
 
 
-# Optional keys and their converters, in snapshot order; an absent key
-# takes the dataclass default.
-_SIM_TYPES = {"failure_p": float, "tol": float, "max_rounds": _whole_number,
-              "seed": _whole_number, "tracked": _whole_number}
-_EST_TYPES = {
-    "kind": _text, "sigma": float, "params_path": _text, "hidden": _hidden_sizes,
-    "learning_rate": float, "epochs": _whole_number, "samples": _whole_number,
-    "spectrum_range": _spectrum_range,
-}
-# "parallel" must be true or false and is then ignored: estimator
-# training is serial.
-_TOP_KEYS = {"matrix", "agents", "topology", "estimator", "mode", "gamma", "parallel",
-             *_SIM_TYPES}
-# The keys each matrix kind reads.
-_MATRIX_KEYS = {"generate": {"kind", "n", "spectrum"}, "file": {"kind", "path"}}
+# Each config field's reader, by field name, else by field type; a
+# field with none (a section, the mode) is read by config_from_dict.
+_READERS = {int: _whole_number, float: float, str: _text,
+            "hidden": _hidden_sizes, "spectrum_range": _spectrum_range}
+# The keys each matrix kind reads, kind first: the rest are required.
+_MATRIX_KEYS = {"generate": ("kind", "n", "spectrum"), "file": ("kind", "path")}
 
 
 def _check_keys(d, allowed, where):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a mapping")
-    unknown = set(d) - allowed
+    unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def _typed(convert, value, key):
-    """``convert(value)``; a value of the wrong type or form is a
-    ConfigError naming ``key``."""
+    """``convert(value)``; a value of the wrong type or form, or an
+    integer too large for a float, is a ConfigError naming ``key``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
-def _convert(d, types, prefix=""):
-    return {k: _typed(types[k], v, prefix + k) for k, v in d.items() if k in types}
+def _read(d, cls, where, extra=()):
+    """The mapping ``d`` read against ``cls``'s fields: only they and
+    ``extra`` may appear, those without a default must, and each one
+    present that has a reader is read by it. An absent key takes the
+    dataclass default."""
+    fields = dataclasses.fields(cls)
+    _check_keys(d, [f.name for f in fields] + list(extra), where)
+    _require(d, [f.name for f in fields if f.default is dataclasses.MISSING], where)
+    prefix = "" if where == "config" else where + "."
+    readers = {f.name: _READERS.get(f.name) or _READERS.get(f.type) for f in fields}
+    return {k: _typed(r, d[k], prefix + k) for k, r in readers.items() if r and k in d}
 
 
 def _resolve_spectrum(spec, n, seed):
@@ -523,12 +521,10 @@ def _require(d, keys, where):
 
 
 def config_from_dict(d: dict) -> SimConfig:
-    _check_keys(d, _TOP_KEYS, "config")
-    _require(d, ("matrix", "agents", "topology", "estimator", "mode"), "config")
+    # "parallel" must be true or false, then is ignored: training is serial
+    top = _read(d, SimConfig, "config", extra=("gamma", "parallel"))
     if "parallel" in d:
         _typed(_flag, d["parallel"], "parallel")
-    sim = _convert(d, _SIM_TYPES)
-    seed = sim.get("seed", SimConfig.seed)
 
     md = d["matrix"]
     if not isinstance(md, dict):
@@ -537,50 +533,38 @@ def config_from_dict(d: dict) -> SimConfig:
     if kind not in _MATRIX_KEYS:
         raise ConfigError(f"unknown matrix kind {kind!r}")
     _check_keys(md, _MATRIX_KEYS[kind], f"{kind} matrix")
+    _require(md, _MATRIX_KEYS[kind][1:], "matrix")
     if kind == "generate":
-        _require(md, ("n", "spectrum"), "matrix")
         n = _typed(_whole_number, md["n"], "matrix.n")
-        spectrum = _typed(lambda v: _resolve_spectrum(v, n, seed), md["spectrum"],
-                          "matrix.spectrum")
-        matrix = MatrixSpec("generate", n=n, spectrum=spectrum)
+        spectrum = _typed(lambda v: _resolve_spectrum(v, n, top.get("seed", SimConfig.seed)),
+                          md["spectrum"], "matrix.spectrum")
+        top["matrix"] = MatrixSpec("generate", n=n, spectrum=spectrum)
     else:
-        _require(md, ("path",), "matrix")
-        matrix = MatrixSpec("file", path=_typed(_text, md["path"], "matrix.path"))
+        top["matrix"] = MatrixSpec("file", path=_typed(_text, md["path"], "matrix.path"))
 
-    ed = d["estimator"]
-    _check_keys(ed, set(_EST_TYPES), "estimator")
-    _require(ed, ("kind",), "estimator")
-    est = EstimatorConfig(**_convert(ed, _EST_TYPES, "estimator."))
-
-    mode = ConsensusMode(_typed(_text, d["mode"], "mode"),
-                         gamma=_typed(float, d.get("gamma", ConsensusMode.gamma), "gamma"))
-    return SimConfig(
-        matrix=matrix,
-        agents=_typed(_whole_number, d["agents"], "agents"),
-        topology=_typed(_text, d["topology"], "topology"),
-        estimator=est,
-        mode=mode,
-        **sim,
-    )
+    top["estimator"] = EstimatorConfig(**_read(d["estimator"], EstimatorConfig, "estimator"))
+    top["mode"] = ConsensusMode(_typed(_text, d["mode"], "mode"),
+                                gamma=_typed(float, d.get("gamma", ConsensusMode.gamma), "gamma"))
+    return SimConfig(**top)
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    if cfg.matrix.kind == "generate":
-        matrix = {"kind": "generate", "n": cfg.matrix.n,
-                  "spectrum": list(cfg.matrix.spectrum)}
-    else:
-        matrix = {"kind": "file", "path": cfg.matrix.path}
-    est = {k: list(v) if isinstance(v, tuple) else v
-           for k, v in asdict(cfg.estimator).items()}
-    return {
-        "matrix": matrix,
-        "agents": cfg.agents,
-        "topology": cfg.topology,
-        "estimator": est,
-        "mode": cfg.mode.kind,
-        "gamma": cfg.mode.gamma,
-        **{k: getattr(cfg, k) for k in _SIM_TYPES},
-    }
+    """The config as ``config_from_dict`` reads it, keys in field order
+    and ``gamma`` right after ``mode``: the snapshot's order. A section
+    holds the keys it reads, tuples as lists."""
+    d = {}
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.name == "mode":
+            d["mode"], d["gamma"] = v.kind, v.gamma
+        elif f.name in ("matrix", "estimator"):
+            keys = (_MATRIX_KEYS[v.kind] if f.name == "matrix"
+                    else [e.name for e in dataclasses.fields(v)])
+            values = {k: getattr(v, k) for k in keys}
+            d[f.name] = {k: list(x) if isinstance(x, tuple) else x for k, x in values.items()}
+        else:
+            d[f.name] = v
+    return d
 
 
 # PyYAML's libyaml scanner when it ships one; both loaders share the
@@ -601,8 +585,11 @@ def load_config(path) -> SimConfig:
 
 
 def snapshot(trace: Trace) -> dict:
-    """The run's record: config + seed + outcome, sufficient to re-run
-    and verify. ``summary_from_snapshot`` prints its summary."""
+    """The run's record: config + seed + outcome. A re-run of its config
+    repeats the run only while the inputs are unchanged: a ``file``
+    matrix and a ``params_path`` network are recorded by path, not by
+    content, so after either file is rewritten a re-run silently
+    differs. ``summary_from_snapshot`` prints its summary."""
     return {
         "config": config_to_dict(trace.config),
         "truth": trace.truth.tolist(),

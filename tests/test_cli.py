@@ -788,6 +788,22 @@ class TestLibraryErrorExitCodes:
         assert "need 0 < lo < hi < inf" in err
         assert "Traceback" not in err
 
+    # Each size's first allocation asks for petabytes, above 2**48 bytes,
+    # so it fails at once whatever the overcommit setting and nothing is
+    # really allocated: a 7.1 PiB spectrum, or 23 PiB of training spectra.
+    @pytest.mark.parametrize("argv", [
+        lambda tmp_path: ["gen-matrix", "--n", str(10**15), "--spectrum", "0.5:5",
+                          "--out", str(tmp_path / "m.txt")],
+        lambda tmp_path: ["simulate", "--config", str(base_config(tmp_path, matrix={
+            "kind": "generate", "n": 10**15, "spectrum": "0.5:5"}))],
+        lambda tmp_path: ["train", "--k", str(10**14), "--out", str(tmp_path / "p.json")],
+    ], ids=["gen-matrix", "simulate", "train"])
+    def test_impossible_size_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_jacobi_convergence_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # No run path reaches Jacobi, so a Jacobi that cannot converge
         # leaves every command at exit 0, and exit 4 is never Jacobi's.

@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coopeig import cli, comm_graph, consensus
+from coopeig import cli, comm_graph, consensus, simulator
 from coopeig.comm_graph import FailureModel, apply_failures, build_graph, metropolis_weights, slem
 from coopeig.consensus import (
     ConsensusMode,
@@ -772,6 +776,61 @@ class TestConfigFile:
         d["matrix"] = {"kind": "file", "path": str(path)}
         trace = run_simulation(config_from_dict(d))
         assert trace.truth[0] == pytest.approx(1.0, abs=1e-9)
+
+
+# Every key the config reader accepts, dotted: the config dataclasses'
+# fields, each matrix kind's keys and the two top-level extras.
+CONFIG_KEYS = sorted(
+    {f"matrix.{k}" for keys in simulator._MATRIX_KEYS.values() for k in keys}
+    | {f"estimator.{f.name}" for f in dataclasses.fields(EstimatorConfig)}
+    | {f.name for f in dataclasses.fields(SimConfig)} - {"matrix", "estimator"}
+    | {"gamma", "parallel"})
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_exactly_the_config_keys():
+    section = README.read_text().split("\n## Config keys\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `([a-z_.]+)`", section, flags=re.M)
+    assert sorted(listed) == CONFIG_KEYS
+
+
+DELETE = object()  # a mutation that removes the key
+# Wrong types and ranges. Integers are small or impossibly large, never
+# in between: a 'lo:hi' spectrum allocates matrix.n floats, and from
+# 10**15 on that asks for petabytes, which fails at once.
+MUTANT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.just(DELETE),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.5, 0.5, 2.0]),
+    st.integers(-3, 10), st.integers(min_value=10**15),
+    st.text(max_size=4), st.sampled_from(["0.5:5.0", "5:1", "oracle", "mlp", "damped"]),
+    st.lists(st.one_of(st.integers(-3, 10), st.sampled_from([0.5, math.nan])), max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "n", "x"]), st.integers(-3, 10), max_size=2),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS + ["matrix", "estimator", "typo"]),
+                          MUTANT_VALUES), min_size=1, max_size=2))
+@example([("failure_p", 10**400)])  # an int too large to convert to float
+@example([("matrix.n", 10**15)])  # a 7.1 PiB spectrum
+def test_config_reader_returns_a_config_or_raises_value_error(mutations):
+    d = {"matrix": {"kind": "generate", "n": 4, "spectrum": "0.5:5.0"}, "agents": 2,
+         "topology": "ring", "estimator": {"kind": "noisy_oracle", "sigma": 0.1},
+         "mode": "damped", "gamma": 0.4, "tol": 1e-6, "seed": 3}
+    for key, value in mutations:
+        *path, leaf = key.split(".")
+        section = d.get(path[0]) if path else d
+        if not isinstance(section, dict):
+            continue  # an earlier mutation replaced or removed the section
+        if value is DELETE:
+            section.pop(leaf, None)
+        else:
+            section[leaf] = value
+    try:
+        cfg = config_from_dict(d)
+    except (ValueError, MemoryError):  # ConfigError included
+        return
+    assert isinstance(cfg, SimConfig)
 
 
 class TestSnapshot:

@@ -2,11 +2,13 @@
 benchmark smoke check. A new check lands here as a test, not as a
 workflow step."""
 
+import tomllib
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 RUN_STEPS = [
     "pip install -e '.[test]'",
@@ -27,3 +29,12 @@ def test_tier1_job_has_a_time_limit():
     # a hung test fails the job instead of holding a runner for hours
     job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
     assert 0 < job["timeout-minutes"] <= 30
+
+
+def test_ci_python_is_the_declared_floor():
+    # the oldest Python the package admits is the one CI runs
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    versions = [step["with"]["python-version"] for step in steps
+                if "python-version" in step.get("with", {})]
+    assert [f">={v}" for v in versions] == [floor]
