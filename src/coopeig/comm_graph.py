@@ -2,6 +2,7 @@
 Metropolis-Hastings doubly-stochastic weights, the SLEM contraction
 factor, and per-round Bernoulli link failures."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,12 @@ from .seeding import child_seed, keyed_rng
 
 ER_RETRY_CAP = 1000
 ROW_SUM_TOL = 1e-12
+# Floats a stacked pass may hold: the round loop's buffer of
+# S = BLOCK_FLOATS // (m j) rounds' (m, j) estimates, which holds every
+# block and is what its caller is handed (consensus.run_rounds), or a
+# chunk of failing rounds' edge-form weights with their build's
+# temporaries (round_weights).
+BLOCK_FLOATS = 2**15
 
 
 class GraphConstructionError(RuntimeError):
@@ -166,15 +173,6 @@ def metropolis_slots(m: int, edges: np.ndarray) -> np.ndarray:
     return np.concatenate((i * m + l, l * m + i, np.arange(m) * (m + 1)))
 
 
-def edge_form_floats(m: int, e: int) -> int:
-    """Floats ``metropolis_edges`` holds at once per round on m nodes
-    and e edge rows, its temporaries included: at its peak the two
-    (R, E) flat index arrays, the weights and the (R, 2E + m) output,
-    with a few (R, m) degree, sum and check arrays. A caller that builds
-    R rounds at once sizes R by it."""
-    return 5 * (e + m)
-
-
 def metropolis_edges(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Metropolis-Hastings weights on m nodes for R rounds at once, in
     edge form: row r holds round r's (m, m) entries at the
@@ -188,7 +186,7 @@ def metropolis_edges(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
     local degrees, and bit-equal to building it alone.
 
     Everything runs densely over the (R, E) mask, O(E + m) per round
-    (see ``edge_form_floats``): the degrees are ``np.bincount``s of the
+    (see ``round_weights``): the degrees are ``np.bincount``s of the
     mask over flat (round, node) indices, so exact integer counts, the
     weights keep / (1 + max(deg_i, deg_l)), and diagonal entry i is
     1 - (a + b), where a sums the weights of the rows (i, .) and b those
@@ -220,18 +218,14 @@ def metropolis_edges(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def metropolis_stack(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The (R, m, m) weights of ``metropolis_edges``: zeros, with each
-    round's edge-form row written at its ``metropolis_slots``."""
-    w = np.zeros((len(keep), m * m))
-    w[:, metropolis_slots(m, edges)] = metropolis_edges(m, edges, keep)
-    return w.reshape(-1, m, m)
-
-
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """The Metropolis weights of ``g``, checked as a WeightMatrix: the
-    ``metropolis_stack`` slice of one round that keeps every edge row."""
-    return WeightMatrix(metropolis_stack(g.m, g.edges, np.ones((1, len(g.edges)), bool))[0])
+    one ``metropolis_edges`` round that keeps every edge row, written at
+    its ``metropolis_slots`` into zeros."""
+    keep = np.ones((1, len(g.edges)), bool)
+    w = np.zeros((g.m, g.m))
+    w.flat[metropolis_slots(g.m, g.edges)] = metropolis_edges(g.m, g.edges, keep)
+    return WeightMatrix(w)
 
 
 def slem(wm: WeightMatrix) -> float:
@@ -272,3 +266,36 @@ def apply_failures(g: Graph, f: FailureModel, round_: int) -> Graph:
     if f.edge_drop_prob == 0.0:
         return g
     return Graph(g.m, g.edges[failure_stream(g, f, round_)(1)[0]])
+
+
+def round_weights(g: Graph, w0: WeightMatrix, f: FailureModel, rounds: int, live: list):
+    """Rounds 1, ..., ``rounds`` of (m, m) weights on ``g`` under ``f``
+    for ``consensus.run_rounds``; ``w0`` is ``metropolis_weights(g)``.
+    Each chunk of R = max(1, BLOCK_FLOATS // (5 (E + m))) rounds first
+    appends its per-round live-edge counts to ``live``. 5 (E + m) bounds
+    the floats ``metropolis_edges`` holds per round: two (R, E) index
+    arrays, the weights, the (R, 2E + m) output and a few (R, m) arrays.
+
+    Without link loss every round is ``w0.w`` and every count E, with no
+    draw and no build: those give the same bits, but ``sweep_solve`` ran
+    slower through the build in every pair measured. Otherwise a chunk
+    is the next draw of one ``failure_stream``, built by
+    ``metropolis_edges``; each round writes its row at the
+    ``metropolis_slots`` of one zeroed (m, m) buffer, yielded every round."""
+    m, e = g.m, len(g.edges)
+    chunk = max(1, BLOCK_FLOATS // (5 * (e + m)))
+    if f.edge_drop_prob == 0.0:
+        for k in range(0, rounds, chunk):
+            live.append(np.full(min(chunk, rounds - k), e))
+            yield from itertools.repeat(w0.w, len(live[-1]))
+        return
+    draw = failure_stream(g, f, 1)
+    slots = metropolis_slots(m, g.edges)
+    flat = np.zeros(m * m)  # zero off the slots, the same for every round
+    w = flat.reshape(m, m)
+    for k in range(0, rounds, chunk):
+        keep = draw(min(chunk, rounds - k))
+        live.append(keep.sum(axis=1))
+        for row in metropolis_edges(m, g.edges, keep):
+            flat[slots] = row
+            yield w

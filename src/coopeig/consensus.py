@@ -31,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm_graph import WeightMatrix
+from .comm_graph import BLOCK_FLOATS, WeightMatrix
 
 MODES = ("matrix_form", "paper_literal", "damped")
-
-# Floats a stacked pass of the round loop may hold: its buffer of
-# S = BLOCK_FLOATS // (m j) rounds' (m, j) estimates, which holds every
-# block and is what the caller is handed, or a chunk of R failing
-# rounds' edge-form weights with their build's temporaries
-# (comm_graph.edge_form_floats).
-BLOCK_FLOATS = 2**15
 
 
 class DivergenceError(RuntimeError):
@@ -185,8 +178,8 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     each, so an iterator may read them off one stream, and one that runs
     out raises at ``next``. The arrays are symmetric doubly-stochastic
     (m, m) weights that the loop does not check again, a
-    ``WeightMatrix``'s ``w`` (``check_weights``) or rounds of
-    ``comm_graph.metropolis_edges`` (checked on their edge rows). The
+    ``WeightMatrix``'s ``w`` (``check_weights``) or the rounds of
+    ``comm_graph.round_weights`` (checked on their edge rows). The
     loop is done with each array before it takes the next, so an
     iterator may yield the same buffer every round, refilled in between.
     The loop stops when consensus_error < tol ("converged"), after

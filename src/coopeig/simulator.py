@@ -19,7 +19,7 @@ import yaml
 
 from . import comm_graph, consensus, matrix_core
 from .comm_graph import FailureModel, build_graph, metropolis_weights, slem
-from .consensus import BLOCK_FLOATS, ConsensusMode
+from .consensus import ConsensusMode
 from .local_estimator import (
     MlpParams,
     NoisyOracleEstimator,
@@ -228,24 +228,6 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
     """The round-loop stage: failure stream, mixing and per-round metrics."""
     j, m = cfg.tracked, part.m
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
-
-    def failing():
-        # Rounds 1, ..., max_rounds from the run's one stream, one chunk of
-        # edge-form weights held at a time; each round refills the one
-        # (m, m) buffer.
-        draw = comm_graph.failure_stream(
-            base, FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures")), 1)
-        slots = comm_graph.metropolis_slots(m, base.edges)
-        chunk = max(1, BLOCK_FLOATS // comm_graph.edge_form_floats(m, len(base.edges)))
-        flat = np.zeros(m**2)  # zero off the slots, the same for every round
-        w = flat.reshape(m, m)
-        for k in range(0, cfg.max_rounds, chunk):
-            keep = draw(min(chunk, cfg.max_rounds - k))
-            live.append(keep.sum(axis=1))
-            for row in comm_graph.metropolis_edges(m, base.edges, keep):
-                flat[slots] = row
-                yield w
-
     columns = []
 
     def on_block(est, errors):
@@ -254,14 +236,10 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
         columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
                         np.add.reduce(eps, axis=(1, 2)) / (m * j)))
 
-    # Not the failure stream + a per-round weight build at p = 0: the same
-    # bits, but sweep_solve ran slower through the build in every pair
-    # measured.
-    weights = itertools.repeat(w0.w) if cfg.failure_p == 0.0 else failing()
+    failures = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
+    weights = comm_graph.round_weights(base, w0, failures, cfg.max_rounds, live)
     states, rounds, stop_reason = consensus.run_rounds(states, weights, cfg.mode, cfg.tol,
                                                        cfg.max_rounds, on_block)
-    if cfg.failure_p == 0.0:
-        live.append(np.full(rounds, len(base.edges)))
     errors, deviations, max_errors, mean_errors = map(np.concatenate, zip(*columns))
     return Trace(cfg, truth, rho,
                  consensus_error=errors, deviation_norm=deviations,
@@ -380,8 +358,8 @@ def export_csv(trace: Trace, destination) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(CSV_HEADER + "\n")
-            # The error columns hold runs of repeated values (30% of a
-            # failing ring's float cells); the bound strictly decreases.
+            # The error columns hold runs of repeated values (30% of the
+            # float cells of a ring losing links); the bound strictly decreases.
             errors = (trace.consensus_error, trace.max_est_error, trace.mean_est_error)
             repeats = [c.view(np.int64)[1:] == c.view(np.int64)[:-1] for c in errors]
             others = (trace.bound, trace.scalars_sent, trace.flops_local)

@@ -15,12 +15,20 @@ from coopeig.comm_graph import (
     is_connected,
     metropolis_edges,
     metropolis_slots,
-    metropolis_stack,
     metropolis_weights,
+    round_weights,
     slem,
 )
 from coopeig.matrix_core import DenseSymMatrix, jacobi_eigen
 from coopeig.seeding import child_seed
+
+
+def metropolis_stack(m, edges, keep):
+    """The (R, m, m) weights of ``metropolis_edges``: zeros, with each
+    round's edge-form row written at its ``metropolis_slots``."""
+    w = np.zeros((len(keep), m * m))
+    w[:, metropolis_slots(m, edges)] = metropolis_edges(m, edges, keep)
+    return w.reshape(-1, m, m)
 
 
 def random_connected_graph(m, seed, p_edge=0.4):
@@ -486,3 +494,45 @@ class TestApplyFailures:
     def test_rejects_p_one(self):
         with pytest.raises(ValueError):
             FailureModel(1.0)
+
+
+class TestRoundWeights:
+    @pytest.mark.parametrize("taken", [0, 1, 81, 82, 200])
+    def test_failure_free_rounds_are_w0(self, monkeypatch, taken):
+        monkeypatch.setattr("coopeig.comm_graph.failure_stream",
+                            lambda *a: pytest.fail("drew a failure stream"))
+        g = build_graph("ring", 40)  # chunks of 81 rounds
+        w0, live = metropolis_weights(g), []
+        weights = round_weights(g, w0, FailureModel(0.0, seed=1), 200, live)
+        assert all(next(weights) is w0.w for _ in range(taken))
+        counts = np.concatenate(live) if live else np.zeros(0, int)
+        assert (counts == 40).all() and taken <= len(counts) < taken + 81
+
+    # a 40-ring over 200 rounds takes chunks of 81, 81 and 38; each round
+    # on 182 agents is a chunk of its own; one agent has no edge rows
+    @pytest.mark.parametrize("topology, m, rounds", [("ring", 40, 200), ("complete", 182, 12),
+                                                      ("ring", 1, 30)])
+    def test_rounds_bit_equal_to_graph_path(self, topology, m, rounds):
+        g, f, live = build_graph(topology, m), FailureModel(0.5, seed=8), []
+        weights = round_weights(g, metropolis_weights(g), f, rounds, live)
+        for k, w in enumerate(weights, start=1):
+            assert w.tobytes() == metropolis_weights(apply_failures(g, f, k)).w.tobytes()
+        assert k == rounds
+        assert np.concatenate(live).tolist() == [len(apply_failures(g, f, k).edges)
+                                                 for k in range(1, rounds + 1)]
+
+    @pytest.mark.parametrize("taken", [1, 80, 81, 82, 163])
+    def test_taking_rounds_draws_at_most_one_chunk_more(self, monkeypatch, taken):
+        drawn, stream = [], failure_stream
+
+        def counted(g, f, first):
+            draw = stream(g, f, first)
+            return lambda rounds: drawn.append(rounds) or draw(rounds)
+
+        monkeypatch.setattr("coopeig.comm_graph.failure_stream", counted)
+        g, live = build_graph("ring", 40), []
+        weights = round_weights(g, metropolis_weights(g), FailureModel(0.5, seed=8), 200, live)
+        for _ in range(taken):
+            next(weights)
+        assert taken <= sum(drawn) < taken + 81 and max(drawn) == 81
+        assert len(np.concatenate(live)) == sum(drawn)
