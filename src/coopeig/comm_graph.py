@@ -101,9 +101,14 @@ def check_edge_weights(weights: np.ndarray, inc: np.ndarray, diag: np.ndarray) -
     not checked: an edge row's one weight goes to both of its entries.
     NaN or inf in ``inc`` or ``diag`` gives a row that does not sum
     to 1."""
-    if (weights < 0).any() or (diag < 0).any():
+    # One pass with no mask: fmin skips NaN, as (x < 0).any() does, and
+    # from 0.0 it ends below 0 iff an entry is, so empty arrays pass
+    if (np.fmin.reduce(weights, axis=None, initial=0.0) < 0
+            or np.fmin.reduce(diag, axis=None, initial=0.0) < 0):
         raise ValueError("weights must be nonnegative")
-    if not np.abs(diag + inc - 1.0).max() <= ROW_SUM_TOL:
+    dev = np.add(diag, inc)
+    dev -= 1.0
+    if not np.abs(dev, out=dev).max() <= ROW_SUM_TOL:
         raise ValueError("rows must sum to 1")
 
 
@@ -199,16 +204,32 @@ def metropolis_edges(m: int, edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
     (R, m) sums and diagonal. Symmetry is exact, since ``edges`` rows
     are duplicate-free with i < l and each row's weight goes to (i, l)
     and (l, i)."""
-    r, e = keep.shape
+    return _metropolis_rows(m, *_edge_indices(m, edges, len(keep)), keep)
+
+
+def _edge_indices(m: int, edges: np.ndarray, rounds: int):
+    """The flat (round, node) indices r m + i and r m + l of each (E, 2)
+    edge row (i, l) in rounds 0, ..., ``rounds`` - 1, as two (rounds, E)
+    arrays. The first R rows of each are the indices of R rounds."""
     i, l = edges.T
+    lo = np.arange(0, rounds * m, m)[:, None] + i
+    return lo, lo + (l - i)
+
+
+def _metropolis_rows(m: int, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``metropolis_edges`` of the (R, E) ``keep`` on the first R rows of
+    its ``_edge_indices``."""
+    r, e = keep.shape
     n = r * m
-    lo = np.arange(0, n, m)[:, None] + i  # (r, i): flat index r m + i
-    hi = lo + (l - i)
-    deg = np.bincount(lo.ravel(), keep.ravel(), n) + np.bincount(hi.ravel(), keep.ravel(), n)
-    weights = 1.0 + np.maximum(deg[lo], deg[hi])
-    np.divide(keep, weights, out=weights)
-    inc = (np.bincount(lo.ravel(), weights.ravel(), n)
-           + np.bincount(hi.ravel(), weights.ravel(), n)).reshape(r, m)
+    lo, hi = lo[:r].ravel(), hi[:r].ravel()
+    kept = keep.ravel().astype(float)  # converted once, not by each bincount and the divide
+    deg = np.bincount(lo, kept, n)
+    deg += np.bincount(hi, kept, n)
+    weights = 1.0 + np.maximum(deg.take(lo), deg.take(hi))
+    weights = np.divide(kept, weights, out=weights).reshape(r, e)
+    inc = np.bincount(lo, weights.ravel(), n)
+    inc += np.bincount(hi, weights.ravel(), n)
+    inc = inc.reshape(r, m)
     out = np.empty((r, 2 * e + m))
     out[:, :e] = weights
     out[:, e:2 * e] = weights
@@ -279,9 +300,11 @@ def round_weights(g: Graph, w0: WeightMatrix, f: FailureModel, rounds: int, live
     Without link loss every round is ``w0.w`` and every count E, with no
     draw and no build: those give the same bits, but ``sweep_solve`` ran
     slower through the build in every pair measured. Otherwise a chunk
-    is the next draw of one ``failure_stream``, built by
-    ``metropolis_edges``; each round writes its row at the
-    ``metropolis_slots`` of one zeroed (m, m) buffer, yielded every round."""
+    is the next draw of one ``failure_stream``, built as
+    ``metropolis_edges`` builds it but on flat (round, node) indices
+    made once per run, for a full chunk; each round writes its row at
+    the ``metropolis_slots`` of one zeroed (m, m) buffer, yielded every
+    round."""
     m, e = g.m, len(g.edges)
     chunk = max(1, BLOCK_FLOATS // (5 * (e + m)))
     if f.edge_drop_prob == 0.0:
@@ -290,12 +313,13 @@ def round_weights(g: Graph, w0: WeightMatrix, f: FailureModel, rounds: int, live
             yield from itertools.repeat(w0.w, len(live[-1]))
         return
     draw = failure_stream(g, f, 1)
+    lo, hi = _edge_indices(m, g.edges, chunk)
     slots = metropolis_slots(m, g.edges)
     flat = np.zeros(m * m)  # zero off the slots, the same for every round
     w = flat.reshape(m, m)
     for k in range(0, rounds, chunk):
         keep = draw(min(chunk, rounds - k))
         live.append(keep.sum(axis=1))
-        for row in metropolis_edges(m, g.edges, keep):
+        for row in _metropolis_rows(m, lo, hi, keep):
             flat[slots] = row
             yield w

@@ -114,11 +114,21 @@ def consensus_round(states: ConsensusState, wm: WeightMatrix,
     return ConsensusState(out, states.anchors)
 
 
+def agent_major(est: np.ndarray) -> np.ndarray:
+    """An (R, m, j) stack as one contiguous (m, R, j) copy, agents
+    first: a reduction over agents then runs as m - 1 elementwise
+    passes over R j values, not R j reductions of m strided ones."""
+    return np.ascontiguousarray(est.transpose(1, 0, 2))
+
+
 def consensus_errors(est: np.ndarray) -> np.ndarray:
     """``consensus_error`` of each (m, j) slice of an (R, m, j) estimate
-    stack, in one pass. Max and min do not round, so the values are
-    exact."""
-    return (est.max(axis=1) - est.min(axis=1)).max(axis=1)
+    stack, in one pass over its ``agent_major`` copy: the spread over
+    agents, then its max over the j values. Max and min do not round,
+    so the values are exact, and they propagate NaN and inf in any
+    order."""
+    a = agent_major(est)
+    return (np.maximum.reduce(a, axis=0) - np.minimum.reduce(a, axis=0)).max(axis=1)
 
 
 def consensus_error(states: ConsensusState) -> float:
@@ -127,12 +137,13 @@ def consensus_error(states: ConsensusState) -> float:
     return float(consensus_errors(states.estimates[None])[0])
 
 
-def deviation_norms(est: np.ndarray) -> np.ndarray:
+def deviation_norms(est: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``deviation_norm`` of each (m, j) slice of an (R, m, j) estimate
-    stack, in one pass."""
+    stack, in one pass. The deviations go into ``out``, an (R, m, j)
+    C-contiguous scratch array, if given."""
     # add.reduce over the count: the two operations of est.mean(axis=1)
     mean = np.add.reduce(est, axis=1, keepdims=True) / est.shape[1]
-    dev = (est - mean).reshape(len(est), -1)
+    dev = np.subtract(est, mean, out=out).reshape(len(est), -1)
     return np.sqrt(np.einsum("rk,rk->r", dev, dev))
 
 
@@ -148,15 +159,17 @@ def deviation_norm(states: ConsensusState) -> float:
     return float(deviation_norms(states.estimates[None])[0])
 
 
-def estimation_errors(est: np.ndarray, truth) -> np.ndarray:
+def estimation_errors(est: np.ndarray, truth, out: np.ndarray | None = None) -> np.ndarray:
     """|estimate - truth| for an (R, m, j) estimate stack: per round,
-    agent and eigenvalue index."""
+    agent and eigenvalue index. Written into ``out``, an (R, m, j)
+    array, if given."""
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (est.shape[2],):
         raise ValueError(
             f"truth has length {truth.size}, states track {est.shape[2]} values"
         )
-    return np.abs(est - truth)
+    eps = np.subtract(est, truth, out=out)
+    return np.abs(eps, out=eps)
 
 
 def estimation_error(states: ConsensusState, truth) -> np.ndarray:
@@ -192,17 +205,17 @@ def run_rounds(states: ConsensusState, weights, mode: ConsensusMode, tol: float,
     least 4 rounds whose error fell, the next block is also at most 1.2
     times the rounds that block's rate of decay needs to reach tol, plus
     2. Blocks mix into consecutive rows of one (S, m, j) buffer, round 0
-    in row 0, and one stacked pass takes each block's errors into an
-    S-vector beside it. A block is cut after its first round that stops
-    the loop: a stop is known only once a block is scanned. When the
-    next block would not fit in the buffer, and once at the end,
-    ``on_block(estimates, errors)`` receives the n rounds the buffer
-    kept as an (n, m, j) stack and their n errors, in round order, and
-    the loop goes on in fresh arrays, so the caller may keep what it
-    was handed. Rounds mixed past a stop never outnumber the rounds used
-    and never reach ``on_block``. They may overflow, so a block mixes,
-    its weights drawn and built included, with overflow and
-    invalid-value warnings off. Returns (final states, rounds used, stop
+    in row 0, and one agent-major pass (``consensus_errors``) takes each
+    block's errors into an S-vector beside it. A block is cut after its
+    first round that stops the loop: a stop is known only once a block
+    is scanned. When the next block would not fit in the buffer, and
+    once at the end, ``on_block(estimates, errors)`` receives the n
+    rounds the buffer kept as an (n, m, j) stack and their n errors, in
+    round order, and the loop goes on in fresh arrays, so the caller may
+    keep what it was handed. Rounds mixed past a stop never outnumber
+    the rounds used and never reach ``on_block``. They may overflow, so
+    a block mixes, its weights drawn and built included, with overflow
+    and invalid-value warnings off. Returns (final states, rounds used, stop
     reason)."""
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -37,6 +37,6 @@ def keyed_uniform(master: int, tag: str, *indices) -> float:
     return int.from_bytes(_digest(master, tag, *indices)[:8], "big") / _U64
 
 
-def keyed_rng(master: int, tag: str, *indices) -> np.random.Generator:
+def keyed_rng(master: int, tag: str, *indices) -> "np.random.Generator":
     """A fresh numpy generator keyed by its arguments."""
     return np.random.default_rng(child_seed(master, tag, *indices))

@@ -229,12 +229,21 @@ def _rounds(cfg: SimConfig, part, truth: np.ndarray, states: consensus.Consensus
     j, m = cfg.tracked, part.m
     live = [np.zeros(1, dtype=int)]  # live edges per round; none exchange in round 0
     columns = []
+    # One scratch array for the run's hand-overs, grown only when one is
+    # longer than any before: each block's |est - truth|, then, once
+    # those are reduced, its deviations from the agents' mean.
+    scratch = np.empty((0, m, j))
 
     def on_block(est, errors):
-        eps = consensus.estimation_errors(est, truth)
+        nonlocal scratch
+        if len(scratch) < len(est):
+            scratch = np.empty(est.shape)
+        eps = consensus.estimation_errors(est, truth, out=scratch[:len(est)])
         # add.reduce over the count: the two operations of eps.mean(axis=(1, 2))
-        columns.append((errors, consensus.deviation_norms(est), eps.max(axis=(1, 2)),
-                        np.add.reduce(eps, axis=(1, 2)) / (m * j)))
+        mean_errors = np.add.reduce(eps, axis=(1, 2)) / (m * j)
+        max_errors = np.maximum.reduce(consensus.agent_major(eps), axis=0).max(axis=1)
+        columns.append((errors, consensus.deviation_norms(est, out=eps), max_errors,
+                        mean_errors))
 
     failures = FailureModel(cfg.failure_p, child_seed(cfg.seed, "failures"))
     weights = comm_graph.round_weights(base, w0, failures, cfg.max_rounds, live)

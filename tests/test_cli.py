@@ -1157,3 +1157,16 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs about 10 ms to import, and report, or any
+        # command that draws nothing, never needs it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        check = "import sys, coopeig.cli; print('numpy.random' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"

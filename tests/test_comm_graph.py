@@ -334,6 +334,9 @@ class TestCheckWeights:
         ([NAN], [NAN, NAN], [NAN, NAN], "rows must sum to 1"),
         ([0.5], [0.5, NAN], [0.5, 0.5], "rows must sum to 1"),
         ([INF], [INF, INF], [1.0, 1.0], "rows must sum to 1"),
+        # a negative entry beside a NaN is still found
+        ([NAN, -0.5], [0.5, 0.5], [0.5, 0.5], "nonnegative"),
+        ([0.5], [0.5, 0.5], [NAN, -0.5], "nonnegative"),
     ])
     def test_edge_form_rejections(self, weights, inc, diag, message):
         with pytest.raises(ValueError, match=message):

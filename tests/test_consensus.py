@@ -14,6 +14,7 @@ from coopeig.consensus import (
     DivergenceError,
     aggregate_global,
     consensus_error,
+    consensus_errors,
     consensus_round,
     deviation_norm,
     deviation_norms,
@@ -140,10 +141,34 @@ class TestStackedMetrics:
         truth = np.linspace(-1.0, 1.0, j)
         norms, eps = deviation_norms(est), estimation_errors(est, truth)
         assert norms.shape == (rounds,) and eps.shape == est.shape
+        # the same bits written into a scratch array
+        scratch = np.empty_like(est)
+        assert deviation_norms(est, out=scratch).tobytes() == norms.tobytes()
+        assert estimation_errors(est, truth, out=scratch) is scratch
+        assert scratch.tobytes() == eps.tobytes()
         for r in range(rounds):
             states = ConsensusState(est[r].copy(), est[r].copy())
             assert norms[r] == deviation_norm(states)
             assert eps[r].tobytes() == estimation_error(states, truth).tobytes()
+
+    # the agent-major stop scan is the axis reductions over the (R, m, j)
+    # stack, byte for byte, for every block length up to the buffer's S
+    # rounds, rows holding inf, -inf and NaN included
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_consensus_errors_equal_axis_reductions(self, j):
+        m = 40
+        size = BLOCK_FLOATS // (m * j)
+        est = np.random.default_rng(j).normal(size=(size, m, j))
+        est[3, 5, 0] = est[size // 2, 0, j - 1] = math.inf
+        est[7, 9, j - 1] = est[size - 2, 39, 0] = -math.inf
+        est[11, 2, 0] = est[size - 5, 17, j - 1] = math.nan
+        est[13], est[17], est[size - 1] = math.inf, -math.inf, math.nan
+        est[19, :, 0], est[19, 0, j - 1] = math.inf, -math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in all-inf rows
+            for n in range(1, size + 1):
+                for block in (est[:n], est[size - n:]):
+                    expected = (block.max(axis=1) - block.min(axis=1)).max(axis=1)
+                    assert consensus_errors(block).tobytes() == expected.tobytes()
 
     def test_shape_mismatches_rejected(self):
         est = np.zeros((4, 3, 2))

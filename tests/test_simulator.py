@@ -550,30 +550,53 @@ class TestFailingRound:
         assert run_simulation(cfg).rounds_used == 75
         assert streams == []
 
-    def test_trace_metrics_equal_per_round_calls(self, monkeypatch):
-        # two tracked values: blocks of at most 409 rounds, so 1009 rounds
-        # take blocks of 1, 1, 2, ..., 256, then 409 and one cut to 88
+    # Two tracked values: blocks of at most 409 rounds, so 1009 rounds
+    # take blocks of 1, 1, 2, ..., 256, then 409 and one cut to 88; the
+    # same run without link loss; and a diverging paper_literal run whose
+    # round 150 the step below makes non-finite, so inf, -inf and NaN
+    # reach on_block. A run cannot overflow by itself: matrix entries
+    # stay below 1e153, and a diverging iterate passes the divergence
+    # threshold, 1e9 times its initial error, long before.
+    @pytest.mark.parametrize("over, rounds, poisoned", [
+        (dict(mode=ConsensusMode("damped", gamma=0.9), failure_p=0.5, max_rounds=1009),
+         1009, None),
+        (dict(mode=ConsensusMode("damped", gamma=0.9), max_rounds=1009), 1009, None),
+        (dict(topology="er:0.3", mode=ConsensusMode("paper_literal"), failure_p=0.3,
+              max_rounds=3000), 150, 150),
+    ], ids=["failing", "failure-free", "diverged"])
+    def test_trace_metrics_equal_per_round_calls(self, monkeypatch, over, rounds, poisoned):
         inputs, step = [], consensus._step
-        monkeypatch.setattr(consensus, "_step",
-                            lambda est, anc, w, mode, out: inputs.append(
-                                consensus.ConsensusState(est.copy(), anc))
-                            or step(est, anc, w, mode, out))
-        cfg = small_cfg(matrix=MATRIX_80, agents=40, mode=ConsensusMode("damped", gamma=0.9),
-                        tracked=2, failure_p=0.5, max_rounds=1009)
+
+        def recorded(est, anc, w, mode, out):
+            inputs.append(consensus.ConsensusState(est.copy(), anc))
+            step(est, anc, w, mode, out)
+            if len(inputs) == poisoned:  # no column holds both inf and -inf
+                out[:2, 0], out[:2, 1] = (math.inf, math.nan), (-math.inf, math.nan)
+
+        monkeypatch.setattr(consensus, "_step", recorded)
+        cfg = small_cfg(matrix=MATRIX_80, agents=40, tracked=2, **over)
         trace = run_simulation(cfg)
-        states = inputs + [consensus.ConsensusState(trace.final_estimates, inputs[0].anchors)]
-        assert len(states) == len(trace.consensus_error) == 1010
+        states = inputs[:trace.rounds_used] + [
+            consensus.ConsensusState(trace.final_estimates, inputs[0].anchors)]
+        assert len(states) == len(trace.consensus_error) == rounds + 1
+        assert trace.stop_reason == ("diverged" if poisoned else "max_rounds")
         for k, s in enumerate(states):
             eps = consensus.estimation_error(s, trace.truth)
-            assert trace.deviation_norm[k] == consensus.deviation_norm(s)
-            assert trace.max_est_error[k] == eps.max()
-            assert trace.mean_est_error[k] == eps.mean()
+            # bytes, so that NaN equals itself
+            assert same(trace.deviation_norm[k], consensus.deviation_norm(s))
+            assert same(trace.max_est_error[k], eps.max())
+            assert same(trace.mean_est_error[k], eps.mean())
 
     def test_failure_free_rounds_mix_w0(self, mixed):
         trace = run_simulation(small_cfg(max_rounds=20, tol=1e-300))
         w0 = metropolis_weights(build_graph("ring", 4, child_seed(7, "graph"))).w
         assert len(mixed) == trace.rounds_used == 20
         assert all(w.tobytes() == w0.tobytes() for w in mixed)
+
+
+def same(a, b):
+    """a and b are the same float64, bit for bit."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def constant_trace(value, rounds=20):
