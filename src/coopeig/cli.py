@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
         lines.append(_sweep_row(args.param, value, [next(traces) for _ in range(args.trials)]))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
+        with matrix_core.replacing(args.out) as f:
             f.write(text)
     else:
         sys.stdout.write(text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DenseSymMatrix, naming, spd_stack
+from .matrix_core import DenseSymMatrix, naming, replacing, spd_stack
 from .seeding import keyed_rng
 
 
@@ -392,7 +392,7 @@ def save_params(p: MlpParams, path) -> None:
         "biases": [b.tolist() for b in p.biases],
         "input_scale": p.input_scale,
     }
-    with open(path, "w") as f:
+    with replacing(path) as f:
         json.dump(data, f)
 
 

@@ -6,6 +6,8 @@ call site: the truth, the SLEM and each stack of equal-size blocks.
 the tests' reference; no run path calls it.
 """
 
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -213,7 +215,7 @@ def partition_rows(n: int, m: int) -> Partition:
 
 def save_matrix(A: DenseSymMatrix, path) -> None:
     """Plain-text format: line 1 = n, then n rows of n values."""
-    with open(path, "w") as f:
+    with replacing(path) as f:
         f.write(f"{A.n}\n")
         for row in A.a:
             f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
@@ -228,6 +230,38 @@ def naming(name):
         yield
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+@contextmanager
+def replacing(path):
+    """A text file whose contents replace ``path`` when the block
+    completes: every output file is written this way. A regular or
+    absent destination (after symlinks, which ``open`` follows too)
+    gets a new file beside it, with the mode ``open(path, "w")`` gives
+    or the old file's permission bits, renamed over it at the end and
+    deleted on any exception, KeyboardInterrupt included. Any other
+    destination (a device, a FIFO) is written directly; a directory
+    fails as ``open`` fails. Every OSError names ``path``."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode if os.path.lexists(target) else None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w") as f:
+                yield f
+            return
+        tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+        f = open(tmp, "x")
+        try:
+            with f:
+                if mode is not None:
+                    os.chmod(f.fileno(), stat.S_IMODE(mode))
+                yield f
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def load_matrix(path) -> DenseSymMatrix:

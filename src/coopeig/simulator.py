@@ -10,8 +10,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,45 +353,28 @@ def _run_texts(values, repeats) -> list:
 
 def export_csv(trace: Trace, destination) -> None:
     """Write the per-round metrics; all reals carry 17 significant
-    digits so parsing reproduces them bit-exactly. Write-then-rename so
-    a failure never leaves a partial file, and an error names
-    ``destination``, not the temporary file."""
-    destination = os.fspath(destination)
-    directory = os.path.dirname(destination) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, destination) from None
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(CSV_HEADER + "\n")
-            # The error columns hold runs of repeated values (30% of the
-            # float cells of a ring losing links); the bound strictly decreases.
-            errors = (trace.consensus_error, trace.max_est_error, trace.mean_est_error)
-            repeats = [c.view(np.int64)[1:] == c.view(np.int64)[:-1] for c in errors]
-            others = (trace.bound, trace.scalars_sent, trace.flops_local)
-            # One % call and write per batch: a batch bounds the Python
-            # values and the string held at once.
-            rounds = len(trace.consensus_error)
-            for start in range(0, rounds, _CSV_BATCH):
-                stop = min(start + _CSV_BATCH, rounds)
-                # Row-major, column i at i::7: strided assignment
-                # interleaves the columns faster than zip and chain.
-                cells = [None] * (7 * (stop - start))
-                cells[0::7] = range(start, stop)
-                for i, (c, r) in enumerate(zip(errors, repeats), 1):
-                    cells[i::7] = _run_texts(c[start:stop], r[start:stop - 1])
-                for i, c in enumerate(others, 4):
-                    cells[i::7] = c[start:stop].tolist()
-                f.write(_CSV_ROW * (stop - start) % tuple(cells))
-        try:
-            os.replace(tmp, destination)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, destination) from None
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    digits so parsing reproduces them bit-exactly."""
+    with matrix_core.replacing(destination) as f:
+        f.write(CSV_HEADER + "\n")
+        # The error columns hold runs of repeated values (30% of the
+        # float cells of a ring losing links); the bound strictly decreases.
+        errors = (trace.consensus_error, trace.max_est_error, trace.mean_est_error)
+        repeats = [c.view(np.int64)[1:] == c.view(np.int64)[:-1] for c in errors]
+        others = (trace.bound, trace.scalars_sent, trace.flops_local)
+        # One % call and write per batch: a batch bounds the Python
+        # values and the string held at once.
+        rounds = len(trace.consensus_error)
+        for start in range(0, rounds, _CSV_BATCH):
+            stop = min(start + _CSV_BATCH, rounds)
+            # Row-major, column i at i::7: strided assignment
+            # interleaves the columns faster than zip and chain.
+            cells = [None] * (7 * (stop - start))
+            cells[0::7] = range(start, stop)
+            for i, (c, r) in enumerate(zip(errors, repeats), 1):
+                cells[i::7] = _run_texts(c[start:stop], r[start:stop - 1])
+            for i, c in enumerate(others, 4):
+                cells[i::7] = c[start:stop].tolist()
+            f.write(_CSV_ROW * (stop - start) % tuple(cells))
 
 
 def format_summary(truth_smallest: float, agent_values, stop_reason: str,
@@ -590,7 +571,7 @@ def snapshot(trace: Trace) -> dict:
 
 
 def save_snapshot(snap: dict, path) -> None:
-    with open(path, "w") as f:
+    with matrix_core.replacing(path) as f:
         json.dump(snap, f, indent=1)
 
 

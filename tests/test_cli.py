@@ -1,10 +1,12 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,7 +429,13 @@ class TestSimulate:
           "input_scale": -1}, "input_scale must be finite and > 0"),
         ({"layer_sizes": [9, 3], "weights": [[[0.0] * 9] * 2], "biases": [[0.0] * 3],
           "input_scale": 1.0}, "layer 0 has incompatible shapes"),
-    ], ids=["input-scale", "layer-shape"])
+        ({"layer_sizes": [9], "weights": [], "biases": [], "input_scale": 1.0},
+         "need at least input and output layers"),
+        ({"layer_sizes": [9, 3], "weights": [[[0.0] * 9] * 3], "biases": [],
+          "input_scale": 1.0}, "weights/biases do not match layer sizes"),
+        ({"layer_sizes": [9, 3], "weights": [[[float("nan")] * 9] * 3],
+          "biases": [[0.0] * 3], "input_scale": 1.0}, "parameters must be finite"),
+    ], ids=["input-scale", "layer-shape", "one-layer", "weight-bias-counts", "nan-weight"])
     def test_params_file_value_error_names_the_file(self, tmp_path, capsys, params, message):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params))
@@ -845,6 +853,11 @@ UNREADABLE = {
         "truth": [1], "final_estimates": [[1.0]], "stop_reason": "stalled", "rounds_used": 3,
         "final_consensus_error": 0.0}).encode(),
         lambda tmp_path, path: ["report", "--snapshot", str(path)]),
+    "matrix-empty": ("A.txt", b"", lambda tmp_path, path: [
+        "simulate", "--config", str(base_config(tmp_path, agents=2, matrix={
+            "kind": "file", "path": str(path)}))]),
+    "snapshot-list": ("snap.json", b"[1, 2]",
+                      lambda tmp_path, path: ["report", "--snapshot", str(path)]),
     "spectrum-not-utf8": ("spec.txt", b"1 2 \xff\n", lambda tmp_path, path: [
         "gen-matrix", "--n", "3", "--spectrum", str(path),
         "--out", str(tmp_path / "m.txt")]),
@@ -861,6 +874,184 @@ class TestFileReaders:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+
+
+def quick_config(tmp_path):
+    """``base_config`` on a complete graph: one round, so each output
+    file is small enough to fit a pipe's buffer."""
+    return str(base_config(tmp_path, topology="complete"))
+
+
+# The arguments of each command that writes an output file, writing it
+# to ``out`` from inputs made in ``tmp_path``. The snapshot run writes
+# its CSV, which is smaller than the snapshot, beside the inputs.
+WRITERS = {
+    "gen-matrix": lambda tmp_path, out: [
+        "gen-matrix", "--n", "6", "--spectrum", "0.5:5.0", "--out", out],
+    "train": lambda tmp_path, out: [
+        "train", "--k", "2", "--samples", "4", "--epochs", "2", "--hidden", "3", "--out", out],
+    "simulate-out": lambda tmp_path, out: [
+        "simulate", "--config", quick_config(tmp_path), "--out", out],
+    "simulate-snapshot": lambda tmp_path, out: [
+        "simulate", "--config", quick_config(tmp_path), "--out", str(tmp_path / "side.csv"),
+        "--snapshot", out],
+    "sweep-out": lambda tmp_path, out: [
+        "sweep", "--config", quick_config(tmp_path), "--param", "p", "--values", "0,0.3",
+        "--out", out],
+}
+
+
+def interrupted_rows(n):
+    yield np.ones(n)
+    raise KeyboardInterrupt
+
+
+def interrupted_dump(obj, f, **kwargs):
+    f.write("{")
+    raise KeyboardInterrupt
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+# A Ctrl-C inside each writer's formatter, after some of the file is
+# written where the writer formats as it writes; the sweep formats its
+# rows before it opens the file.
+INTERRUPTS = {
+    "gen-matrix": lambda mp: mp.setattr(
+        matrix_core, "generate_spd",
+        lambda n, spectrum, seed: SimpleNamespace(n=n, a=interrupted_rows(n))),
+    "train": lambda mp: mp.setattr(json, "dump", interrupted_dump),
+    "simulate-out": lambda mp: mp.setattr(simulator, "_run_texts", interrupt),
+    "simulate-snapshot": lambda mp: mp.setattr(json, "dump", interrupted_dump),
+    "sweep-out": lambda mp: mp.setattr(cli, "_sweep_row", interrupt),
+}
+
+
+def child_env():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+class TestOutputFiles:
+    """Every output file is written through ``matrix_core.replacing``:
+    a new file with the mode ``open`` gives, or the old file's bits,
+    symlinks followed, nothing renamed over a FIFO, the old file kept
+    on any failure, and every error naming the path given."""
+
+    @pytest.fixture
+    def out_dir(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        return path
+
+    @staticmethod
+    def expected(tmp_path, writer):
+        """The bytes ``writer`` writes to a new file."""
+        fresh = tmp_path / "fresh"
+        assert main(WRITERS[writer](tmp_path, str(fresh))) == 0
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, out_dir, capsys, writer):
+        probe = out_dir / "probe"
+        open(probe, "w").close()
+        dest = out_dir / "dest"
+        assert main(WRITERS[writer](tmp_path, str(dest))) == 0
+        assert stat.S_IMODE(dest.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+        assert dest.read_bytes() == self.expected(tmp_path, writer)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dest", "probe"]
+
+    @pytest.mark.parametrize("bits", [0o640, 0o604], ids=oct)
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_rewrite_keeps_permission_bits(self, tmp_path, out_dir, capsys, writer, bits):
+        dest = out_dir / "dest"
+        dest.write_text("old\n")
+        dest.chmod(bits)
+        assert main(WRITERS[writer](tmp_path, str(dest))) == 0
+        assert stat.S_IMODE(dest.stat().st_mode) == bits
+        assert dest.read_bytes() == self.expected(tmp_path, writer)
+
+    @pytest.mark.parametrize("old", ["old\n", None], ids=["target-exists", "dangling"])
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path, out_dir, capsys,
+                                                         writer, old):
+        target = out_dir / "target"
+        if old is not None:
+            target.write_text(old)
+        link = out_dir / "link"
+        link.symlink_to("target")
+        assert main(WRITERS[writer](tmp_path, str(link))) == 0
+        assert link.is_symlink() and os.readlink(link) == "target"
+        assert target.read_bytes() == self.expected(tmp_path, writer)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["link", "target"]
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_interrupt_keeps_the_old_file(self, tmp_path, out_dir, capsys, monkeypatch,
+                                          writer):
+        dest = out_dir / "dest"
+        dest.write_text("old\n")
+        INTERRUPTS[writer](monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            main(WRITERS[writer](tmp_path, str(dest)))
+        assert dest.read_text() == "old\n"
+        assert [p.name for p in out_dir.iterdir()] == ["dest"]
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_write_error_keeps_the_old_file_and_names_it(self, tmp_path, out_dir, writer):
+        # A file size limit of half the output makes the write fail
+        # part-way, as a full disk does: exit 5, naming the destination.
+        pytest.importorskip("resource")
+        limit = len(self.expected(tmp_path, writer)) // 2
+        dest = out_dir / "dest"
+        dest.write_text("old\n")
+        child = ("import resource, signal, sys\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+                 f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+                 "from coopeig.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        result = subprocess.run([sys.executable, "-c", child,
+                                 *WRITERS[writer](tmp_path, str(dest))],
+                                env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 5, result.stderr
+        assert result.stderr == f"i/o error: [Errno 27] File too large: {str(dest)!r}\n"
+        assert dest.read_text() == "old\n"
+        assert [p.name for p in out_dir.iterdir()] == ["dest"]
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_fifo_gets_the_bytes_and_stays_a_fifo(self, tmp_path, out_dir, capsys, writer):
+        expected = self.expected(tmp_path, writer)
+        assert len(expected) < 4096  # fits the smallest pipe buffer: the write never blocks
+        fifo = out_dir / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(WRITERS[writer](tmp_path, str(fifo))) == 0
+            got = os.read(reader, 4096)
+        finally:
+            os.close(reader)
+        assert got == expected
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in out_dir.iterdir()] == ["fifo"]
+
+    @pytest.mark.parametrize("case", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_unwritable_destination_is_named(self, tmp_path, out_dir, capsys, writer, case):
+        if case == "directory":
+            dest = out_dir / "dest"
+            dest.mkdir()
+        else:
+            dest = out_dir / "missing" / "dest"
+        assert main(WRITERS[writer](tmp_path, str(dest))) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.endswith(f": {str(dest)!r}\n")
+        assert ".tmp" not in err
+        assert [p.name for p in out_dir.iterdir()] == (["dest"] if case == "directory" else [])
+        if case == "directory":
+            assert not any(dest.iterdir())
 
 
 class TestParserBuiltOnce:
@@ -1117,6 +1308,23 @@ END_TO_END = [
                             estimator="{kind: mlp, params_path: params4.json}"),
                  2, None, "pretrained network expects 4x4 blocks, agent block is 5x5",
                  id="pretrained-block-size-mismatch"),
+    # each config check that only a config reaches
+    *(pytest.param([], run_config(**keys), 2, None, message, id=name)
+      for name, keys, message in [
+          ("no-agents", {"matrix": GEN_42, "agents": "0"}, "agents must be >= 1"),
+          ("negative-max-rounds", {"matrix": GEN_42, "agents": "10", "max_rounds": "-1"},
+           "max_rounds must be >= 0"),
+          ("spectrum-list-too-short",
+           {"matrix": "{kind: generate, n: 4, spectrum: [1, 2, 3]}", "agents": "2"},
+           "generated matrix needs n and a spectrum of length n"),
+          ("empty-matrix-path", {"matrix": '{kind: file, path: ""}', "agents": "2"},
+           "file matrix needs a path"),
+          *((f"er-{p}", {"matrix": GEN_42, "agents": "10", "topology": f"er:{p}"},
+             "er edge probability must be in (0, 1]") for p in ("0", "1.5")),
+      ]),
+    pytest.param([("A4.txt", gen_matrix(4, 0))],
+                 run_config(matrix="{kind: file, path: A4.txt}", agents=5),
+                 2, None, "more agents than matrix rows", id="file-matrix-more-agents-than-rows"),
 ]
 
 
@@ -1165,8 +1373,12 @@ class TestImport:
         # command that draws nothing, never needs it
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        check = "import sys, coopeig.cli; print('numpy.random' in sys.modules)"
+        # nor tempfile, which no writer needs: start-up hooks of the
+        # interpreter's site may load it first, so it is dropped before
+        # the import, and any import of it by coopeig loads it again
+        check = ("import sys; sys.modules.pop('tempfile', None); import coopeig.cli; "
+                 "print('numpy.random' in sys.modules, 'tempfile' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                                 text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout == "False False\n"

@@ -702,7 +702,7 @@ class TestExportCsv:
         assert not target.exists()
 
     def test_out_is_a_directory(self, tmp_path, capsys):
-        # the rename fails, so the error names --out, not the temporary file
+        # open fails on a directory, and the error names --out, not a temporary file
         config = tmp_path / "c.yaml"
         config.write_text(yaml.safe_dump(TestConfigFile().yaml_dict()))
         out = tmp_path / "outdir"
